@@ -22,7 +22,8 @@ def run(*args, cwd=ROOT):
                           capture_output=True, text=True, cwd=cwd, timeout=170)
 
 
-@pytest.mark.parametrize("workload", [w["name"] for w in spec()["workloads"]])
+# link_free is not in BENCHMARK.json but stays runnable by hand.
+@pytest.mark.parametrize("workload", [w["name"] for w in spec()["workloads"]] + ["link_free"])
 @pytest.mark.parametrize("trace", [0, 1])
 def test_smoke_run_reports_every_metric(workload, trace):
     p = run("--workload", workload, "--seed", "3", "--seconds", "1",
