@@ -18,14 +18,21 @@ Two equivalent realizations are provided:
   geometric-series kernel, and the FFT of white Gaussian noise is again
   white Gaussian (variance scaled by the block length), so only the
   searched in-band bins need noise draws.  This is an exact sampler of the
-  same peak statistic, roughly two orders of magnitude cheaper, and is
-  what the Monte-Carlo sweeps use.
+  same peak statistic, roughly two orders of magnitude cheaper.
 
-Within one RNG stream draws are ordered doppler, fading, noise.
+:func:`simulate_link` runs the spectrum sampler over a current sequence
+in chunks with one RNG stream each; :func:`simulate_link_grid` does the
+same for many current sequences and configs at once (the Monte-Carlo
+sweeps' axis points), drawing each chunk once and sharing it.
+
+Within one RNG stream draws are ordered doppler, fading, noise.  None of
+them depends on the tone frequencies or the SNR: noise is drawn at unit
+variance and scaled per config.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -40,6 +47,7 @@ __all__ = [
     "received_spectrum",
     "demodulate_spectrum",
     "simulate_link",
+    "simulate_link_grid",
 ]
 
 
@@ -55,8 +63,6 @@ class ChannelConfig:
     doppler_fraction: float = 0.02
     rician_k_db: float = 6.0
     seed: int = 0
-    s_c: float | None = None  # channel spatial correlation radius (carried, unused)
-    t_c: float | None = None  # channel temporal correlation window (carried, unused)
 
     def __post_init__(self) -> None:
         if not self.bandwidth > 0:
@@ -143,24 +149,45 @@ def _noise_variance(cfg: ChannelConfig) -> float:
     return 10.0 ** (-cfg.snr_db / 10.0) * cfg.sample_rate / cfg.bandwidth
 
 
-def _symbol_gains(n_sym: int, freqs: np.ndarray, cfg: ChannelConfig, rng):
-    """Draw per-symbol doppler-shifted frequencies and fading gains."""
-    d = rng.uniform(-1.0, 1.0, n_sym)
+def _noisy(cfg: ChannelConfig) -> bool:
+    """Whether the link adds noise (and so draws it)."""
+    return _noise_variance(cfg) > 0
+
+
+def _draw_gains(rng, b: int):
+    """Unit per-symbol draws in stream order: doppler d ~ U(-1, 1), fading z_re, z_im ~ N(0, 1)."""
+    d = rng.uniform(-1.0, 1.0, b)
+    z_re = rng.standard_normal(b)
+    z_im = rng.standard_normal(b)
+    return d, z_re, z_im
+
+
+def _symbol_gains(freqs: np.ndarray, draws, cfg: ChannelConfig):
+    """Doppler-shifted frequencies and fading gains from the unit draws."""
+    d, z_re, z_im = draws
     f_eff = freqs * (1.0 + cfg.doppler_fraction * d)
     los, diffuse = _fading_scales(cfg)
-    z_re = rng.standard_normal(n_sym)
-    z_im = rng.standard_normal(n_sym)
     h = los + diffuse * (z_re + 1j * z_im) / math.sqrt(2.0)
     return f_eff, h
 
 
-def transmit_block(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
-    """Received sample blocks, one row per tone frequency."""
+def _draw_noise(rng, b: int, n_bins: int) -> np.ndarray:
+    """Unit in-band noise, drawn after the gains: real parts [:, :n_bins], imaginary after."""
+    return rng.standard_normal((b, 2 * n_bins), dtype=np.float32)
+
+
+def _check_tones(freqs, cfg: ChannelConfig) -> np.ndarray:
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if np.any(freqs <= 0) or np.any(freqs >= cfg.sample_rate / 2):
         raise ValueError("tone frequency must lie in (0, sample_rate/2)")
+    return freqs
+
+
+def transmit_block(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
+    """Received sample blocks, one row per tone frequency."""
+    freqs = _check_tones(freqs, cfg)
     n = cfg.n_samples
-    f_eff, h = _symbol_gains(freqs.size, freqs, cfg, rng)
+    f_eff, h = _symbol_gains(freqs, _draw_gains(rng, freqs.size), cfg)
     t = np.arange(n) / cfg.sample_rate
     blocks = h[:, None] * np.exp(2j * np.pi * np.outer(f_eff, t))
     var = _noise_variance(cfg)
@@ -197,28 +224,21 @@ def _tone_kernel_exact(omega: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     return np.where(on_bin, n + 0.0j, num / np.where(on_bin, 1.0, den))
 
 
-def received_spectrum(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
-    """In-band received spectrum rows (bins 1..n_bins), complex64.
+def _tone_spectrum(freqs: np.ndarray, draws, cfg: ChannelConfig) -> np.ndarray:
+    """Noise-free in-band spectrum rows (bins 1..n_bins) of the faded tones, complex64.
 
-    Statistically identical to ``fft(transmit_block(...))`` restricted to
-    the searched bins; noise is drawn directly per bin.  The bin nearest
-    each tone is recomputed in float64 since the kernel denominator loses
-    precision there.
+    The bin nearest each tone is recomputed in float64 since the kernel
+    denominator loses precision there.
     """
-    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    if np.any(freqs <= 0) or np.any(freqs >= cfg.sample_rate / 2):
-        raise ValueError("tone frequency must lie in (0, sample_rate/2)")
     n = cfg.n_samples
     n_bins = cfg.n_bins
-    b = freqs.size
-    f_eff, h = _symbol_gains(b, freqs, cfg, rng)
+    f_eff, h = _symbol_gains(freqs, draws, cfg)
 
     omega = 2.0 * np.pi * f_eff / cfg.sample_rate
     hnum = (h * (1.0 - np.exp(1j * omega * n))).astype(np.complex64)
     z = np.exp(1j * omega).astype(np.complex64)
     roots = np.exp(-2j * np.pi * np.arange(1, n_bins + 1) / n).astype(np.complex64)
-    den = 1.0 - z[:, None] * roots[None, :]
-    spectrum = hnum[:, None] / den
+    spectrum = hnum[:, None] / (1.0 - z[:, None] * roots[None, :])
 
     k0 = np.rint(omega * n / (2.0 * np.pi)).astype(int)
     patch = (k0 >= 1) & (k0 <= n_bins)
@@ -226,21 +246,105 @@ def received_spectrum(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
         rows = np.nonzero(patch)[0]
         exact = h[rows] * _tone_kernel_exact(omega[rows], k0[rows].astype(float), n)
         spectrum[rows, k0[rows] - 1] = exact.astype(np.complex64)
-
-    var = _noise_variance(cfg)
-    if var > 0:
-        scale = np.float32(math.sqrt(n * var / 2.0))
-        w = rng.standard_normal((b, 2 * n_bins), dtype=np.float32)
-        spectrum += scale * w[:, :n_bins]
-        spectrum += 1j * (scale * w[:, n_bins:])
     return spectrum
+
+
+def _noisy_planes(tone: np.ndarray, w: np.ndarray, cfg: ChannelConfig):
+    """Real and imaginary float32 planes of ``tone`` plus the unit noise ``w`` at cfg's SNR."""
+    n_bins = tone.shape[1]
+    scale = np.float32(math.sqrt(cfg.n_samples * _noise_variance(cfg) / 2.0))
+    re = scale * w[:, :n_bins]
+    re += tone.real
+    im = scale * w[:, n_bins:]
+    im += tone.imag
+    return re, im
+
+
+def received_spectrum(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
+    """In-band received spectrum rows (bins 1..n_bins), complex64.
+
+    Statistically identical to ``fft(transmit_block(...))`` restricted to
+    the searched bins; noise is drawn directly per bin.
+    """
+    freqs = _check_tones(freqs, cfg)
+    spectrum = _tone_spectrum(freqs, _draw_gains(rng, freqs.size), cfg)
+    if _noisy(cfg):
+        re, im = _noisy_planes(spectrum, _draw_noise(rng, freqs.size, cfg.n_bins), cfg)
+        spectrum.real = re
+        spectrum.imag = im
+    return spectrum
+
+
+def _peak_currents(power: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
+    """Current estimates from the peak bin of each row of in-band bins 1..n."""
+    k = 1 + np.argmax(power, axis=1)
+    return k * (cfg.sample_rate / cfg.n_samples) / cfg.fm_scale
 
 
 def demodulate_spectrum(spectrum: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     """Current estimates from in-band spectrum rows."""
-    mag2 = spectrum.real ** 2 + spectrum.imag ** 2
-    k = 1 + np.argmax(mag2, axis=1)
-    return k * (cfg.sample_rate / cfg.n_samples) / cfg.fm_scale
+    return _peak_currents(spectrum.real ** 2 + spectrum.imag ** 2, cfg)
+
+
+def _link_currents(tone: np.ndarray, w, cfg: ChannelConfig) -> np.ndarray:
+    """Current estimates at cfg's SNR from a shared tone spectrum and unit noise."""
+    if not _noisy(cfg):
+        return demodulate_spectrum(tone, cfg)
+    re, im = _noisy_planes(tone, w, cfg)
+    re **= 2
+    im **= 2
+    re += im
+    return _peak_currents(re, cfg)
+
+
+def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np.ndarray:
+    """Pass every current array through every link config on shared draws.
+
+    Returns an array of shape ``(len(ids_list), len(cfgs), *ids.shape)``
+    whose entry ``[i, j]`` is ``simulate_link(ids_list[i], cfgs[j], seed,
+    chunk_symbols=chunk_symbols)``, bit for bit.  The draws of a chunk do
+    not depend on the tone frequencies or the SNR, so each chunk draws its
+    doppler, fading and (if any config has noise) unit noise once per bin
+    count, computes one tone spectrum per current array and per config
+    modulo SNR, and only rescales the noise and searches the peak per SNR.
+    At most one chunk's noise, one tone spectrum and one noisy spectrum are
+    alive at a time.
+    """
+    ids_list = [np.asarray(ids, dtype=float) for ids in ids_list]
+    cfgs = list(cfgs)
+    if not ids_list or not cfgs:
+        raise ValueError("need at least one current array and one link config")
+    shape = ids_list[0].shape
+    if any(ids.shape != shape for ids in ids_list):
+        raise ValueError("current arrays must share one shape")
+    # bin count -> {config with its SNR set to inf: indices of the configs
+    # that differ from it only in SNR}; such configs share a tone spectrum
+    groups: dict[int, dict[ChannelConfig, list[int]]] = {}
+    for j, cfg in enumerate(cfgs):
+        tone_cfg = dataclasses.replace(cfg, snr_db=math.inf)
+        groups.setdefault(cfg.n_bins, {}).setdefault(tone_cfg, []).append(j)
+    freqs = {(i, tone_cfg): _check_tones(modulate(ids.ravel(), tone_cfg), tone_cfg)
+             for tones in groups.values() for tone_cfg in tones
+             for i, ids in enumerate(ids_list)}
+
+    n_sym = ids_list[0].size
+    out = np.empty((len(ids_list), len(cfgs), n_sym))
+    for ci, start in enumerate(range(0, n_sym, chunk_symbols)):
+        stop = min(start + chunk_symbols, n_sym)
+        for n_bins, tones in groups.items():
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
+            draws = _draw_gains(rng, stop - start)
+            w = None
+            if any(_noisy(cfgs[j]) for js in tones.values() for j in js):
+                w = _draw_noise(rng, stop - start, n_bins)
+            for tone_cfg, js in tones.items():
+                for i in range(len(ids_list)):
+                    tone = _tone_spectrum(freqs[i, tone_cfg][start:stop], draws, tone_cfg)
+                    for j in js:
+                        out[i, j, start:stop] = _link_currents(tone, w, cfgs[j])
+                    del tone  # freed before the next tone spectrum is built
+            del w
+    return out.reshape(len(ids_list), len(cfgs), *shape)
 
 
 def simulate_link(ids, cfg: ChannelConfig, seed, *, chunk_symbols: int = 1024,
@@ -250,21 +354,18 @@ def simulate_link(ids, cfg: ChannelConfig, seed, *, chunk_symbols: int = 1024,
     Symbols are processed in fixed-size chunks, each with its own RNG
     stream derived from (seed, chunk index), so results are reproducible
     and independent of any outer parallelisation.  ``seed`` may be an int
-    or a tuple of ints.
+    or a tuple of ints.  The spectrum path is the one-point case of
+    :func:`simulate_link_grid`; ``time_domain=True`` instead builds and
+    transforms the sample blocks, as the reference for that sampler.
     """
+    if not time_domain:
+        return simulate_link_grid([ids], [cfg], seed, chunk_symbols=chunk_symbols)[0, 0]
     ids = np.asarray(ids, dtype=float)
     freqs = modulate(ids.ravel(), cfg)
     out = np.empty(freqs.size)
     for ci, start in enumerate(range(0, freqs.size, chunk_symbols)):
         stop = min(start + chunk_symbols, freqs.size)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
-        if time_domain:
-            blocks = transmit_block(freqs[start:stop], cfg, rng)
-            k_max = cfg.n_bins
-            spectrum = np.fft.fft(blocks, axis=1)
-            k = 1 + np.argmax(np.abs(spectrum[:, 1:k_max + 1]), axis=1)
-            out[start:stop] = k * (cfg.sample_rate / cfg.n_samples) / cfg.fm_scale
-        else:
-            spectrum = received_spectrum(freqs[start:stop], cfg, rng)
-            out[start:stop] = demodulate_spectrum(spectrum, cfg)
+        spectrum = np.fft.fft(transmit_block(freqs[start:stop], cfg, rng), axis=1)
+        out[start:stop] = _peak_currents(np.abs(spectrum[:, 1:cfg.n_bins + 1]), cfg)
     return out.reshape(ids.shape)

@@ -13,6 +13,7 @@ encode, decode.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -237,20 +238,31 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"invalid channel configuration: {exc}") from None
 
 
-def _write_csv(path: str, echo: str, header: str, rows) -> None:
-    """Write atomically so failed runs leave no partial artifact behind."""
+@contextlib.contextmanager
+def _atomic_path(path: str):
+    """Yield a temporary path that replaces ``path`` only if the block succeeds.
+
+    A failed run leaves neither a partial artifact nor the temporary file,
+    and an earlier artifact at ``path`` stays as it was.
+    """
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as fh:
-            fh.write(f"# ajscc {echo}\n")
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _write_csv(path: str, echo: str, header: str, rows) -> None:
+    """Write one CSV artifact atomically: config echo line, header, rows."""
+    with _atomic_path(path) as tmp:
+        with open(tmp, "w") as fh:
+            fh.write(f"# ajscc {echo}\n")
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _fmt(v) -> str:
@@ -317,13 +329,8 @@ def _cmd_gen_field(cfg: RunConfig) -> int:
     field = generate_field(cfg.nx, cfg.ny, cfg.nt, cfg.s_p, cfg.t_p,
                            cfg.vds_lo, cfg.vds_hi, seed=cfg.seed)
     path = os.path.join(cfg.outdir, "field.csv")
-    tmp_ok = False
-    try:
-        field_to_csv(field, path)
-        tmp_ok = True
-    finally:
-        if not tmp_ok and os.path.exists(path):
-            os.remove(path)
+    with _atomic_path(path) as tmp:
+        field_to_csv(field, tmp)
     print(f"field {cfg.nx}x{cfg.ny}x{cfg.nt} blocks={field.n_blocks} -> {path}")
     return 0
 

@@ -10,9 +10,11 @@ Randomness is fully seeded.  Each replicate derives its field and link
 seeds from (seed, replicate); axis points within a replicate share the
 channel realization (common random numbers, which sharpens point-to-point
 comparisons such as the argmin) while replicates stay independent.
-Parameter points are independent work units; with ``workers > 1`` they run
-in a process pool and are reduced in axis order, so results do not depend
-on scheduling.
+Replicates are the work units: one task evaluates every axis point of its
+replicate, drawing each chunk's doppler, fading and noise once and reusing
+them for all points (:func:`ajscc.channel.simulate_link_grid`).  With
+``workers > 1`` replicates run in a process pool and are reduced in
+replicate order, so results do not depend on scheduling.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .channel import ChannelConfig, simulate_link
+from .channel import ChannelConfig, simulate_link, simulate_link_grid
 from .codec import CodecConfig, decode_pairs, decode_stream, quantize, stream_estimates
 from .mosfet import MosfetParams, drain_current
 from .phenomenon import Field, block_means, generate_field
@@ -274,33 +276,18 @@ class LinkConfig:
         return gs, ds
 
 
-def run_link_point(cfg: LinkConfig, field_gs: Field, field_ds: Field, delta: float,
-                   chan: ChannelConfig | None, link_seed) -> MseReport:
-    """One full pipeline pass: quantize, encode, link, decode, block MSE.
-
-    ``chan=None`` models a perfect link (currents delivered unchanged),
-    used by identity checks.  Decoding pairs consecutive samples of each
-    sensor's time-ordered stream.
-
-    Drain-voltage estimates are range-informed before averaging: the
-    receiver knows the transmitter's vds interval, so in-range decodes are
-    clipped to it and pairs that failed the range check entirely (the
-    decode carries no consistent vds information) are replaced by the
-    interval midpoint, the minimum-MSE estimate under the uniform prior.
-    Level estimates are reported as decoded.
-    """
-    codec = CodecConfig.uniform(cfg.vgs_range, delta, cfg.vds_range)
-    p = cfg.mosfet
+def _encode_streams(cfg: LinkConfig, field_gs: Field, field_ds: Field,
+                    codec: CodecConfig) -> np.ndarray:
+    """Transmitted currents, one row per sensor's time series."""
     q = quantize(field_gs.values, codec.levels)
-    ids = drain_current(p, q, field_ds.values)
+    return drain_current(cfg.mosfet, q, field_ds.values).reshape(-1, field_gs.nt)
 
+
+def _decode_score(cfg: LinkConfig, field_gs: Field, field_ds: Field, codec: CodecConfig,
+                  ids_hat: np.ndarray, **echo) -> MseReport:
+    """Decode received sensor streams and score them against the fields."""
+    p = cfg.mosfet
     nt = field_gs.nt
-    streams = ids.reshape(-1, nt)  # row = one sensor's time series
-    if chan is None:
-        ids_hat = streams
-    else:
-        ids_hat = simulate_link(streams, chan, link_seed)
-
     lo, hi = cfg.vds_range
     mid = 0.5 * (lo + hi)
     if nt % 2 == 0:
@@ -324,30 +311,69 @@ def run_link_point(cfg: LinkConfig, field_gs: Field, field_ds: Field, delta: flo
             est_ds[s] = np.where(in_rng, np.clip(vd, lo, hi), mid)
 
     shape = field_gs.values.shape
-    echo = {"delta": float(delta), "lam": p.lam}
-    if chan is not None:
-        echo.update(snr_db=chan.snr_db, bandwidth=chan.bandwidth)
     return mse_averaged(field_gs, est_gs.reshape(shape), field_ds, est_ds.reshape(shape),
                         **echo)
 
 
-def _sweep_task(args) -> tuple[int, int, float, float]:
-    # The link seed depends on the replicate only, not the axis point:
-    # common random numbers across axis points reduce the variance of
-    # point-to-point differences, stabilising the reported argmin.
-    cfg, delta, bandwidth, snr_db, point_idx, rep = args
+def run_link_point(cfg: LinkConfig, field_gs: Field, field_ds: Field, delta: float,
+                   chan: ChannelConfig | None, link_seed) -> MseReport:
+    """One full pipeline pass: quantize, encode, link, decode, block MSE.
+
+    ``chan=None`` models a perfect link (currents delivered unchanged),
+    used by identity checks.  Decoding pairs consecutive samples of each
+    sensor's time-ordered stream.
+
+    Drain-voltage estimates are range-informed before averaging: the
+    receiver knows the transmitter's vds interval, so in-range decodes are
+    clipped to it and pairs that failed the range check entirely (the
+    decode carries no consistent vds information) are replaced by the
+    interval midpoint, the minimum-MSE estimate under the uniform prior.
+    Level estimates are reported as decoded.
+    """
+    codec = CodecConfig.uniform(cfg.vgs_range, delta, cfg.vds_range)
+    streams = _encode_streams(cfg, field_gs, field_ds, codec)
+    ids_hat = streams if chan is None else simulate_link(streams, chan, link_seed)
+    echo = {"delta": float(delta), "lam": cfg.mosfet.lam}
+    if chan is not None:
+        echo.update(snr_db=chan.snr_db, bandwidth=chan.bandwidth)
+    return _decode_score(cfg, field_gs, field_ds, codec, ids_hat, **echo)
+
+
+def _replicate_task(args) -> np.ndarray:
+    """(mse_gs, mse_ds) of every (delta, channel) point of one replicate, delta-major.
+
+    Every point is the :func:`run_link_point` of its delta and channel.
+    The link seed depends on the replicate only, not the axis point:
+    common random numbers across axis points reduce the variance of
+    point-to-point differences, stabilising the reported argmin.
+    """
+    cfg, deltas, chans, rep = args
     field_gs, field_ds = cfg.fields(rep)
-    chan = cfg.channel(bandwidth=bandwidth, snr_db=snr_db)
-    rpt = run_link_point(cfg, field_gs, field_ds, delta, chan,
-                         link_seed=(cfg.seed, rep))
-    return point_idx, rep, rpt.mse_gs, rpt.mse_ds
+    codecs = [CodecConfig.uniform(cfg.vgs_range, d, cfg.vds_range) for d in deltas]
+    streams = [_encode_streams(cfg, field_gs, field_ds, codec) for codec in codecs]
+    ids_hat = simulate_link_grid(streams, chans, (cfg.seed, rep))
+    reports = [_decode_score(cfg, field_gs, field_ds, codec, ids_hat[i, j])
+               for i, codec in enumerate(codecs) for j in range(len(chans))]
+    return np.array([(r.mse_gs, r.mse_ds) for r in reports])
 
 
-def _run_tasks(tasks, workers: int):
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_task, tasks))
-    return [_sweep_task(t) for t in tasks]
+def _sweep_reports(cfg: LinkConfig, deltas, chans, echoes) -> tuple[MseReport, ...]:
+    """Replicate-averaged report per (delta, channel) point, delta-major.
+
+    Replicates run in a process pool of at most ``cfg.workers`` processes
+    (one per replicate at most) and are reduced in replicate order.
+    """
+    tasks = [(cfg, deltas, chans, rep) for rep in range(cfg.n_seeds)]
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
+            per_rep = list(pool.map(_replicate_task, tasks))
+    else:
+        per_rep = [_replicate_task(t) for t in tasks]
+    acc = np.stack(per_rep, axis=1)  # (point, replicate, gs/ds)
+    n_blocks = cfg.fields(0)[0].n_blocks
+    return tuple(MseReport.from_pair(acc[i, :, 0].mean(), acc[i, :, 1].mean(), n_blocks,
+                                     **echo)
+                 for i, echo in enumerate(echoes))
 
 
 def sweep_delta(deltas=DEFAULT_DELTA_GRID, cfg: LinkConfig = LinkConfig()) -> SweepResult:
@@ -355,18 +381,9 @@ def sweep_delta(deltas=DEFAULT_DELTA_GRID, cfg: LinkConfig = LinkConfig()) -> Sw
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
-    tasks = [(cfg, d, None, None, i, rep)
-             for i, d in enumerate(deltas) for rep in range(cfg.n_seeds)]
-    acc = np.zeros((len(deltas), cfg.n_seeds, 2))
-    for i, rep, mg, md in _run_tasks(tasks, cfg.workers):
-        acc[i, rep] = (mg, md)
-    n_blocks = cfg.fields(0)[0].n_blocks
-    reports = tuple(
-        MseReport.from_pair(acc[i, :, 0].mean(), acc[i, :, 1].mean(), n_blocks,
-                            delta=d, snr_db=cfg.snr_db, bandwidth=cfg.bandwidth,
-                            lam=cfg.mosfet.lam)
-        for i, d in enumerate(deltas)
-    )
+    echoes = [dict(delta=d, snr_db=cfg.snr_db, bandwidth=cfg.bandwidth, lam=cfg.mosfet.lam)
+              for d in deltas]
+    reports = _sweep_reports(cfg, deltas, [cfg.channel()], echoes)
     best = int(np.argmin([r.mse_sum for r in reports]))
     meta = {"delta_star": deltas[best], "mse_sum_star": reports[best].mse_sum,
             "argmin_index": best, "n_seeds": cfg.n_seeds}
@@ -379,23 +396,21 @@ def sweep_snr(snrs=DEFAULT_SNR_GRID, bandwidths=DEFAULT_BANDWIDTHS, delta: float
 
     Points are (snr_db, bandwidth) pairs, snr-major; each bandwidth derives
     its own FM scale so the band is always filled to the same headroom.
+    The sample rate and FM scale both scale with the bandwidth, so the
+    curves agree across bandwidths in exact arithmetic, but not bit for
+    bit: the float rounding of the tone frequencies differs per bandwidth
+    and moves the MSE in the last digits (relative differences near 1e-15).
+    Each bandwidth therefore keeps its own tone spectrum instead of reusing
+    another's result.
     """
     snrs = [float(s) for s in snrs]
     if not all(a < b for a, b in zip(snrs, snrs[1:])):
         raise ValueError("snrs must be strictly ascending")
     bandwidths = [float(b) for b in bandwidths]
     points = [(s, b) for s in snrs for b in bandwidths]
-    tasks = [(cfg, float(delta), b, s, i, rep)
-             for i, (s, b) in enumerate(points) for rep in range(cfg.n_seeds)]
-    acc = np.zeros((len(points), cfg.n_seeds, 2))
-    for i, rep, mg, md in _run_tasks(tasks, cfg.workers):
-        acc[i, rep] = (mg, md)
-    n_blocks = cfg.fields(0)[0].n_blocks
-    reports = tuple(
-        MseReport.from_pair(acc[i, :, 0].mean(), acc[i, :, 1].mean(), n_blocks,
-                            delta=float(delta), snr_db=s, bandwidth=b,
-                            lam=cfg.mosfet.lam)
-        for i, (s, b) in enumerate(points)
-    )
+    chans = [cfg.channel(bandwidth=b, snr_db=s) for s, b in points]
+    echoes = [dict(delta=float(delta), snr_db=s, bandwidth=b, lam=cfg.mosfet.lam)
+              for s, b in points]
+    reports = _sweep_reports(cfg, [float(delta)], chans, echoes)
     return SweepResult("snr_db", tuple(points), reports,
                        {"delta": float(delta), "n_seeds": cfg.n_seeds})

@@ -92,6 +92,7 @@ class TestCriterion2LambdaSweep:
 
 
 class TestCriterion3DeltaSweep:
+    @pytest.mark.slow
     def test_delta_sweep_optimum(self):
         cfg = LinkConfig(n_seeds=CRITERION3_SEEDS)  # BW 410 kHz, SNR -20 dB
         t0 = time.perf_counter()
@@ -114,6 +115,7 @@ class TestCriterion3DeltaSweep:
 
 
 class TestCriterion4SnrKnee:
+    @pytest.mark.slow
     def test_bandwidth_agreement_at_minus_10_db(self):
         sw = sweep_snr((-10.0,), DEFAULT_BANDWIDTHS, 0.41, LinkConfig(n_seeds=5))
         sums = [r.mse_sum for r in sw.reports]
@@ -122,6 +124,7 @@ class TestCriterion4SnrKnee:
         _check("criterion-4 bandwidth-agreement", ok,
                f"mse_sum spread across bandwidths at -10 dB = {spread:.2f}x")
 
+    @pytest.mark.slow
     def test_knee_ratio(self):
         t0 = time.perf_counter()
         sw = sweep_snr((-50.0, -10.0), DEFAULT_BANDWIDTHS, 0.41,

@@ -12,6 +12,7 @@ from ajscc.channel import (
     modulate,
     received_spectrum,
     simulate_link,
+    simulate_link_grid,
     transmit,
     transmit_block,
 )
@@ -56,11 +57,6 @@ class TestConfig:
                           sample_rate=4e5, symbol_duration=1e-2)
         with pytest.raises(ValueError):
             make_cfg(i_max=0.0)
-
-    def test_correlation_metadata_carried(self):
-        cfg = ChannelConfig(bandwidth=1e5, snr_db=0, fm_scale=1e8, sample_rate=4e5,
-                            symbol_duration=1.024e-2, s_c=3.0, t_c=7.0)
-        assert (cfg.s_c, cfg.t_c) == (3.0, 7.0)
 
 
 class TestModulate:
@@ -224,3 +220,33 @@ class TestDeterminism:
         a = simulate_link(ids, cfg, seed=(1, 0))
         b = simulate_link(ids, cfg, seed=(1, 1))
         assert not np.array_equal(a, b)
+
+    def test_grid_points_equal_one_point_links(self):
+        # several current arrays x configs with two bin counts, noisy and
+        # noiseless SNRs, over three chunks (the last one partial)
+        cfgs = [make_cfg(snr_db=snr, bandwidth=bw, n=n)
+                for n in (256, 512) for bw in (50e3, 410e3)
+                for snr in (-30.0, math.inf, 0.0)]
+        rng = np.random.default_rng(12)
+        ids_list = [rng.uniform(0.1, 0.9, (25, 10)) * I_MAX for _ in range(2)]
+        grid = simulate_link_grid(ids_list, cfgs, (3, 1), chunk_symbols=100)
+        assert grid.shape == (2, len(cfgs), 25, 10)
+        for i, ids in enumerate(ids_list):
+            for j, cfg in enumerate(cfgs):
+                one = simulate_link(ids, cfg, (3, 1), chunk_symbols=100)
+                assert np.array_equal(grid[i, j], one), (i, j)
+
+    def test_grid_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            simulate_link_grid([np.full(4, 1e-3), np.full(5, 1e-3)], [IDEAL], 0)
+
+    def test_received_spectrum_draws_what_the_link_draws(self):
+        # one chunk: the spectrum sampler and the link consume one RNG
+        # stream identically, so their peak decisions agree bit for bit
+        for snr in (-20.0, math.inf):
+            cfg = make_cfg(snr_db=snr, n=512)
+            ids = np.random.default_rng(13).uniform(0.1, 0.9, 64) * I_MAX
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(4, 2), spawn_key=(0,)))
+            spectrum = received_spectrum(modulate(ids, cfg), cfg, rng)
+            assert np.array_equal(demodulate_spectrum(spectrum, cfg),
+                                  simulate_link(ids, cfg, (4, 2)))

@@ -119,6 +119,23 @@ class TestSubcommands:
         assert lines[1] == "x,y,t,value"
         assert len(lines) == 2 + 4 * 4 * 2
 
+    def test_failed_gen_field_keeps_previous_artifact(self, tmp_path, monkeypatch, capsys):
+        args = ["gen-field", "--outdir", str(tmp_path), "--nx", "4", "--ny", "4",
+                "--nt", "2", "--s-p", "2", "--t-p", "2"]
+        assert main(args) == 0
+        before = (tmp_path / "field.csv").read_bytes()
+
+        def failing_write(field, path):
+            with open(path, "w") as fh:
+                fh.write("partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr("ajscc.cli.field_to_csv", failing_write)
+        assert main([*args, "--seed", "43"]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert (tmp_path / "field.csv").read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["field.csv"]
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

@@ -218,6 +218,22 @@ class TestSweeps:
         b = sweep_delta((0.4, 0.8), tiny_link_cfg(workers=2))
         assert a == b
 
+    def test_sweep_snr_worker_count_does_not_change_results(self):
+        a = sweep_snr((-30.0, -10.0), (50e3, 410e3), 0.5, tiny_link_cfg(n_seeds=3, workers=1))
+        b = sweep_snr((-30.0, -10.0), (50e3, 410e3), 0.5, tiny_link_cfg(n_seeds=3, workers=2))
+        assert a == b
+
+    def test_sweep_points_are_link_points(self):
+        # each point of a replicate is the one-point pipeline run at the
+        # replicate's link seed
+        cfg = tiny_link_cfg(n_seeds=1)
+        gs, ds = cfg.fields(0)
+        sw = sweep_snr((-30.0, -10.0), (50e3, 410e3), 0.5, cfg)
+        for (snr, bw), r in zip(sw.points, sw.reports):
+            chan = cfg.channel(bandwidth=bw, snr_db=snr)
+            one = run_link_point(cfg, gs, ds, 0.5, chan, link_seed=(cfg.seed, 0))
+            assert (r.mse_gs, r.mse_ds) == (one.mse_gs, one.mse_ds)
+
     def test_sweep_delta_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             sweep_delta((0.0, 0.4), tiny_link_cfg())
@@ -241,3 +257,46 @@ class TestSweeps:
         with pytest.raises(ValueError, match="ascending"):
             SweepResult("delta", (0.2, 0.1),
                         (MseReport.from_pair(0, 0, 8), MseReport.from_pair(0, 0, 8)))
+
+
+# 12 x 12 sensors x 10 instants = 1440 symbols: one full 1024-symbol chunk
+# and a partial one.
+GOLDEN_CFG = LinkConfig(nx=12, ny=12, nt=10, s_p=6, t_p=5, n_samples=512, n_seeds=2, seed=7)
+
+
+class TestGoldenSweeps:
+    """Exact sweep results, recorded before the sweeps shared realisations.
+
+    Any change to the draws, their order or the float arithmetic of the
+    link shows here as a changed digit.
+    """
+
+    def test_sweep_delta_values(self):
+        sw = sweep_delta((0.2, 0.41, 0.9), GOLDEN_CFG)
+        assert [(r.mse_gs, r.mse_ds) for r in sw.reports] == [
+            (4.824065256078146, 2.706735093364363),
+            (4.723969131196883, 2.7315285494127886),
+            (4.097071314379013, 2.7127001084460454),
+        ]
+
+    def test_sweep_snr_values(self):
+        sw = sweep_snr((-40.0, -10.0, math.inf), (123.456e3, 410e3), 0.41, GOLDEN_CFG)
+        assert [(r.mse_gs, r.mse_ds) for r in sw.reports] == [
+            (5.084385331205676, 2.7362984855290673),
+            (5.084385331205676, 2.7362984855290673),
+            (0.8275618897954606, 2.523291533800435),
+            (0.8275618897954606, 2.5232915338004354),
+            (0.1359775817051201, 2.392007309520932),
+            (0.1359775817051201, 2.392007309520932),
+        ]
+
+    def test_bandwidth_invariance_holds_to_rounding_only(self):
+        # the sample rate and the FM scale both scale with the bandwidth, so
+        # the MSE agrees across bandwidths up to float rounding of the tone
+        # frequencies; it is not bit-exact, but the CSV's 10 digits agree
+        bws = (50e3, 123.456e3, 200e3, 410e3, 500e3)
+        sw = sweep_snr((-10.0,), bws, 0.41, GOLDEN_CFG)
+        for attr in ("mse_gs", "mse_ds", "mse_sum"):
+            vals = [getattr(r, attr) for r in sw.reports]
+            assert max(vals) - min(vals) <= 1e-12 * min(vals)
+            assert len({f"{v:.10g}" for v in vals}) == 1
