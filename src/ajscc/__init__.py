@@ -14,16 +14,8 @@ slope-matching decoder with range-check correction.  Subpackages:
 """
 
 from .mosfet import MosfetParams, curve_slope, drain_current, in_saturation, invert_vds
-from .codec import (
-    CodecConfig,
-    DecodedPair,
-    build_levels,
-    decode_pair,
-    decode_stream,
-    encode,
-    quantize,
-)
-from .channel import ChannelConfig, demodulate, modulate, simulate_link, transmit
+from .codec import CodecConfig, build_levels, decode_pairs, decode_stream, encode, quantize
+from .channel import ChannelConfig, modulate, simulate_link
 from .phenomenon import Field, field_from_csv, field_to_csv, generate_field
 from .experiments import (
     LambdaSweep,
@@ -38,5 +30,15 @@ from .experiments import (
     sweep_lambda,
     sweep_snr,
 )
+
+__all__ = [
+    "MosfetParams", "curve_slope", "drain_current", "in_saturation", "invert_vds",
+    "CodecConfig", "build_levels", "decode_pairs", "decode_stream", "encode", "quantize",
+    "ChannelConfig", "modulate", "simulate_link",
+    "Field", "field_from_csv", "field_to_csv", "generate_field",
+    "LambdaSweep", "LinkConfig", "MseReport", "NoiselessResult", "SweepResult",
+    "mse_averaged", "run_link_point", "run_noiseless", "sweep_delta", "sweep_lambda",
+    "sweep_snr",
+]
 
 __version__ = "0.1.0"

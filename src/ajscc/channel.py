@@ -9,16 +9,15 @@ scale factor.  Impairments per symbol: a Doppler shift drawn uniformly in
 Gaussian), and white complex Gaussian noise whose in-band power equals
 signal power / 10^(snr_db/10).
 
-Two equivalent realizations are provided:
-
-* :func:`transmit` / :func:`demodulate` build the actual sample block
-  (rectangular window, FFT length = block length).
-* :func:`received_spectrum` / :func:`demodulate_spectrum` sample the
-  received spectrum directly: the tone's transform is the closed-form
-  geometric-series kernel, and the FFT of white Gaussian noise is again
-  white Gaussian (variance scaled by the block length), so only the
-  searched in-band bins need noise draws.  This is an exact sampler of the
-  same peak statistic, roughly two orders of magnitude cheaper.
+:func:`received_spectrum` / :func:`demodulate_spectrum` sample the received
+spectrum directly: the tone's transform is the closed-form geometric-series
+kernel, and the FFT of white Gaussian noise is again white Gaussian
+(variance scaled by the block length), so only the searched in-band bins
+need noise draws.  This is an exact sampler of the peak statistic of the
+actual sample blocks, roughly two orders of magnitude cheaper than building
+them.  :func:`transmit_block` builds those blocks (rectangular window, FFT
+length = block length), and ``simulate_link(..., time_domain=True)``
+transforms them as the sampler's reference.
 
 :func:`simulate_link` runs the spectrum sampler over a current sequence
 in chunks with one RNG stream each; :func:`simulate_link_grid` does the
@@ -41,9 +40,7 @@ import numpy as np
 __all__ = [
     "ChannelConfig",
     "modulate",
-    "transmit",
     "transmit_block",
-    "demodulate",
     "received_spectrum",
     "demodulate_spectrum",
     "simulate_link",
@@ -53,7 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Link parameters; snr_db or rician_k_db may be +inf to disable noise/fading."""
+    """Link parameters; snr_db or rician_k_db may be +inf to disable noise/fading.
+
+    rician_k_db = -inf is pure Rayleigh fading.  Every other parameter must
+    be finite.
+    """
 
     bandwidth: float          # occupied signal band [Hz]
     snr_db: float             # in-band SNR [dB]
@@ -62,9 +63,16 @@ class ChannelConfig:
     symbol_duration: float    # [s]; product with sample_rate must be integral
     doppler_fraction: float = 0.02
     rician_k_db: float = 6.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("bandwidth", "fm_scale", "sample_rate", "symbol_duration",
+                     "doppler_fraction"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
+        if math.isnan(self.rician_k_db):
+            raise ValueError("rician_k_db must not be NaN")
         if not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         if not self.fm_scale > 0:
@@ -97,9 +105,9 @@ class ChannelConfig:
 
     @classmethod
     def for_current_range(cls, i_max: float, bandwidth: float, snr_db: float, *,
-                          headroom: float = 0.8, n_samples: int = 4096,
-                          oversample: float = 4.0, doppler_fraction: float = 0.02,
-                          rician_k_db: float = 6.0, seed: int = 0) -> "ChannelConfig":
+                          headroom: float, n_samples: int, oversample: float = 4.0,
+                          doppler_fraction: float = 0.02,
+                          rician_k_db: float = 6.0) -> "ChannelConfig":
         """Config whose FM scale maps i_max to ``headroom * bandwidth``."""
         if not i_max > 0:
             raise ValueError(f"i_max must be positive, got {i_max}")
@@ -112,7 +120,6 @@ class ChannelConfig:
             symbol_duration=n_samples / sample_rate,
             doppler_fraction=doppler_fraction,
             rician_k_db=rician_k_db,
-            seed=seed,
         )
 
 
@@ -136,7 +143,7 @@ def modulate(ids, cfg: ChannelConfig):
 
 def _fading_scales(cfg: ChannelConfig) -> tuple[float, float]:
     """(line-of-sight amplitude, diffuse amplitude); unit mean power."""
-    if math.isinf(cfg.rician_k_db):
+    if cfg.rician_k_db == math.inf:
         return 1.0, 0.0
     k = 10.0 ** (cfg.rician_k_db / 10.0)
     return math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0))
@@ -196,23 +203,6 @@ def transmit_block(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
         blocks += scale * rng.standard_normal((freqs.size, n))
         blocks += 1j * scale * rng.standard_normal((freqs.size, n))
     return blocks
-
-
-def transmit(freq: float, cfg: ChannelConfig, rng) -> np.ndarray:
-    """One received symbol block for a single tone frequency."""
-    return transmit_block([freq], cfg, rng)[0]
-
-
-def demodulate(samples: np.ndarray, cfg: ChannelConfig) -> float:
-    """Current estimate from one sample block via in-band FFT peak."""
-    samples = np.asarray(samples)
-    n = samples.size
-    if n < 8:
-        raise ValueError(f"block of {n} samples is too short")
-    k_max = _inband_bins(cfg.bandwidth, cfg.sample_rate, n)
-    spectrum = np.fft.fft(samples)
-    k = 1 + int(np.argmax(np.abs(spectrum[1:k_max + 1])))
-    return k * cfg.sample_rate / n / cfg.fm_scale
 
 
 def _tone_kernel_exact(omega: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig
-from .codec import CodecConfig, decode_pair, encode
+from .codec import CodecConfig, decode_stream, encode
 from .experiments import (
     LinkConfig,
     run_noiseless,
@@ -223,8 +224,8 @@ def _validate(cfg: RunConfig) -> None:
                         ("vds_lo/vds_hi", cfg.vds_lo, cfg.vds_hi)):
         if not lo < hi:
             raise ConfigError(f"invalid value for '{key}': need lo < hi")
-    if cfg.delta is not None and cfg.delta <= 0:
-        raise ConfigError("invalid value for 'delta': must be positive")
+    if cfg.delta is not None and not 0 < cfg.delta < math.inf:
+        raise ConfigError("invalid value for 'delta': must be positive and finite")
     for key, val in (("noiseless_vds_count", cfg.noiseless_vds_count),
                      ("nx", cfg.nx), ("ny", cfg.ny), ("nt", cfg.nt),
                      ("s_p", cfg.s_p), ("t_p", cfg.t_p), ("seeds", cfg.seeds)):
@@ -348,10 +349,10 @@ def _cmd_encode(cfg: RunConfig, vgs: float, vds: float) -> int:
 
 
 def _cmd_decode(cfg: RunConfig, ids1: float, ids2: float) -> int:
-    pair = decode_pair(cfg.mosfet(), _noiseless_codec(cfg), ids1, ids2)
-    print(f"vgs_hat={pair.vgs_hat:.6g} vds_hat_1={pair.vds_hat_1:.6g} "
-          f"vds_hat_2={pair.vds_hat_2:.6g} corrected={int(pair.corrected)} "
-          f"in_range={int(pair.in_range)}")
+    vgs, vds, corrected, in_range = decode_stream(cfg.mosfet(), _noiseless_codec(cfg),
+                                                  [ids1, ids2])
+    print(f"vgs_hat={vgs[0]:.6g} vds_hat_1={vds[0]:.6g} vds_hat_2={vds[1]:.6g} "
+          f"corrected={int(corrected[0])} in_range={int(in_range[0])}")
     return 0
 
 

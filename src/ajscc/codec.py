@@ -11,6 +11,11 @@ drain voltages both fall inside the transmitter's known vds interval wins;
 picking anything but the score-minimal candidate is flagged as a
 correction.
 
+A stream of currents is decoded in non-overlapping consecutive pairs
+(0,1), (2,3), ...; an odd trailing sample is decoded through the extra
+pair (n-2, n-1).  :func:`decode_stream` does this for a whole array of
+streams in one :func:`decode_pairs` call and returns per-sample arrays.
+
 Caveat on fine level spacing: two consecutive currents constrain the curve
 only up to the family of levels whose implied vds stays in range.  If
 adjacent levels are spaced closer than that ambiguity window, i.e.
@@ -34,14 +39,11 @@ from .mosfet import MosfetParams, drain_current
 __all__ = [
     "RANGE_TOL",
     "CodecConfig",
-    "DecodedPair",
     "build_levels",
     "quantize",
     "encode",
-    "decode_pair",
     "decode_pairs",
     "decode_stream",
-    "stream_estimates",
 ]
 
 # Tolerance on the vds_range boundaries so exact-endpoint decodes stay
@@ -110,17 +112,6 @@ class CodecConfig:
             vds_range=(float(vds_range[0]), float(vds_range[1])),
             delta=float(delta),
         )
-
-
-@dataclass(frozen=True)
-class DecodedPair:
-    """Decoder output for one pair of consecutive currents."""
-
-    vgs_hat: float
-    vds_hat_1: float
-    vds_hat_2: float
-    corrected: bool  # a better-scoring candidate was rejected by range check
-    in_range: bool   # final vds estimates lie inside vds_range
 
 
 def quantize(value, levels):
@@ -206,53 +197,31 @@ def decode_pairs(p: MosfetParams, cfg: CodecConfig, ids1, ids2, range_check: boo
     return levels[sel], v1[rows, sel], v2[rows, sel], corrected, in_range
 
 
-def decode_pair(p: MosfetParams, cfg: CodecConfig, ids1: float, ids2: float,
-                range_check: bool = True) -> DecodedPair:
-    """Decode one pair of consecutive currents to (vgs_hat, vds_hat_1, vds_hat_2)."""
-    g, v1, v2, corr, ok = decode_pairs(p, cfg, [ids1], [ids2], range_check=range_check)
-    return DecodedPair(float(g[0]), float(v1[0]), float(v2[0]), bool(corr[0]), bool(ok[0]))
+def decode_stream(p: MosfetParams, cfg: CodecConfig, ids, range_check: bool = True):
+    """Decode current streams along the last axis as consecutive pairs.
 
-
-def decode_stream(p: MosfetParams, cfg: CodecConfig, ids,
-                  range_check: bool = True) -> list[DecodedPair]:
-    """Decode a current sequence as non-overlapping consecutive pairs.
-
-    Pairs are (0,1), (2,3), ...; an odd trailing sample is decoded through
-    the extra pair (n-2, n-1), appended last (its result applies to the
-    trailing sample only, see :func:`stream_estimates`).
+    ``ids`` has shape ``(..., n)`` with ``n >= 2``.  Samples pair as (0,1),
+    (2,3), ..., plus (n-2, n-1) for odd n, and all pairs are decoded in one
+    :func:`decode_pairs` call.  Returns per-sample (vgs_hat, vds_hat,
+    corrected, in_range) arrays of ``ids.shape``: each sample carries its
+    pair's level and flags and its own vds estimate; an odd trailing sample
+    takes the tail pair's level, flags and second vds estimate.
     """
     ids = np.asarray(ids, dtype=float)
-    n = ids.size
+    n = ids.shape[-1] if ids.ndim else 0
     if n < 2:
         raise ValueError(f"need at least 2 samples to decode, got {n}")
-    m = (n // 2) * 2
-    g, v1, v2, corr, ok = decode_pairs(p, cfg, ids[0:m:2], ids[1:m:2], range_check=range_check)
-    pairs = [DecodedPair(float(g[i]), float(v1[i]), float(v2[i]), bool(corr[i]), bool(ok[i]))
-             for i in range(g.size)]
+    first = np.arange(0, n - 1, 2)
     if n % 2:
-        pairs.append(decode_pair(p, cfg, float(ids[-2]), float(ids[-1]), range_check=range_check))
-    return pairs
-
-
-def stream_estimates(pairs: list[DecodedPair], n: int):
-    """Per-sample (vgs_hat, vds_hat) arrays for a stream of length n.
-
-    Both samples of a pair receive the pair's vgs_hat and their own vds
-    estimate; for odd n the final pair contributes only the trailing
-    sample's values.
-    """
-    expected = n // 2 + (n % 2)
-    if len(pairs) != expected:
-        raise ValueError(f"{len(pairs)} pairs inconsistent with stream length {n}")
-    vgs = np.empty(n)
-    vds = np.empty(n)
-    for j in range(n // 2):
-        pr = pairs[j]
-        vgs[2 * j] = vgs[2 * j + 1] = pr.vgs_hat
-        vds[2 * j] = pr.vds_hat_1
-        vds[2 * j + 1] = pr.vds_hat_2
-    if n % 2:
-        pr = pairs[-1]
-        vgs[n - 1] = pr.vgs_hat
-        vds[n - 1] = pr.vds_hat_2
-    return vgs, vds
+        first = np.append(first, n - 2)
+    out = decode_pairs(p, cfg, ids.take(first, axis=-1).ravel(),
+                       ids.take(first + 1, axis=-1).ravel(), range_check=range_check)
+    g, v1, v2, corrected, in_range = (a.reshape(*ids.shape[:-1], first.size) for a in out)
+    # take(), not fancy indexing: the results must be C-ordered, because
+    # block means sum in memory order and the MSEs would move in the last ulp
+    pair = np.arange(n) // 2
+    second = np.arange(n) % 2 == 1
+    second[-1] = True
+    vds_hat = np.where(second, v2.take(pair, axis=-1), v1.take(pair, axis=-1))
+    return (g.take(pair, axis=-1), vds_hat,
+            corrected.take(pair, axis=-1), in_range.take(pair, axis=-1))

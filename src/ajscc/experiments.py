@@ -25,7 +25,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .channel import ChannelConfig, simulate_link, simulate_link_grid
-from .codec import CodecConfig, decode_pairs, decode_stream, quantize, stream_estimates
+# decode_pairs is not called here; bench/tracing.py wraps it in this namespace
+from .codec import CodecConfig, decode_pairs, decode_stream, quantize  # noqa: F401
 from .mosfet import MosfetParams, drain_current
 from .phenomenon import Field, block_means, generate_field
 
@@ -147,7 +148,7 @@ def run_noiseless(p: MosfetParams, levels=NOISELESS_LEVELS, vds_grid=None,
                   vds_range: tuple[float, float] = (5.0, 10.0)) -> NoiselessResult:
     """Encode every (level, vds) grid point and decode each curve back.
 
-    Each curve is processed independently as a stream of consecutive
+    Each curve is decoded independently as a stream of consecutive
     currents.  Reports scatter data plus accuracy and per-sample MSE for
     the decoder with and without range-check correction.
     """
@@ -163,21 +164,11 @@ def run_noiseless(p: MosfetParams, levels=NOISELESS_LEVELS, vds_grid=None,
     g = vds_grid.size
     vgs_true = np.repeat(levels, g)
     vds_true = np.tile(vds_grid, levels.size)
+    ids = drain_current(p, levels[:, None], vds_grid)
     out = {}
     for range_check in (True, False):
-        vgs_hat = np.empty(levels.size * g)
-        vds_hat = np.empty(levels.size * g)
-        corr = np.zeros(levels.size * g, dtype=bool)
-        for i, lvl in enumerate(levels):
-            ids = drain_current(p, lvl, vds_grid)
-            pairs = decode_stream(p, cfg, ids, range_check=range_check)
-            vg, vd = stream_estimates(pairs, g)
-            sl = slice(i * g, (i + 1) * g)
-            vgs_hat[sl], vds_hat[sl] = vg, vd
-            for j in range(g // 2):
-                corr[i * g + 2 * j] = corr[i * g + 2 * j + 1] = pairs[j].corrected
-            if g % 2:
-                corr[(i + 1) * g - 1] = pairs[-1].corrected
+        vgs_hat, vds_hat, corr, _ = (a.ravel() for a in
+                                     decode_stream(p, cfg, ids, range_check=range_check))
         out[range_check] = (
             vgs_hat, vds_hat, corr,
             float(np.mean(vgs_hat == vgs_true)),
@@ -263,7 +254,6 @@ class LinkConfig:
             oversample=self.oversample,
             doppler_fraction=self.doppler_fraction,
             rician_k_db=self.rician_k_db,
-            seed=self.seed,
         )
 
     def fields(self, replicate: int) -> tuple[Field, Field]:
@@ -286,30 +276,9 @@ def _encode_streams(cfg: LinkConfig, field_gs: Field, field_ds: Field,
 def _decode_score(cfg: LinkConfig, field_gs: Field, field_ds: Field, codec: CodecConfig,
                   ids_hat: np.ndarray, **echo) -> MseReport:
     """Decode received sensor streams and score them against the fields."""
-    p = cfg.mosfet
-    nt = field_gs.nt
     lo, hi = cfg.vds_range
-    mid = 0.5 * (lo + hi)
-    if nt % 2 == 0:
-        g, v1, v2, _, ok = decode_pairs(p, codec, ids_hat[:, 0::2].ravel(),
-                                        ids_hat[:, 1::2].ravel())
-        v1 = np.where(ok, np.clip(v1, lo, hi), mid)
-        v2 = np.where(ok, np.clip(v2, lo, hi), mid)
-        g = g.reshape(-1, nt // 2)
-        est_gs = np.repeat(g, 2, axis=1)
-        est_ds = np.empty_like(est_gs)
-        est_ds[:, 0::2] = v1.reshape(-1, nt // 2)
-        est_ds[:, 1::2] = v2.reshape(-1, nt // 2)
-    else:
-        est_gs = np.empty_like(ids_hat)
-        est_ds = np.empty_like(ids_hat)
-        for s in range(ids_hat.shape[0]):
-            pairs = decode_stream(p, codec, ids_hat[s])
-            vg, vd = stream_estimates(pairs, nt)
-            in_rng = np.repeat([pr.in_range for pr in pairs], 2)[:nt]
-            est_gs[s] = vg
-            est_ds[s] = np.where(in_rng, np.clip(vd, lo, hi), mid)
-
+    est_gs, vds_hat, _, ok = decode_stream(cfg.mosfet, codec, ids_hat)
+    est_ds = np.where(ok, np.clip(vds_hat, lo, hi), 0.5 * (lo + hi))
     shape = field_gs.values.shape
     return mse_averaged(field_gs, est_gs.reshape(shape), field_ds, est_ds.reshape(shape),
                         **echo)

@@ -98,7 +98,11 @@ def field_to_csv(field: Field, path) -> None:
 
 
 def field_from_csv(path) -> Field:
-    """Read a field written by :func:`field_to_csv`."""
+    """Read a field written by :func:`field_to_csv`.
+
+    Every grid cell must appear exactly once; a row outside the grid or a
+    repeated cell is rejected with its line number.
+    """
     with open(path) as fh:
         meta_line = fh.readline()
         if not meta_line.startswith("#"):
@@ -109,11 +113,18 @@ def field_from_csv(path) -> Field:
             raise ValueError(f"{path}: unexpected header {header!r}")
         nx, ny, nt = int(meta["nx"]), int(meta["ny"]), int(meta["nt"])
         values = np.empty((nx, ny, nt))
-        seen = 0
-        for line in fh:
+        filled = np.zeros((nx, ny, nt), dtype=bool)
+        for lineno, line in enumerate(fh, 3):
             xs, ys, ts, vs = line.strip().split(",")
-            values[int(xs), int(ys), int(ts)] = float(vs)
-            seen += 1
+            cell = (int(xs), int(ys), int(ts))
+            if not (0 <= cell[0] < nx and 0 <= cell[1] < ny and 0 <= cell[2] < nt):
+                raise ValueError(f"{path}:{lineno}: cell {cell} outside the "
+                                 f"{nx}x{ny}x{nt} grid")
+            if filled[cell]:
+                raise ValueError(f"{path}:{lineno}: duplicate cell {cell}")
+            filled[cell] = True
+            values[cell] = float(vs)
+        seen = int(np.count_nonzero(filled))
         if seen != nx * ny * nt:
             raise ValueError(f"{path}: expected {nx * ny * nt} rows, got {seen}")
     return Field(nx, ny, nt, int(meta["s_p"]), int(meta["t_p"]),

@@ -203,7 +203,7 @@ class TestCriterion5OracleSuite:
     def _ideal_channel(snr_db):
         from ajscc.channel import ChannelConfig
         return ChannelConfig.for_current_range(
-            LinkConfig().i_max, 410e3, snr_db,
+            LinkConfig().i_max, 410e3, snr_db, headroom=0.8, n_samples=4096,
             doppler_fraction=0.0, rician_k_db=math.inf)
 
     def test_modulate_demodulate_within_one_bin(self):

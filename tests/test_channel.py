@@ -7,13 +7,11 @@ import pytest
 
 from ajscc.channel import (
     ChannelConfig,
-    demodulate,
     demodulate_spectrum,
     modulate,
     received_spectrum,
     simulate_link,
     simulate_link_grid,
-    transmit,
     transmit_block,
 )
 from ajscc.mosfet import MosfetParams, drain_current
@@ -24,7 +22,7 @@ I_MAX = drain_current(MosfetParams(), 10.0, 10.0)
 def make_cfg(snr_db=-20.0, doppler=0.02, k_db=6.0, bandwidth=410e3, n=4096,
              i_max=I_MAX):
     return ChannelConfig.for_current_range(
-        i_max, bandwidth, snr_db, n_samples=n,
+        i_max, bandwidth, snr_db, headroom=0.8, n_samples=n,
         doppler_fraction=doppler, rician_k_db=k_db)
 
 
@@ -58,6 +56,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             make_cfg(i_max=0.0)
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(snr_db=math.nan), "snr_db"),
+        (dict(snr_db=-math.inf), "snr_db"),
+        (dict(doppler=math.nan), "doppler_fraction"),
+        (dict(doppler=math.inf), "doppler_fraction"),
+        (dict(k_db=math.nan), "rician_k_db"),
+        (dict(bandwidth=math.inf), "bandwidth"),
+    ])
+    def test_non_finite_parameters_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            make_cfg(**kw)
+
+    def test_headroom_and_block_length_are_required(self):
+        with pytest.raises(TypeError, match="headroom"):
+            ChannelConfig.for_current_range(I_MAX, 410e3, 0.0, n_samples=4096)
+        with pytest.raises(TypeError, match="n_samples"):
+            ChannelConfig.for_current_range(I_MAX, 410e3, 0.0, headroom=0.8)
+
 
 class TestModulate:
     def test_linear_scaling(self):
@@ -80,19 +96,20 @@ class TestModulate:
 
 
 class TestTransmitDemodulate:
+    """The time-domain reference: sample blocks and their FFT peak."""
+
     def test_degenerate_channel_is_identity(self):
         rng = np.random.default_rng(0)
         f = modulate(1e-3, IDEAL)
-        block = transmit(f, IDEAL, rng)
+        block = transmit_block([f], IDEAL, rng)[0]
         t = np.arange(IDEAL.n_samples) / IDEAL.sample_rate
         np.testing.assert_allclose(block, np.exp(2j * np.pi * f * t), atol=1e-12)
 
     def test_peak_recovery_within_one_bin(self):
-        rng = np.random.default_rng(1)
+        ids = np.array([2e-4, 1e-3, 7e-3])
+        out = simulate_link(ids, IDEAL, seed=1, time_domain=True)
         bin_current = IDEAL.sample_rate / IDEAL.n_samples / IDEAL.fm_scale
-        for ids in (2e-4, 1e-3, 7e-3):
-            block = transmit(modulate(ids, IDEAL), IDEAL, rng)
-            assert demodulate(block, IDEAL) == pytest.approx(ids, abs=bin_current)
+        np.testing.assert_allclose(out, ids, atol=bin_current)
 
     def test_loop_over_random_currents(self):
         rng = np.random.default_rng(2)
@@ -103,10 +120,8 @@ class TestTransmitDemodulate:
 
     def test_doppler_spreads_peak_within_fraction(self):
         cfg = make_cfg(snr_db=60.0, doppler=0.02, k_db=math.inf)
-        rng = np.random.default_rng(3)
-        freqs = np.full(200, 100e3)
-        blocks = transmit_block(freqs, cfg, rng)
-        peaks = np.array([demodulate(b, cfg) * cfg.fm_scale for b in blocks])
+        ids = np.full(200, 100e3 / cfg.fm_scale)
+        peaks = simulate_link(ids, cfg, seed=3, time_domain=True) * cfg.fm_scale
         bin_hz = cfg.sample_rate / cfg.n_samples
         assert peaks.min() >= 98e3 - bin_hz and peaks.max() <= 102e3 + bin_hz
         assert peaks.std() > 0  # the shift really is drawn per symbol
@@ -119,20 +134,19 @@ class TestTransmitDemodulate:
         assert np.all(np.abs(out - ids) <= 0.02 * ids + bin_current)
 
     def test_pure_noise_gives_inband_current(self):
-        cfg = make_cfg(snr_db=-20.0)
-        rng = np.random.default_rng(4)
-        noise = rng.standard_normal(cfg.n_samples) + 1j * rng.standard_normal(cfg.n_samples)
-        ids = demodulate(noise, cfg)
-        assert 0 < ids <= cfg.bandwidth / cfg.fm_scale
+        # at -60 dB the peak is the noise's; it is still searched in band only
+        cfg = make_cfg(snr_db=-60.0)
+        out = simulate_link(np.full(16, 0.5 * I_MAX), cfg, seed=4, time_domain=True)
+        assert np.all(out > 0) and np.all(out <= cfg.bandwidth / cfg.fm_scale)
 
     def test_frequency_bounds_enforced(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="frequency"):
-            transmit(0.0, IDEAL, rng)
+            transmit_block([0.0], IDEAL, rng)
         with pytest.raises(ValueError, match="frequency"):
-            transmit(IDEAL.sample_rate / 2, IDEAL, rng)
-        with pytest.raises(ValueError, match="short"):
-            demodulate(np.zeros(4), IDEAL)
+            transmit_block([IDEAL.sample_rate / 2], IDEAL, rng)
+        with pytest.raises(ValueError, match="integer >= 8"):
+            make_cfg(n=4)
 
 
 class TestStatistics:
@@ -154,6 +168,13 @@ class TestStatistics:
         rng = np.random.default_rng(7)
         blocks = transmit_block(np.full(2000, 100e3), cfg, rng)
         assert np.mean(np.abs(blocks) ** 2) == pytest.approx(1.0, abs=0.05)
+
+    def test_rayleigh_at_minus_infinite_k_factor(self):
+        # K = -inf dB has no line-of-sight part: pure Rayleigh fading
+        cfg = make_cfg(snr_db=math.inf, doppler=0.0, k_db=-math.inf)
+        gains = transmit_block(np.full(2000, 100e3), cfg, np.random.default_rng(14))[:, 0]
+        assert abs(np.mean(gains)) < 0.1  # zero-mean, unlike any finite K
+        assert np.mean(np.abs(gains) ** 2) == pytest.approx(1.0, abs=0.1)
 
     def test_noise_disabled_at_infinite_snr(self):
         cfg = make_cfg(snr_db=math.inf, doppler=0.0, k_db=math.inf)

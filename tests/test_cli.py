@@ -1,5 +1,6 @@
 """CLI tests: config resolution, subcommand artifacts, reproducibility."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -149,6 +150,24 @@ class TestSubcommands:
         assert "snr_db" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--snr-db", "nan"), ("--snr-db", "-inf"), ("--doppler-fraction", "nan"),
+        ("--rician-k-db", "nan"), ("--delta", "nan"), ("--delta", "inf"),
+    ])
+    def test_non_finite_link_parameter_exits_without_artifacts(self, tmp_path, capsys,
+                                                              flag, value):
+        out = tmp_path / "out"
+        rc = main(["sweep-delta", "--outdir", str(out), "--delta", "0.5", *FAST_LINK,
+                   f"{flag}={value}"])
+        assert rc == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_snr_and_k_factor_still_run(self, tmp_path):
+        assert main(["sweep-delta", "--outdir", str(tmp_path), "--delta", "0.5",
+                     *FAST_LINK, "--snr-db=inf", "--rician-k-db=-inf"]) == 0
+        assert (tmp_path / "sweep_delta.csv").exists()
+
     def test_failing_run_leaves_no_partial_file(self, tmp_path, capsys):
         # grid extends outside the checked vds range -> run_noiseless raises
         rc = main(["noiseless", "--outdir", str(tmp_path),
@@ -163,3 +182,30 @@ class TestSubcommands:
         assert main(["noiseless", "--config", str(path), "--outdir", str(tmp_path)]) == 0
         lines = (tmp_path / "noiseless.csv").read_text().splitlines()
         assert len(lines) == 2 + 150
+
+
+class TestGoldenArtifacts:
+    """Exact default artifacts and decode output, recorded before the stream
+    decoder moved to arrays."""
+
+    @pytest.mark.parametrize("command, name, sha", [
+        ("noiseless", "noiseless.csv",
+         "2184416423944b7654e0ea8d567effa4b1564503a4cc9ee08e276ba08ac09353"),
+        ("sweep-lambda", "sweep_lambda.csv",
+         "f19d42e66ed35a39c3f502649b664680deeb094f446c082b9aee33f2e11ce5c4"),
+    ])
+    def test_noiseless_artifact_bytes(self, tmp_path, capsys, command, name, sha):
+        assert main([command, "--outdir", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
+    @pytest.mark.parametrize("ids1, ids2, want", [
+        ("0.00046907", "0.00047053",
+         "vgs_hat=3 vds_hat_1=5.00005 vds_hat_2=5.09974 corrected=0 in_range=1"),
+        ("0.00046907", "0.00046907",
+         "vgs_hat=3 vds_hat_1=5.00005 vds_hat_2=5.00005 corrected=1 in_range=1"),
+        ("1e-09", "0.02",
+         "vgs_hat=5 vds_hat_1=-27.027 vds_hat_2=357.306 corrected=0 in_range=0"),
+    ])
+    def test_decode_stdout(self, capsys, ids1, ids2, want):
+        assert main(["decode", "--ids1", ids1, "--ids2", ids2]) == 0
+        assert capsys.readouterr().out == want + "\n"

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from ajscc.codec import (
     CodecConfig,
     build_levels,
-    decode_pair,
     decode_pairs,
     decode_stream,
     encode,
     quantize,
-    stream_estimates,
 )
 from ajscc.mosfet import MosfetParams, drain_current
 
@@ -21,6 +19,11 @@ P = MosfetParams()
 REF_LEVELS = np.arange(1.0, 6.0)
 REF_CFG = CodecConfig(levels=REF_LEVELS, vgs_range=(1.0, 5.0), vds_range=(5.0, 10.0))
 VDS_GRID = 5.0 + 0.1 * np.arange(50)
+
+
+def decode_one(p, cfg, i1, i2, range_check=True):
+    """(vgs_hat, vds_hat_1, vds_hat_2, corrected, in_range) of a single pair."""
+    return tuple(a[0] for a in decode_pairs(p, cfg, [i1], [i2], range_check=range_check))
 
 
 class TestBuildLevels:
@@ -122,14 +125,15 @@ class TestEncode:
 
 class TestDecodePair:
     def test_round_trip_reference(self):
-        pr = decode_pair(P, REF_CFG, 4.6907e-4, 4.7053e-4)
-        assert pr.vgs_hat == 3.0
-        assert pr.vds_hat_1 == pytest.approx(5.0, abs=1e-3)
-        assert pr.vds_hat_2 == pytest.approx(5.1, abs=1e-3)
+        g, v1, v2, _, _ = decode_one(P, REF_CFG, 4.6907e-4, 4.7053e-4)
+        assert g == 3.0
+        assert v1 == pytest.approx(5.0, abs=1e-3)
+        assert v2 == pytest.approx(5.1, abs=1e-3)
 
     def test_clean_pair_needs_no_correction(self):
-        pr = decode_pair(P, REF_CFG, drain_current(P, 1.0, 5.0), drain_current(P, 1.0, 5.1))
-        assert pr.vgs_hat == 1.0 and not pr.corrected and pr.in_range
+        g, _, _, corr, ok = decode_one(P, REF_CFG, drain_current(P, 1.0, 5.0),
+                                       drain_current(P, 1.0, 5.1))
+        assert g == 1.0 and not corr and ok
 
     def test_all_consecutive_pairs_decode_exactly(self):
         # every sliding pair on every curve, corrected decoding: 100 % recovery
@@ -160,30 +164,29 @@ class TestDecodePair:
     def test_corrected_flag_marks_range_check_interventions(self):
         i1 = drain_current(P, 4.0, 9.8)
         i2 = drain_current(P, 4.0, 9.9)
-        pr = decode_pair(P, REF_CFG, i1, i2)
-        assert pr.vgs_hat == 4.0 and pr.corrected and pr.in_range
-        raw = decode_pair(P, REF_CFG, i1, i2, range_check=False)
-        assert raw.vgs_hat == 5.0 and not raw.corrected and not raw.in_range
+        g, _, _, corr, ok = decode_one(P, REF_CFG, i1, i2)
+        assert g == 4.0 and corr and ok
+        g, _, _, corr, ok = decode_one(P, REF_CFG, i1, i2, range_check=False)
+        assert g == 5.0 and not corr and not ok
 
     def test_degenerate_pair_picks_lowest_in_range(self):
         i = drain_current(P, 3.0, 7.0)
-        pr = decode_pair(P, REF_CFG, i, i)
-        assert pr.vgs_hat == 3.0 and pr.in_range
-        assert pr.vds_hat_1 == pytest.approx(7.0, rel=1e-9)
+        g, v1, _, _, ok = decode_one(P, REF_CFG, i, i)
+        assert g == 3.0 and ok
+        assert v1 == pytest.approx(7.0, rel=1e-9)
 
     def test_garbage_currents_do_not_crash(self):
-        for i1, i2 in ((1e-9, 2e-2), (1e-30, 1e-30), (0.0, 1e-3), (-1e-6, 1e-6)):
-            pr = decode_pair(P, REF_CFG, i1, i2)
-            assert not pr.in_range
+        i1, i2 = (1e-9, 1e-30, 0.0, -1e-6), (2e-2, 1e-30, 1e-3, 1e-6)
+        *_, ok = decode_pairs(P, REF_CFG, i1, i2)
+        assert not np.any(ok)
 
     @settings(max_examples=150)
     @given(st.floats(1e-7, 1e-2), st.floats(1e-7, 1e-2))
     def test_permutation_covariant(self, i1, i2):
-        a = decode_pair(P, REF_CFG, i1, i2)
-        b = decode_pair(P, REF_CFG, i2, i1)
-        assert a.vgs_hat == b.vgs_hat
-        assert a.vds_hat_1 == b.vds_hat_2 and a.vds_hat_2 == b.vds_hat_1
-        assert a.in_range == b.in_range
+        g, v1, v2, _, ok = decode_pairs(P, REF_CFG, [i1, i2], [i2, i1])
+        assert g[0] == g[1]
+        assert v1[0] == v2[1] and v2[0] == v1[1]
+        assert ok[0] == ok[1]
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -191,9 +194,7 @@ class TestDecodePair:
         i2 = np.concatenate([rng.uniform(1e-6, 2e-3, 40), [1e-2, 5e-4, 6e-4]])
         g, v1, v2, corr, ok = decode_pairs(P, REF_CFG, i1, i2)
         for k in range(i1.size):
-            pr = decode_pair(P, REF_CFG, float(i1[k]), float(i2[k]))
-            assert (pr.vgs_hat, pr.corrected, pr.in_range) == (g[k], corr[k], ok[k])
-            assert pr.vds_hat_1 == v1[k] and pr.vds_hat_2 == v2[k]
+            assert decode_one(P, REF_CFG, i1[k], i2[k]) == (g[k], v1[k], v2[k], corr[k], ok[k])
 
     def test_fine_spacing_alias_is_the_documented_selection(self):
         # with 0.41 V spacing over (5, 10) V the one-level-up candidate's
@@ -202,9 +203,10 @@ class TestDecodePair:
         # docstring for the condition)
         cfg = CodecConfig.uniform((5.0, 10.0), 0.41, (5.0, 10.0))
         lvl = cfg.levels[11]  # 9.51
-        pr = decode_pair(P, cfg, drain_current(P, lvl, 9.9), drain_current(P, lvl, 10.0))
-        assert pr.vgs_hat == pytest.approx(lvl + 0.41)
-        assert pr.in_range
+        g, _, _, _, ok = decode_one(P, cfg, drain_current(P, lvl, 9.9),
+                                    drain_current(P, lvl, 10.0))
+        assert g == pytest.approx(lvl + 0.41)
+        assert ok
 
 
 def _alias_free(levels, lam, vds_range):
@@ -232,42 +234,73 @@ class TestNoiselessIdentity:
         assume(_alias_free(levels, lam, vds_range))
         cfg = CodecConfig(levels=levels, vgs_range=(1.0, 5.0), vds_range=vds_range)
         v1, v2 = v_lo + 0.25 * span, v_lo + 0.75 * span
-        pr = decode_pair(p, cfg, encode(p, cfg, vgs_raw, v1), encode(p, cfg, vgs_raw, v2))
-        assert pr.vgs_hat == quantize(vgs_raw, levels)
-        assert pr.vds_hat_1 == pytest.approx(v1, abs=1e-6)
-        assert pr.vds_hat_2 == pytest.approx(v2, abs=1e-6)
+        g, v1_hat, v2_hat, _, _ = decode_pairs(p, cfg, [encode(p, cfg, vgs_raw, v1)],
+                                               [encode(p, cfg, vgs_raw, v2)])
+        assert g[0] == quantize(vgs_raw, levels)
+        assert v1_hat[0] == pytest.approx(v1, abs=1e-6)
+        assert v2_hat[0] == pytest.approx(v2, abs=1e-6)
+
+
+def stream_reference(cfg, ids, range_check=True):
+    """Per-sample decode of streams along the last axis, one decode_pairs call per pair."""
+    ids = np.asarray(ids, dtype=float)
+    n = ids.shape[-1]
+    rows = ids.reshape(-1, n)
+    vgs, vds = np.empty(rows.shape), np.empty(rows.shape)
+    corr, ok = np.empty(rows.shape, bool), np.empty(rows.shape, bool)
+    for r, row in enumerate(rows):
+        for a in range(0, n - 1, 2):
+            g, v1, v2, c, k = decode_one(P, cfg, row[a], row[a + 1], range_check)
+            vgs[r, a:a + 2], vds[r, a:a + 2] = g, (v1, v2)
+            corr[r, a:a + 2], ok[r, a:a + 2] = c, k
+        if n % 2:  # the tail pair (n-2, n-1) supplies the trailing sample only
+            g, _, v2, c, k = decode_one(P, cfg, row[-2], row[-1], range_check)
+            vgs[r, -1], vds[r, -1], corr[r, -1], ok[r, -1] = g, v2, c, k
+    return tuple(a.reshape(ids.shape) for a in (vgs, vds, corr, ok))
 
 
 class TestDecodeStream:
     def test_even_stream_decodes_blockwise(self):
         ids = drain_current(P, 3.0, VDS_GRID)
-        pairs = decode_stream(P, REF_CFG, ids)
-        assert len(pairs) == 25
-        assert all(pr.vgs_hat == 3.0 for pr in pairs)
-        vg, vd = stream_estimates(pairs, 50)
+        vg, vd, corr, ok = decode_stream(P, REF_CFG, ids)
+        assert vg.shape == vd.shape == corr.shape == ok.shape == (50,)
+        assert np.all(vg == 3.0) and np.all(ok)
         np.testing.assert_allclose(vd, VDS_GRID, atol=1e-6)
 
     def test_odd_stream_reuses_last_pair_for_trailing_sample(self):
         vds = np.array([5.0, 5.1, 5.2, 5.3, 5.4])
         ids = drain_current(P, 2.0, vds)
-        pairs = decode_stream(P, REF_CFG, ids)
-        assert len(pairs) == 3  # (0,1), (2,3), trailing (3,4)
-        vg, vd = stream_estimates(pairs, 5)
+        vg, vd, _, _ = decode_stream(P, REF_CFG, ids)  # pairs (0,1), (2,3), tail (3,4)
         assert np.all(vg == 2.0)
         np.testing.assert_allclose(vd, vds, atol=1e-6)
 
     def test_identical_current_pair_on_coarse_set(self):
         ids = np.full(2, drain_current(P, 4.0, 6.0))
-        pairs = decode_stream(P, REF_CFG, ids)
-        assert pairs[0].vgs_hat == 4.0
+        vg, _, _, _ = decode_stream(P, REF_CFG, ids)
+        assert np.all(vg == 4.0)
 
     def test_too_short_sequence_rejected(self):
-        for bad in ([], [1e-4]):
+        for bad in ([], [1e-4], np.ones((3, 1)), 1e-4):
             with pytest.raises(ValueError, match="at least 2"):
                 decode_stream(P, REF_CFG, bad)
 
-    def test_stream_estimates_length_check(self):
-        ids = drain_current(P, 3.0, VDS_GRID[:4])
-        pairs = decode_stream(P, REF_CFG, ids)
-        with pytest.raises(ValueError, match="inconsistent"):
-            stream_estimates(pairs, 7)
+    @pytest.mark.parametrize("shape", [(2,), (3,), (8,), (9,), (4, 6), (4, 7), (2, 3, 5)])
+    @pytest.mark.parametrize("range_check", [True, False])
+    def test_matches_per_pair_reference(self, shape, range_check):
+        # curve currents, some near the top of the vds range where the
+        # range check corrects, plus arbitrary currents that fail it
+        rng = np.random.default_rng(sum(shape))
+        ids = drain_current(P, rng.choice(REF_LEVELS, shape), rng.uniform(5.0, 10.0, shape))
+        ids = np.where(rng.random(shape) < 0.2, rng.uniform(1e-6, 2e-3, shape), ids)
+        got = decode_stream(P, REF_CFG, ids, range_check=range_check)
+        want = stream_reference(REF_CFG, ids, range_check)
+        for g, w in zip(got, want):
+            assert g.shape == shape and g.dtype == w.dtype and g.flags.c_contiguous
+            np.testing.assert_array_equal(g, w)
+
+    def test_flags_follow_their_pair(self):
+        ids = drain_current(P, 4.0, np.array([9.8, 9.9, 5.0, 5.1]))
+        ids[2] = 1e-9
+        _, _, corr, ok = decode_stream(P, REF_CFG, ids)
+        assert corr.tolist() == [True, True, False, False]
+        assert ok.tolist() == [True, True, False, False]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ajscc.codec import CodecConfig, decode_stream, quantize, stream_estimates
+from ajscc.codec import CodecConfig, decode_pairs, quantize
 from ajscc.experiments import (
     LinkConfig,
     MseReport,
@@ -159,28 +159,37 @@ class TestLinkPipeline:
         assert means[0] < means[1] < means[2]
 
     def test_vectorized_decode_matches_stream_reference(self):
-        # the even-length fast path must agree with the public per-sensor
-        # stream decoding, including the range-informed vds policy
-        cfg = tiny_link_cfg(snr_db=-15.0)
-        gs, ds = cfg.fields(0)
-        chan = cfg.channel()
-        rpt = run_link_point(cfg, gs, ds, delta=0.5, chan=chan, link_seed=(5, 0))
-
+        # the array decode path must agree with decoding each pair on its
+        # own, including the range-informed vds policy and, for odd nt, the
+        # tail pair that supplies the trailing sample
         from ajscc.channel import simulate_link
-        codec = CodecConfig.uniform(cfg.vgs_range, 0.5, cfg.vds_range)
-        ids = drain_current(P, quantize(gs.values, codec.levels), ds.values)
-        ids_hat = simulate_link(ids.reshape(-1, 4), chan, (5, 0))
-        est_gs = np.empty_like(ids_hat)
-        est_ds = np.empty_like(ids_hat)
-        for s in range(ids_hat.shape[0]):
-            pairs = decode_stream(P, codec, ids_hat[s])
-            vg, vd = stream_estimates(pairs, 4)
-            in_rng = np.repeat([pr.in_range for pr in pairs], 2)
-            est_gs[s] = vg
-            est_ds[s] = np.where(in_rng, np.clip(vd, 5.0, 10.0), 7.5)
-        ref = mse_averaged(gs, est_gs.reshape(gs.values.shape),
-                           ds, est_ds.reshape(ds.values.shape))
-        assert rpt.mse_gs == ref.mse_gs and rpt.mse_ds == ref.mse_ds
+        for nt in (4, 5):
+            cfg = tiny_link_cfg(nt=nt, snr_db=-15.0)
+            gs, ds = cfg.fields(0)
+            chan = cfg.channel()
+            rpt = run_link_point(cfg, gs, ds, delta=0.5, chan=chan, link_seed=(5, 0))
+
+            codec = CodecConfig.uniform(cfg.vgs_range, 0.5, cfg.vds_range)
+            ids = drain_current(P, quantize(gs.values, codec.levels), ds.values)
+            ids_hat = simulate_link(ids.reshape(-1, nt), chan, (5, 0))
+            est_gs = np.empty_like(ids_hat)
+            est_ds = np.empty_like(ids_hat)
+
+            def pair(row, a):
+                g, v1, v2, _, ok = decode_pairs(P, codec, row[a:a + 1], row[a + 1:a + 2])
+                if not ok[0]:
+                    return g[0], (7.5, 7.5)
+                return g[0], (np.clip(v1[0], 5.0, 10.0), np.clip(v2[0], 5.0, 10.0))
+
+            for s, row in enumerate(ids_hat):
+                for a in range(0, nt - 1, 2):
+                    est_gs[s, a:a + 2], est_ds[s, a:a + 2] = pair(row, a)
+                if nt % 2:  # the tail pair (nt-2, nt-1) supplies the last sample only
+                    g, vds = pair(row, nt - 2)
+                    est_gs[s, -1], est_ds[s, -1] = g, vds[1]
+            ref = mse_averaged(gs, est_gs.reshape(gs.values.shape),
+                               ds, est_ds.reshape(ds.values.shape))
+            assert (rpt.mse_gs, rpt.mse_ds) == (ref.mse_gs, ref.mse_ds), nt
 
     def test_odd_stream_length_supported(self):
         cfg = LinkConfig(nx=3, ny=3, nt=5, s_p=3, t_p=2, n_samples=512,
@@ -300,3 +309,37 @@ class TestGoldenSweeps:
             vals = [getattr(r, attr) for r in sw.reports]
             assert max(vals) - min(vals) <= 1e-12 * min(vals)
             assert len({f"{v:.10g}" for v in vals}) == 1
+
+
+class TestGoldenDecodePaths:
+    """Exact link-point and noiseless results, recorded before the stream
+    decoder moved to arrays; odd stream lengths exercise the tail pair."""
+
+    @pytest.mark.parametrize("nt, perfect, want", [
+        (5, True, (0.5166974416319835, 0.24443260474771825)),
+        (5, False, (1.6418030605063016, 1.0549481971828587)),
+        (3, True, (1.7249525230832807, 0.21459973028456786)),
+        (3, False, (3.2151915945287746, 1.9085141009340068)),
+        (21, True, (0.3592831794293288, 1.8642142461522675)),
+        (21, False, (1.1973285226177688, 1.343205264866205)),
+        (20, True, (0.024225027605808663, 1.1807126850971126)),
+        (20, False, (0.7985133161130843, 1.5196221021729166)),
+    ])
+    def test_link_point_values(self, nt, perfect, want):
+        cfg = LinkConfig(nx=6, ny=6, nt=nt, s_p=3, t_p=2, n_samples=512,
+                         snr_db=-10.0, seed=11)
+        gs, ds = cfg.fields(0)
+        chan = None if perfect else cfg.channel()
+        r = run_link_point(cfg, gs, ds, 0.41, chan, (11, 0))
+        assert (r.mse_gs, r.mse_ds) == want
+
+    @pytest.mark.parametrize("n, want", [
+        (50, (1.0, 0.0, 6.222534820383341e-30, 0.984, 0.016, 3.7159898486686727)),
+        (49, (1.0, 0.0, 6.285128518332306e-30, 0.9877551020408163,
+              0.012244897959183673, 2.836130110712864)),
+        (3, (1.0, 0.0, 5.784979971620753e-30, 1.0, 0.0, 5.784979971620753e-30)),
+    ])
+    def test_noiseless_values(self, n, want):
+        r = run_noiseless(P, vds_grid=5.0 + 0.1 * np.arange(n))
+        assert (r.accuracy, r.mse_gs, r.mse_ds,
+                r.accuracy_pre, r.mse_gs_pre, r.mse_ds_pre) == want

@@ -117,3 +117,19 @@ def test_csv_rejects_malformed(tmp_path):
     path.write_text("x,y,t,value\n0,0,0,1.0\n")
     with pytest.raises(ValueError, match="metadata"):
         field_from_csv(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda rows: rows[:-1] + [rows[0]], r"field.csv:14: duplicate cell \(0, 0, 0\)"),
+    (lambda rows: rows[:-1] + ["-2,0,0,7.0"], r"field.csv:14: cell \(-2, 0, 0\) outside"),
+    (lambda rows: rows[:-1] + ["3,0,0,7.0"], r"field.csv:14: cell \(3, 0, 0\) outside"),
+], ids=["duplicate", "negative_index", "index_past_end"])
+def test_csv_rejects_bad_cells(tmp_path, edit, match):
+    # the row count stays right: the last row (line 14) is replaced by a bad one
+    path = tmp_path / "field.csv"
+    field_to_csv(generate_field(3, 2, 2, 1, 1, 5.0, 10.0, seed=14), path)
+    meta, header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([meta, header, *edit(rows)]) + "\n")
+    with pytest.raises(ValueError, match=match):
+        field_from_csv(path)
+
