@@ -22,7 +22,12 @@ transforms them as the sampler's reference.
 :func:`simulate_link` runs the spectrum sampler over a current sequence
 in chunks with one RNG stream each; :func:`simulate_link_grid` does the
 same for many current sequences and configs at once (the Monte-Carlo
-sweeps' axis points), drawing each chunk once and sharing it.
+sweeps' axis points), drawing each chunk once and sharing it.  Its peak
+search is exact but pruned: the power is evaluated only at each symbol's
+candidate bins (those near the tone and those with the loudest unit
+noise), a per-row bound on every other bin's tone leakage plus noise
+proves that none of them can win, and a row without that proof is
+searched in full.  The estimates equal a full search's bit for bit.
 
 Within one RNG stream draws are ordered doppler, fading, noise.  None of
 them depends on the tone frequencies or the SNR: noise is drawn at unit
@@ -178,9 +183,10 @@ def _symbol_gains(freqs: np.ndarray, draws, cfg: ChannelConfig):
     return f_eff, h
 
 
-def _draw_noise(rng, b: int, n_bins: int) -> np.ndarray:
-    """Unit in-band noise, drawn after the gains: real parts [:, :n_bins], imaginary after."""
-    return rng.standard_normal((b, 2 * n_bins), dtype=np.float32)
+def _draw_noise(rng, b: int, n_bins: int):
+    """Unit in-band noise planes (real, imaginary), float32, drawn after the gains."""
+    w = rng.standard_normal((b, 2 * n_bins), dtype=np.float32)
+    return w[:, :n_bins], w[:, n_bins:]
 
 
 def _check_tones(freqs, cfg: ChannelConfig) -> np.ndarray:
@@ -214,38 +220,61 @@ def _tone_kernel_exact(omega: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     return np.where(on_bin, n + 0.0j, num / np.where(on_bin, 1.0, den))
 
 
-def _tone_spectrum(freqs: np.ndarray, draws, cfg: ChannelConfig) -> np.ndarray:
-    """Noise-free in-band spectrum rows (bins 1..n_bins) of the faded tones, complex64.
+def _bin_roots(cfg: ChannelConfig) -> np.ndarray:
+    """Kernel roots exp(-2 pi i k / n) of the in-band bins k = 1..n_bins, complex64."""
+    k = np.arange(1, cfg.n_bins + 1)
+    return np.exp(-2j * np.pi * k / cfg.n_samples).astype(np.complex64)
 
-    The bin nearest each tone is recomputed in float64 since the kernel
-    denominator loses precision there.
+
+def _tone_factors(freqs: np.ndarray, draws, cfg: ChannelConfig):
+    """Per-symbol factors of the faded tone kernel: (h, omega, hnum, z, k0).
+
+    h is the fading gain, omega the Doppler-shifted angular frequency per
+    sample, hnum = h (1 - e^{i omega n}) and z = e^{i omega} are the complex64
+    numerator and ratio of the kernel, and k0 is the bin nearest the tone.
     """
     n = cfg.n_samples
-    n_bins = cfg.n_bins
     f_eff, h = _symbol_gains(freqs, draws, cfg)
-
     omega = 2.0 * np.pi * f_eff / cfg.sample_rate
     hnum = (h * (1.0 - np.exp(1j * omega * n))).astype(np.complex64)
     z = np.exp(1j * omega).astype(np.complex64)
-    roots = np.exp(-2j * np.pi * np.arange(1, n_bins + 1) / n).astype(np.complex64)
-    spectrum = hnum[:, None] / (1.0 - z[:, None] * roots[None, :])
-
     k0 = np.rint(omega * n / (2.0 * np.pi)).astype(int)
-    patch = (k0 >= 1) & (k0 <= n_bins)
-    if np.any(patch):
-        rows = np.nonzero(patch)[0]
-        exact = h[rows] * _tone_kernel_exact(omega[rows], k0[rows].astype(float), n)
-        spectrum[rows, k0[rows] - 1] = exact.astype(np.complex64)
+    return h, omega, hnum, z, k0
+
+
+def _tone_spectrum(factors, cfg: ChannelConfig, roots: np.ndarray, bins=None) -> np.ndarray:
+    """Noise-free in-band spectrum rows of the faded tones, complex64.
+
+    Rows hold bins 1..n_bins, or with ``bins`` (1-based, one row per
+    symbol) row r holds bins ``bins[r]``; each bin gets the same float
+    operations either way.  The bin nearest each tone is recomputed in
+    float64 since the kernel denominator loses precision there.
+    """
+    h, omega, hnum, z, k0 = factors
+    if bins is None:
+        spectrum = hnum[:, None] / (1.0 - z[:, None] * roots[None, :])
+        rows = np.nonzero((k0 >= 1) & (k0 <= roots.size))[0]
+        cols = k0[rows] - 1
+    else:
+        spectrum = hnum[:, None] / (1.0 - z[:, None] * roots[bins - 1])
+        rows, cols = np.nonzero(bins == k0[:, None])
+    if rows.size:
+        exact = h[rows] * _tone_kernel_exact(omega[rows], k0[rows].astype(float), cfg.n_samples)
+        spectrum[rows, cols] = exact.astype(np.complex64)
     return spectrum
 
 
-def _noisy_planes(tone: np.ndarray, w: np.ndarray, cfg: ChannelConfig):
-    """Real and imaginary float32 planes of ``tone`` plus the unit noise ``w`` at cfg's SNR."""
-    n_bins = tone.shape[1]
-    scale = np.float32(math.sqrt(cfg.n_samples * _noise_variance(cfg) / 2.0))
-    re = scale * w[:, :n_bins]
+def _noise_scale(cfg: ChannelConfig) -> np.float32:
+    """Amplitude of each unit-noise component at cfg's SNR."""
+    return np.float32(math.sqrt(cfg.n_samples * _noise_variance(cfg) / 2.0))
+
+
+def _noisy_planes(tone: np.ndarray, noise, cfg: ChannelConfig):
+    """Real and imaginary float32 planes of ``tone`` plus unit ``noise`` at cfg's SNR."""
+    scale = _noise_scale(cfg)
+    re = scale * noise[0]
     re += tone.real
-    im = scale * w[:, n_bins:]
+    im = scale * noise[1]
     im += tone.imag
     return re, im
 
@@ -257,7 +286,8 @@ def received_spectrum(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
     the searched bins; noise is drawn directly per bin.
     """
     freqs = _check_tones(freqs, cfg)
-    spectrum = _tone_spectrum(freqs, _draw_gains(rng, freqs.size), cfg)
+    factors = _tone_factors(freqs, _draw_gains(rng, freqs.size), cfg)
+    spectrum = _tone_spectrum(factors, cfg, _bin_roots(cfg))
     if _noisy(cfg):
         re, im = _noisy_planes(spectrum, _draw_noise(rng, freqs.size, cfg.n_bins), cfg)
         spectrum.real = re
@@ -265,10 +295,14 @@ def received_spectrum(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
     return spectrum
 
 
+def _bin_currents(k: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
+    """Current estimates from 1-based peak bins."""
+    return k * (cfg.sample_rate / cfg.n_samples) / cfg.fm_scale
+
+
 def _peak_currents(power: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     """Current estimates from the peak bin of each row of in-band bins 1..n."""
-    k = 1 + np.argmax(power, axis=1)
-    return k * (cfg.sample_rate / cfg.n_samples) / cfg.fm_scale
+    return _bin_currents(1 + np.argmax(power, axis=1), cfg)
 
 
 def demodulate_spectrum(spectrum: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
@@ -276,15 +310,100 @@ def demodulate_spectrum(spectrum: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     return _peak_currents(spectrum.real ** 2 + spectrum.imag ** 2, cfg)
 
 
-def _link_currents(tone: np.ndarray, w, cfg: ChannelConfig) -> np.ndarray:
-    """Current estimates at cfg's SNR from a shared tone spectrum and unit noise."""
+def _power(tone: np.ndarray, noise, cfg: ChannelConfig) -> np.ndarray:
+    """Float32 power of ``tone`` plus the unit ``noise`` planes at cfg's SNR."""
     if not _noisy(cfg):
-        return demodulate_spectrum(tone, cfg)
-    re, im = _noisy_planes(tone, w, cfg)
+        return tone.real ** 2 + tone.imag ** 2
+    re, im = _noisy_planes(tone, noise, cfg)
     re **= 2
     im **= 2
     re += im
-    return _peak_currents(re, cfg)
+    return re
+
+
+def _link_currents(tone: np.ndarray, noise, cfg: ChannelConfig) -> np.ndarray:
+    """Current estimates at cfg's SNR from a full-row tone spectrum and unit noise."""
+    return _peak_currents(_power(tone, noise, cfg), cfg)
+
+
+# Pruned peak search of simulate_link_grid.  Candidate bins are those
+# within _WINDOW of a symbol's tone bin plus the _TOP_NOISE bins with the
+# loudest unit noise.
+_WINDOW = 16
+_TOP_NOISE = 64
+# Margin of the no-other-bin-wins bound over float32 rounding of the powers
+_SAFETY = 1.01
+# Above the rounding error of a complex64 kernel denominator 1 - z * root
+_DEN_SLACK = 16 * float(np.finfo(np.float32).eps)
+# Smallest peak power the relative margin covers (float32 underflow below)
+_TINY_POWER = 1e-30
+
+
+def _loudest_noise(noise):
+    """Each row's _TOP_NOISE loudest unit-noise bins: (bins, noise planes there, u_rest).
+
+    Bins are 1-based.  u_rest, the next-loudest unit-noise power, bounds
+    that of every other bin.
+    """
+    u = noise[0] ** 2
+    u += noise[1] ** 2
+    kth = u.shape[1] - _TOP_NOISE - 1
+    order = np.argpartition(u, kth, axis=1)
+    u_rest = np.take_along_axis(u, order[:, kth:kth + 1], axis=1)[:, 0]
+    top = order[:, kth + 1:]
+    top_noise = tuple(np.take_along_axis(plane, top, axis=1) for plane in noise)
+    return top + 1, top_noise, u_rest.astype(float)
+
+
+def _candidate_currents(factors, noise, loud, tone_cfg: ChannelConfig, roots: np.ndarray,
+                        cfgs) -> list:
+    """Current estimates for each of ``cfgs`` (``tone_cfg`` at their SNRs),
+    equal bit for bit to :func:`_link_currents` on the full rows.
+
+    The power is evaluated exactly at each row's candidate bins: the
+    window around its tone and, with noise, the bins of ``loud``
+    (:func:`_loudest_noise`).  A bin outside the window lies at least
+    _WINDOW + 1/2 bins from the tone, so its tone amplitude is at most
+    ``eps = |hnum| / (2 sin(pi (_WINDOW + 1/2) / n) - _DEN_SLACK)``; a bin
+    outside ``loud`` has noise amplitude at most ``scale * sqrt(u_rest)``.
+    A row whose best candidate beats ``(scale * sqrt(u_rest) + eps)^2`` by
+    the margin has its peak among the candidates (ties go to the lowest
+    bin, as with ``np.argmax``); any other row is searched in full.
+    """
+    n_bins = roots.size
+    hnum, k0 = factors[2], factors[4]
+    bins = np.clip(k0[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 1, n_bins)
+    n_window = bins.shape[1]
+    if loud is not None:
+        top_bins, top_noise, u_rest = loud
+        cand_noise = tuple(
+            np.concatenate([np.take_along_axis(plane, bins - 1, axis=1), top], axis=1)
+            for plane, top in zip(noise, top_noise))
+        bins = np.concatenate([bins, top_bins], axis=1)
+    tone = _tone_spectrum(factors, tone_cfg, roots, bins)
+    # |x - k| / n lies in [(_WINDOW + 1/2) / n, 1/2] for the tone at bin
+    # position x and every bin k outside the window, where sin increases
+    den = 2.0 * math.sin(math.pi * (_WINDOW + 0.5) / tone_cfg.n_samples) - _DEN_SLACK
+    eps = np.abs(hnum.astype(complex)) / den if den > 0 else math.inf
+    estimates = []
+    for cfg in cfgs:
+        if _noisy(cfg):
+            power = _power(tone, cand_noise, cfg)
+            bound = (float(_noise_scale(cfg)) * np.sqrt(u_rest) + eps) ** 2
+        else:
+            power = _power(tone[:, :n_window], None, cfg)
+            bound = eps ** 2
+        best = power.max(axis=1)
+        k = np.where(power == best[:, None], bins[:, :power.shape[1]], n_bins + 1).min(axis=1)
+        est = _bin_currents(k, cfg)
+        proven = (best > np.maximum(_SAFETY * bound, _TINY_POWER)) & np.isfinite(best)
+        rows = np.nonzero(~proven)[0]
+        if rows.size:
+            full = _tone_spectrum(tuple(f[rows] for f in factors), tone_cfg, roots)
+            rows_noise = None if noise is None else tuple(plane[rows] for plane in noise)
+            est[rows] = _link_currents(full, rows_noise, cfg)
+        estimates.append(est)
+    return estimates
 
 
 def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np.ndarray:
@@ -293,12 +412,15 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     Returns an array of shape ``(len(ids_list), len(cfgs), *ids.shape)``
     whose entry ``[i, j]`` is ``simulate_link(ids_list[i], cfgs[j], seed,
     chunk_symbols=chunk_symbols)``, bit for bit.  The draws of a chunk do
-    not depend on the tone frequencies or the SNR, so each chunk draws its
-    doppler, fading and (if any config has noise) unit noise once per bin
-    count, computes one tone spectrum per current array and per config
-    modulo SNR, and only rescales the noise and searches the peak per SNR.
-    At most one chunk's noise, one tone spectrum and one noisy spectrum are
-    alive at a time.
+    not depend on the tone frequencies or the SNR, so per chunk and bin
+    count the doppler, fading and (if any config has noise) unit noise are
+    drawn once, and the noise's loudest bins are ranked once.  Per current
+    array and config modulo SNR the tone is evaluated at each symbol's
+    candidate bins only; per SNR only the noise is rescaled and the peak
+    searched among the candidates, with a per-row proof that no other bin
+    can win and the full row as the fallback (:func:`_candidate_currents`).
+    Bin counts too small for the candidates to save work are searched in
+    full.
     """
     ids_list = [np.asarray(ids, dtype=float) for ids in ids_list]
     cfgs = list(cfgs)
@@ -316,6 +438,7 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     freqs = {(i, tone_cfg): _check_tones(modulate(ids.ravel(), tone_cfg), tone_cfg)
              for tones in groups.values() for tone_cfg in tones
              for i, ids in enumerate(ids_list)}
+    roots = {tone_cfg: _bin_roots(tone_cfg) for tones in groups.values() for tone_cfg in tones}
 
     n_sym = ids_list[0].size
     out = np.empty((len(ids_list), len(cfgs), n_sym))
@@ -324,16 +447,23 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
         for n_bins, tones in groups.items():
             rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
             draws = _draw_gains(rng, stop - start)
-            w = None
+            noise = loud = None
             if any(_noisy(cfgs[j]) for js in tones.values() for j in js):
-                w = _draw_noise(rng, stop - start, n_bins)
+                noise = _draw_noise(rng, stop - start, n_bins)
+            prune = n_bins > 2 * _WINDOW + 1 + _TOP_NOISE
+            if prune and noise is not None:
+                loud = _loudest_noise(noise)
             for tone_cfg, js in tones.items():
+                link_cfgs = [cfgs[j] for j in js]
                 for i in range(len(ids_list)):
-                    tone = _tone_spectrum(freqs[i, tone_cfg][start:stop], draws, tone_cfg)
-                    for j in js:
-                        out[i, j, start:stop] = _link_currents(tone, w, cfgs[j])
-                    del tone  # freed before the next tone spectrum is built
-            del w
+                    factors = _tone_factors(freqs[i, tone_cfg][start:stop], draws, tone_cfg)
+                    if prune:
+                        est = _candidate_currents(factors, noise, loud, tone_cfg,
+                                                  roots[tone_cfg], link_cfgs)
+                    else:
+                        tone = _tone_spectrum(factors, tone_cfg, roots[tone_cfg])
+                        est = [_link_currents(tone, noise, cfg) for cfg in link_cfgs]
+                    out[i, js, start:stop] = est
     return out.reshape(len(ids_list), len(cfgs), *shape)
 
 

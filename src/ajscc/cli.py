@@ -44,6 +44,9 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
+_LINK = LinkConfig()  # the library defaults, the one source of RunConfig's scalar defaults
+
+
 @dataclass
 class RunConfig:
     """Flat, fully-defaulted view of every experiment parameter.
@@ -51,18 +54,19 @@ class RunConfig:
     Defaults reproduce the reference operating point: the 0.18 um device,
     both source ranges (5, 10) V, 410 kHz bandwidth at -20 dB SNR, a
     20 x 20 x 20 field with 10-cell/10-instant correlation blocks, and 2 %
-    Doppler.
+    Doppler.  Device, range, geometry, channel and Monte-Carlo defaults are
+    read from :class:`LinkConfig` (and its :class:`MosfetParams`).
     """
 
     # device
-    k_gain: float = 155e-6
-    v_th: float = 0.74
-    lam: float = 0.037
+    k_gain: float = _LINK.mosfet.k_gain
+    v_th: float = _LINK.mosfet.v_th
+    lam: float = _LINK.mosfet.lam
     # source ranges shared by codec and field generation
-    vgs_lo: float = 5.0
-    vgs_hi: float = 10.0
-    vds_lo: float = 5.0
-    vds_hi: float = 10.0
+    vgs_lo: float = _LINK.vgs_range[0]
+    vgs_hi: float = _LINK.vgs_range[1]
+    vds_lo: float = _LINK.vds_range[0]
+    vds_hi: float = _LINK.vds_range[1]
     delta: float | None = None  # set to pin sweep-delta to a single spacing
     # noiseless functional study
     noiseless_levels: str = "1,2,3,4,5"
@@ -70,19 +74,19 @@ class RunConfig:
     noiseless_vds_step: float = 0.1
     noiseless_vds_count: int = 50
     # field geometry
-    nx: int = 20
-    ny: int = 20
-    nt: int = 20
-    s_p: int = 10
-    t_p: int = 10
+    nx: int = _LINK.nx
+    ny: int = _LINK.ny
+    nt: int = _LINK.nt
+    s_p: int = _LINK.s_p
+    t_p: int = _LINK.t_p
     # channel
-    bandwidth: float = 410e3
-    snr_db: float = -20.0
-    doppler_fraction: float = 0.02
-    rician_k_db: float = 6.0
-    n_samples: int = 8192
-    oversample: float = 4.0
-    fm_headroom: float = 0.7
+    bandwidth: float = _LINK.bandwidth
+    snr_db: float = _LINK.snr_db
+    doppler_fraction: float = _LINK.doppler_fraction
+    rician_k_db: float = _LINK.rician_k_db
+    n_samples: int = _LINK.n_samples
+    oversample: float = _LINK.oversample
+    fm_headroom: float = _LINK.fm_headroom
     # sweep grids
     delta_min: float = 0.05
     delta_max: float = 1.25
@@ -94,8 +98,8 @@ class RunConfig:
     snr_step: float = 10.0
     bandwidths: str = "50e3,200e3,410e3,500e3"
     # Monte-Carlo control
-    seeds: int = 10
-    seed: int = 42
+    seeds: int = _LINK.n_seeds
+    seed: int = _LINK.seed
     workers: int = 0  # 0 means one worker per available processor
     # output
     outdir: str = "."
@@ -226,6 +230,15 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"invalid value for '{key}': need lo < hi")
     if cfg.delta is not None and not 0 < cfg.delta < math.inf:
         raise ConfigError("invalid value for 'delta': must be positive and finite")
+    for axis, lo, hi, step in (("delta", cfg.delta_min, cfg.delta_max, cfg.delta_step),
+                               ("snr", cfg.snr_min, cfg.snr_max, cfg.snr_step)):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ConfigError(f"invalid value for '{axis}_min/{axis}_max': "
+                              "need finite bounds with min <= max")
+        if not 0 < step < math.inf:
+            raise ConfigError(f"invalid value for '{axis}_step': must be positive and finite")
+    if not cfg.delta_min > 0:
+        raise ConfigError("invalid value for 'delta_min': must be positive")
     for key, val in (("noiseless_vds_count", cfg.noiseless_vds_count),
                      ("nx", cfg.nx), ("ny", cfg.ny), ("nt", cfg.nt),
                      ("s_p", cfg.s_p), ("t_p", cfg.t_p), ("seeds", cfg.seeds)):

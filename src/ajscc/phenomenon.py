@@ -100,8 +100,8 @@ def field_to_csv(field: Field, path) -> None:
 def field_from_csv(path) -> Field:
     """Read a field written by :func:`field_to_csv`.
 
-    Every grid cell must appear exactly once; a row outside the grid or a
-    repeated cell is rejected with its line number.
+    Every grid cell must appear exactly once; a malformed row, a row
+    outside the grid or a repeated cell is rejected with its line number.
     """
     with open(path) as fh:
         meta_line = fh.readline()
@@ -115,15 +115,22 @@ def field_from_csv(path) -> Field:
         values = np.empty((nx, ny, nt))
         filled = np.zeros((nx, ny, nt), dtype=bool)
         for lineno, line in enumerate(fh, 3):
-            xs, ys, ts, vs = line.strip().split(",")
-            cell = (int(xs), int(ys), int(ts))
+            fields = line.strip().split(",")
+            if len(fields) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 fields x,y,t,value, "
+                                 f"got {len(fields)}")
+            try:
+                cell = (int(fields[0]), int(fields[1]), int(fields[2]))
+                value = float(fields[3])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not (0 <= cell[0] < nx and 0 <= cell[1] < ny and 0 <= cell[2] < nt):
                 raise ValueError(f"{path}:{lineno}: cell {cell} outside the "
                                  f"{nx}x{ny}x{nt} grid")
             if filled[cell]:
                 raise ValueError(f"{path}:{lineno}: duplicate cell {cell}")
             filled[cell] = True
-            values[cell] = float(vs)
+            values[cell] = value
         seen = int(np.count_nonzero(filled))
         if seen != nx * ny * nt:
             raise ValueError(f"{path}: expected {nx * ny * nt} rows, got {seen}")

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ajscc.channel as channel
 from ajscc.channel import (
     ChannelConfig,
     demodulate_spectrum,
@@ -271,3 +274,84 @@ class TestDeterminism:
             spectrum = received_spectrum(modulate(ids, cfg), cfg, rng)
             assert np.array_equal(demodulate_spectrum(spectrum, cfg),
                                   simulate_link(ids, cfg, (4, 2)))
+
+
+def full_search_link(ids, cfg, seed, chunk_symbols=1024):
+    """Reference link: per chunk, the spectrum sampler's full rows and an argmax over every bin."""
+    freqs = modulate(np.ravel(ids), cfg)
+    out = np.empty(freqs.size)
+    for ci, start in enumerate(range(0, freqs.size, chunk_symbols)):
+        stop = min(start + chunk_symbols, freqs.size)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
+        out[start:stop] = demodulate_spectrum(received_spectrum(freqs[start:stop], cfg, rng), cfg)
+    return out.reshape(np.shape(ids))
+
+
+def edge_currents(cfg):
+    """Currents whose tones sit exactly on bin 1 and on bin n_bins."""
+    return np.array([1, cfg.n_bins]) * (cfg.sample_rate / cfg.n_samples) / cfg.fm_scale
+
+
+class TestPrunedPeakSearch:
+    """simulate_link searches candidate bins only; it must equal a full search bit for bit."""
+
+    @pytest.mark.parametrize("n", [8192, 512, 16])
+    @pytest.mark.parametrize("snr", [-50.0, -20.0, 10.0, math.inf])
+    def test_matches_full_row_reference(self, n, snr):
+        cfg = make_cfg(snr_db=snr, n=n)
+        ids = np.random.default_rng(14).uniform(0.01, 1.0, 1500) * I_MAX
+        ids[:2] = edge_currents(cfg)
+        assert np.array_equal(simulate_link(ids, cfg, (5, 1)), full_search_link(ids, cfg, (5, 1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        snr=st.sampled_from([-60.0, -30.0, -10.0, 0.0, 20.0, math.inf]),
+        k_db=st.sampled_from([-math.inf, 0.0, math.inf]),
+        doppler=st.sampled_from([0.0, 0.02]),
+        n=st.sampled_from([8, 16, 512, 8192]),
+        n_sym=st.integers(1, 200),
+        chunk=st.integers(1, 256),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_row_reference_everywhere(self, snr, k_db, doppler, n, n_sym, chunk,
+                                                   seed):
+        cfg = make_cfg(snr_db=snr, doppler=doppler, k_db=k_db, n=n)
+        rng = np.random.default_rng(seed)
+        ids = np.concatenate([edge_currents(cfg), rng.uniform(0.01, 1.0, n_sym) * I_MAX])
+        rng.shuffle(ids)
+        assert np.array_equal(simulate_link(ids, cfg, seed, chunk_symbols=chunk),
+                              full_search_link(ids, cfg, seed, chunk_symbols=chunk))
+
+    @staticmethod
+    def count_fallback_rows(monkeypatch):
+        """Count the rows that the pruned search hands to the full-row search."""
+        rows = []
+        full_search = channel._link_currents
+
+        def counting(tone, noise, cfg):
+            rows.append(tone.shape[0])
+            return full_search(tone, noise, cfg)
+
+        monkeypatch.setattr(channel, "_link_currents", counting)
+        return rows
+
+    def test_forced_fallback_stays_exact(self, monkeypatch):
+        # with no window and a single loud bin the bound rarely holds
+        monkeypatch.setattr(channel, "_WINDOW", 0)
+        monkeypatch.setattr(channel, "_TOP_NOISE", 1)
+        rows = self.count_fallback_rows(monkeypatch)
+        ids = np.random.default_rng(15).uniform(0.01, 1.0, 700) * I_MAX
+        for snr in (-20.0, 10.0, math.inf):
+            cfg = make_cfg(snr_db=snr, n=512)
+            rows.clear()
+            assert np.array_equal(simulate_link(ids, cfg, 6, chunk_symbols=300),
+                                  full_search_link(ids, cfg, 6, chunk_symbols=300))
+            assert 0 < sum(rows) <= ids.size, snr
+
+    def test_fallback_is_rare(self, monkeypatch):
+        # the bound proves nearly every row at the default candidate counts
+        rows = self.count_fallback_rows(monkeypatch)
+        ids = np.random.default_rng(16).uniform(0.01, 1.0, 2000) * I_MAX
+        cfgs = [make_cfg(snr_db=snr, n=8192) for snr in (-60.0, -20.0, 0.0, math.inf)]
+        simulate_link_grid([ids], cfgs, 7)
+        assert sum(rows) <= 0.01 * ids.size * len(cfgs)

@@ -1,5 +1,6 @@
 """CLI tests: config resolution, subcommand artifacts, reproducibility."""
 
+import dataclasses
 import hashlib
 import os
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from ajscc.cli import ConfigError, RunConfig, main, parse_config
+from ajscc.experiments import LinkConfig
 
 FAST_LINK = ["--nx", "4", "--ny", "4", "--nt", "4", "--s-p", "2", "--t-p", "2",
              "--n-samples", "512", "--seeds", "2", "--workers", "1"]
@@ -24,6 +26,11 @@ class TestParseConfig:
         assert (cfg.nx, cfg.ny, cfg.nt, cfg.s_p, cfg.t_p) == (20, 20, 20, 10, 10)
         assert cfg.doppler_fraction == 0.02
         assert cfg.delta is None
+
+    def test_defaults_are_the_library_defaults(self):
+        # workers differs by design: 0 (all processors) resolves to a count
+        link = RunConfig().link()
+        assert dataclasses.replace(link, workers=LinkConfig().workers) == LinkConfig()
 
     def test_config_file_and_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -161,6 +168,24 @@ class TestSubcommands:
                    f"{flag}={value}"])
         assert rc == 1
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags, key", [
+        ("sweep-delta", ["--delta-step", "0"], "delta_step"),
+        ("sweep-delta", ["--delta-step", "-0.1"], "delta_step"),
+        ("sweep-delta", ["--delta-step", "nan"], "delta_step"),
+        ("sweep-delta", ["--delta-min", "0.8", "--delta-max", "0.2"], "delta_min/delta_max"),
+        ("sweep-delta", ["--delta-max", "inf"], "delta_min/delta_max"),
+        ("sweep-delta", ["--delta-min", "0"], "delta_min"),
+        ("sweep-snr", ["--snr-step", "0"], "snr_step"),
+        ("sweep-snr", ["--snr-min", "nan"], "snr_min/snr_max"),
+        ("sweep-snr", ["--snr-min", "0", "--snr-max", "-10"], "snr_min/snr_max"),
+    ])
+    def test_bad_sweep_grid_exits_without_artifacts(self, tmp_path, capsys, command, flags,
+                                                    key):
+        out = tmp_path / "out"
+        assert main([command, "--outdir", str(out), *FAST_LINK, *flags]) == 1
+        assert f"error: invalid value for '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infinite_snr_and_k_factor_still_run(self, tmp_path):

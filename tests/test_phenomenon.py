@@ -123,7 +123,11 @@ def test_csv_rejects_malformed(tmp_path):
     (lambda rows: rows[:-1] + [rows[0]], r"field.csv:14: duplicate cell \(0, 0, 0\)"),
     (lambda rows: rows[:-1] + ["-2,0,0,7.0"], r"field.csv:14: cell \(-2, 0, 0\) outside"),
     (lambda rows: rows[:-1] + ["3,0,0,7.0"], r"field.csv:14: cell \(3, 0, 0\) outside"),
-], ids=["duplicate", "negative_index", "index_past_end"])
+    (lambda rows: rows[:-1] + ["2,1,1"], r"field.csv:14: expected 4 fields x,y,t,value, got 3"),
+    (lambda rows: rows[:-1] + ["2,1,1,high"], r"field.csv:14: could not convert .*'high'"),
+    (lambda rows: rows[:-1] + ["2,1,one,7.0"], r"field.csv:14: invalid literal .*'one'"),
+], ids=["duplicate", "negative_index", "index_past_end", "three_fields", "bad_value",
+        "bad_index"])
 def test_csv_rejects_bad_cells(tmp_path, edit, match):
     # the row count stays right: the last row (line 14) is replaced by a bad one
     path = tmp_path / "field.csv"
