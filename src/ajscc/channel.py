@@ -23,11 +23,11 @@ transforms them as the sampler's reference.
 in chunks with one RNG stream each; :func:`simulate_link_grid` does the
 same for many current sequences and configs at once (the Monte-Carlo
 sweeps' axis points), drawing each chunk once and sharing it.  Its peak
-search is exact but pruned: the power is evaluated only at each symbol's
-candidate bins (those near the tone and those with the loudest unit
-noise), a per-row bound on every other bin's tone leakage plus noise
-proves that none of them can win, and a row without that proof is
-searched in full.  The estimates equal a full search's bit for bit.
+search is exact but pruned at every bin count: the power is evaluated
+only at each symbol's candidate bins (those near the tone and those with
+the loudest unit noise), a per-row bound on every other bin's tone
+leakage plus noise proves that none of them can win, and a row without
+that proof is searched in full, so the estimates equal a full search's.
 
 Within one RNG stream draws are ordered doppler, fading, noise.  None of
 them depends on the tone frequencies or the SNR: noise is drawn at unit
@@ -111,11 +111,12 @@ class ChannelConfig:
     @classmethod
     def for_current_range(cls, i_max: float, bandwidth: float, snr_db: float, *,
                           headroom: float, n_samples: int, oversample: float = 4.0,
-                          doppler_fraction: float = 0.02,
-                          rician_k_db: float = 6.0) -> "ChannelConfig":
+                          doppler_fraction: float, rician_k_db: float) -> "ChannelConfig":
         """Config whose FM scale maps i_max to ``headroom * bandwidth``."""
         if not i_max > 0:
             raise ValueError(f"i_max must be positive, got {i_max}")
+        if not 0 < bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
         sample_rate = oversample * bandwidth
         return cls(
             bandwidth=float(bandwidth),
@@ -269,16 +270,6 @@ def _noise_scale(cfg: ChannelConfig) -> np.float32:
     return np.float32(math.sqrt(cfg.n_samples * _noise_variance(cfg) / 2.0))
 
 
-def _noisy_planes(tone: np.ndarray, noise, cfg: ChannelConfig):
-    """Real and imaginary float32 planes of ``tone`` plus unit ``noise`` at cfg's SNR."""
-    scale = _noise_scale(cfg)
-    re = scale * noise[0]
-    re += tone.real
-    im = scale * noise[1]
-    im += tone.imag
-    return re, im
-
-
 def received_spectrum(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
     """In-band received spectrum rows (bins 1..n_bins), complex64.
 
@@ -289,9 +280,9 @@ def received_spectrum(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
     factors = _tone_factors(freqs, _draw_gains(rng, freqs.size), cfg)
     spectrum = _tone_spectrum(factors, cfg, _bin_roots(cfg))
     if _noisy(cfg):
-        re, im = _noisy_planes(spectrum, _draw_noise(rng, freqs.size, cfg.n_bins), cfg)
-        spectrum.real = re
-        spectrum.imag = im
+        noise = _draw_noise(rng, freqs.size, cfg.n_bins)
+        spectrum.real += _noise_scale(cfg) * noise[0]
+        spectrum.imag += _noise_scale(cfg) * noise[1]
     return spectrum
 
 
@@ -314,7 +305,9 @@ def _power(tone: np.ndarray, noise, cfg: ChannelConfig) -> np.ndarray:
     """Float32 power of ``tone`` plus the unit ``noise`` planes at cfg's SNR."""
     if not _noisy(cfg):
         return tone.real ** 2 + tone.imag ** 2
-    re, im = _noisy_planes(tone, noise, cfg)
+    re, im = (_noise_scale(cfg) * plane for plane in noise)
+    re += tone.real
+    im += tone.imag
     re **= 2
     im **= 2
     re += im
@@ -328,7 +321,7 @@ def _link_currents(tone: np.ndarray, noise, cfg: ChannelConfig) -> np.ndarray:
 
 # Pruned peak search of simulate_link_grid.  Candidate bins are those
 # within _WINDOW of a symbol's tone bin plus the _TOP_NOISE bins with the
-# loudest unit noise.
+# loudest unit noise (all but one bin when there are fewer).
 _WINDOW = 16
 _TOP_NOISE = 64
 # Margin of the no-other-bin-wins bound over float32 rounding of the powers
@@ -342,12 +335,12 @@ _TINY_POWER = 1e-30
 def _loudest_noise(noise):
     """Each row's _TOP_NOISE loudest unit-noise bins: (bins, noise planes there, u_rest).
 
-    Bins are 1-based.  u_rest, the next-loudest unit-noise power, bounds
-    that of every other bin.
+    Bins are 1-based (a row of at most _TOP_NOISE bins ranks all but its
+    quietest); u_rest, the next-loudest unit-noise power, bounds every other bin's.
     """
     u = noise[0] ** 2
     u += noise[1] ** 2
-    kth = u.shape[1] - _TOP_NOISE - 1
+    kth = max(u.shape[1] - _TOP_NOISE - 1, 0)
     order = np.argpartition(u, kth, axis=1)
     u_rest = np.take_along_axis(u, order[:, kth:kth + 1], axis=1)[:, 0]
     top = order[:, kth + 1:]
@@ -382,7 +375,8 @@ def _candidate_currents(factors, noise, loud, tone_cfg: ChannelConfig, roots: np
         bins = np.concatenate([bins, top_bins], axis=1)
     tone = _tone_spectrum(factors, tone_cfg, roots, bins)
     # |x - k| / n lies in [(_WINDOW + 1/2) / n, 1/2] for the tone at bin
-    # position x and every bin k outside the window, where sin increases
+    # position x and every bin k outside the window, where sin increases;
+    # below 2 _WINDOW + 1 samples no bin lies outside and eps is not needed
     den = 2.0 * math.sin(math.pi * (_WINDOW + 0.5) / tone_cfg.n_samples) - _DEN_SLACK
     eps = np.abs(hnum.astype(complex)) / den if den > 0 else math.inf
     estimates = []
@@ -419,8 +413,6 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     candidate bins only; per SNR only the noise is rescaled and the peak
     searched among the candidates, with a per-row proof that no other bin
     can win and the full row as the fallback (:func:`_candidate_currents`).
-    Bin counts too small for the candidates to save work are searched in
-    full.
     """
     ids_list = [np.asarray(ids, dtype=float) for ids in ids_list]
     cfgs = list(cfgs)
@@ -450,20 +442,13 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
             noise = loud = None
             if any(_noisy(cfgs[j]) for js in tones.values() for j in js):
                 noise = _draw_noise(rng, stop - start, n_bins)
-            prune = n_bins > 2 * _WINDOW + 1 + _TOP_NOISE
-            if prune and noise is not None:
                 loud = _loudest_noise(noise)
             for tone_cfg, js in tones.items():
                 link_cfgs = [cfgs[j] for j in js]
                 for i in range(len(ids_list)):
                     factors = _tone_factors(freqs[i, tone_cfg][start:stop], draws, tone_cfg)
-                    if prune:
-                        est = _candidate_currents(factors, noise, loud, tone_cfg,
-                                                  roots[tone_cfg], link_cfgs)
-                    else:
-                        tone = _tone_spectrum(factors, tone_cfg, roots[tone_cfg])
-                        est = [_link_currents(tone, noise, cfg) for cfg in link_cfgs]
-                    out[i, js, start:stop] = est
+                    out[i, js, start:stop] = _candidate_currents(
+                        factors, noise, loud, tone_cfg, roots[tone_cfg], link_cfgs)
     return out.reshape(len(ids_list), len(cfgs), *shape)
 
 
@@ -473,8 +458,9 @@ def simulate_link(ids, cfg: ChannelConfig, seed, *, chunk_symbols: int = 1024,
 
     Symbols are processed in fixed-size chunks, each with its own RNG
     stream derived from (seed, chunk index), so results are reproducible
-    and independent of any outer parallelisation.  ``seed`` may be an int
-    or a tuple of ints.  The spectrum path is the one-point case of
+    and independent of any outer parallelisation, but depend on
+    ``chunk_symbols``: another chunk size draws other noise.  ``seed`` may
+    be an int or a tuple of ints.  The spectrum path is the one-point case of
     :func:`simulate_link_grid`; ``time_domain=True`` instead builds and
     transforms the sample blocks, as the reference for that sampler.
     """

@@ -22,14 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig
 from .codec import CodecConfig, decode_stream, encode
 from .experiments import (
-    LinkConfig,
-    run_noiseless,
-    sweep_delta,
-    sweep_lambda,
-    sweep_snr,
+    BANDWIDTH_LIST, DELTA_AXIS, LAMBDA_LIST, NOISELESS_LEVEL_LIST, NOISELESS_VDS_AXIS,
+    SNR_AXIS, SNR_SWEEP_DELTA, LinkConfig, axis_points, delta_points, float_list,
+    noiseless_vds_grid, run_noiseless, sweep_delta, sweep_lambda, sweep_snr,
 )
 from .mosfet import MosfetParams
 from .phenomenon import field_to_csv, generate_field
@@ -54,8 +51,8 @@ class RunConfig:
     Defaults reproduce the reference operating point: the 0.18 um device,
     both source ranges (5, 10) V, 410 kHz bandwidth at -20 dB SNR, a
     20 x 20 x 20 field with 10-cell/10-instant correlation blocks, and 2 %
-    Doppler.  Device, range, geometry, channel and Monte-Carlo defaults are
-    read from :class:`LinkConfig` (and its :class:`MosfetParams`).
+    Doppler.  Device, range, geometry, channel, Monte-Carlo and grid
+    defaults are read from :class:`LinkConfig` and :mod:`ajscc.experiments`.
     """
 
     # device
@@ -69,10 +66,10 @@ class RunConfig:
     vds_hi: float = _LINK.vds_range[1]
     delta: float | None = None  # set to pin sweep-delta to a single spacing
     # noiseless functional study
-    noiseless_levels: str = "1,2,3,4,5"
-    noiseless_vds_start: float = 5.0
-    noiseless_vds_step: float = 0.1
-    noiseless_vds_count: int = 50
+    noiseless_levels: str = NOISELESS_LEVEL_LIST
+    noiseless_vds_start: float = NOISELESS_VDS_AXIS[0]
+    noiseless_vds_step: float = NOISELESS_VDS_AXIS[1]
+    noiseless_vds_count: int = NOISELESS_VDS_AXIS[2]
     # field geometry
     nx: int = _LINK.nx
     ny: int = _LINK.ny
@@ -88,15 +85,14 @@ class RunConfig:
     oversample: float = _LINK.oversample
     fm_headroom: float = _LINK.fm_headroom
     # sweep grids
-    delta_min: float = 0.05
-    delta_max: float = 1.25
-    delta_step: float = 0.05
-    lambda_grid: str = ("0.001,0.005,0.01,0.02,0.03,0.04,0.05,"
-                        "0.075,0.1,0.125,0.15,0.175,0.2")
-    snr_min: float = -100.0
-    snr_max: float = 0.0
-    snr_step: float = 10.0
-    bandwidths: str = "50e3,200e3,410e3,500e3"
+    delta_min: float = DELTA_AXIS[0]
+    delta_max: float = DELTA_AXIS[1]
+    delta_step: float = DELTA_AXIS[2]
+    lambda_grid: str = LAMBDA_LIST
+    snr_min: float = SNR_AXIS[0]
+    snr_max: float = SNR_AXIS[1]
+    snr_step: float = SNR_AXIS[2]
+    bandwidths: str = BANDWIDTH_LIST
     # Monte-Carlo control
     seeds: int = _LINK.n_seeds
     seed: int = _LINK.seed
@@ -111,18 +107,16 @@ class RunConfig:
         return np.array(_parse_float_list("noiseless_levels", self.noiseless_levels))
 
     def noiseless_vds_grid(self) -> np.ndarray:
-        return self.noiseless_vds_start + self.noiseless_vds_step * np.arange(
-            self.noiseless_vds_count)
+        return noiseless_vds_grid(self.noiseless_vds_start, self.noiseless_vds_step,
+                                  self.noiseless_vds_count)
 
     def delta_grid(self) -> list[float]:
         if self.delta is not None:
             return [self.delta]
-        n = int(round((self.delta_max - self.delta_min) / self.delta_step)) + 1
-        return [round(self.delta_min + i * self.delta_step, 12) for i in range(n)]
+        return delta_points(self.delta_min, self.delta_max, self.delta_step)
 
     def snr_grid(self) -> list[float]:
-        n = int(round((self.snr_max - self.snr_min) / self.snr_step)) + 1
-        return [self.snr_min + i * self.snr_step for i in range(n)]
+        return axis_points(self.snr_min, self.snr_max, self.snr_step)
 
     def bandwidth_list(self) -> list[float]:
         return _parse_float_list("bandwidths", self.bandwidths)
@@ -149,7 +143,7 @@ class RunConfig:
 
 def _parse_float_list(key: str, text: str) -> list[float]:
     try:
-        vals = [float(tok) for tok in text.split(",") if tok.strip()]
+        vals = list(float_list(text))
     except ValueError as exc:
         raise ConfigError(f"invalid value for '{key}': {exc}") from None
     if not vals:
@@ -244,12 +238,17 @@ def _validate(cfg: RunConfig) -> None:
                      ("s_p", cfg.s_p), ("t_p", cfg.t_p), ("seeds", cfg.seeds)):
         if val < 1:
             raise ConfigError(f"invalid value for '{key}': must be >= 1")
-    cfg.bandwidth_list()
     _parse_float_list("lambda_grid", cfg.lambda_grid)
     try:
-        cfg.link().channel()
+        link = cfg.link()
+        link.channel()
     except ValueError as exc:
         raise ConfigError(f"invalid channel configuration: {exc}") from None
+    for b in cfg.bandwidth_list():
+        try:
+            link.channel(bandwidth=b)
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for 'bandwidths': {exc}") from None
 
 
 @contextlib.contextmanager
@@ -328,7 +327,7 @@ def _cmd_sweep_delta(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep_snr(cfg: RunConfig) -> int:
-    delta = cfg.delta if cfg.delta is not None else 0.41
+    delta = cfg.delta if cfg.delta is not None else SNR_SWEEP_DELTA
     sw = sweep_snr(cfg.snr_grid(), cfg.bandwidth_list(), delta, cfg.link())
     rows = ((s, b, r.mse_sum) for (s, b), r in zip(sw.points, sw.reports))
     _write_csv(os.path.join(cfg.outdir, "sweep_snr.csv"), cfg.echo(),

@@ -22,9 +22,12 @@ adjacent levels are spaced closer than that ambiguity window, i.e.
 
     (1 + delta / (level - v_th))**2  <=  (1 + lam * vds_hi) / (1 + lam * vds_lo)
 
-for some level, a noiseless pair can decode to a neighbouring level.  The
-exact-recovery guarantees therefore hold only for configurations whose
-spacing exceeds this window (all coarse-level setups here do).
+for some level, a noiseless pair can decode to a neighbouring level.  Equal
+currents (each pair inside a block-constant field block, on a perfect
+link) leave no slope to score: the pair takes the lowest level whose
+implied vds is in range, below the level sent if that lies in the window.
+The exact-recovery guarantees therefore hold only for configurations
+whose spacing exceeds this window (all coarse-level setups here do).
 """
 
 from __future__ import annotations

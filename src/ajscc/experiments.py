@@ -10,11 +10,13 @@ Randomness is fully seeded.  Each replicate derives its field and link
 seeds from (seed, replicate); axis points within a replicate share the
 channel realization (common random numbers, which sharpens point-to-point
 comparisons such as the argmin) while replicates stay independent.
-Replicates are the work units: one task evaluates every axis point of its
-replicate, drawing each chunk's doppler, fading and noise once and reusing
-them for all points (:func:`ajscc.channel.simulate_link_grid`).  With
-``workers > 1`` replicates run in a process pool and are reduced in
-replicate order, so results do not depend on scheduling.
+Replicates are the work units: one pipeline pass encodes a replicate's
+fields at every level spacing, draws each chunk's doppler, fading and
+noise once for all its axis points (:func:`ajscc.channel.simulate_link_grid`),
+then decodes and scores each point; :func:`run_link_point` is its
+one-point case.  With ``workers > 1`` replicates run in a process pool
+and are reduced in replicate order, so results do not depend on
+scheduling.  The default grids are written once, here.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .channel import ChannelConfig, simulate_link, simulate_link_grid
+# simulate_link is not called here; bench/tracing.py wraps it in this namespace
+from .channel import ChannelConfig, simulate_link, simulate_link_grid  # noqa: F401
 # decode_pairs is not called here; bench/tracing.py wraps it in this namespace
 from .codec import CodecConfig, decode_pairs, decode_stream, quantize  # noqa: F401
 from .mosfet import MosfetParams, drain_current
@@ -50,16 +53,40 @@ __all__ = [
     "noiseless_vds_grid",
 ]
 
-DEFAULT_DELTA_GRID = tuple(np.round(np.arange(0.05, 1.2501, 0.05), 10))
-DEFAULT_LAMBDA_GRID = (0.001, 0.005, 0.01, 0.02, 0.03, 0.04, 0.05,
-                       0.075, 0.1, 0.125, 0.15, 0.175, 0.2)
-DEFAULT_SNR_GRID = tuple(float(s) for s in range(-100, 1, 10))
-DEFAULT_BANDWIDTHS = (50e3, 200e3, 410e3, 500e3)
-NOISELESS_LEVELS = (1.0, 2.0, 3.0, 4.0, 5.0)
+# Default grids; the command line's config defaults are these values and strings
+DELTA_AXIS = (0.05, 1.25, 0.05)  # level spacing min, max, step [V]
+SNR_AXIS = (-100.0, 0.0, 10.0)  # in-band SNR min, max, step [dB]
+LAMBDA_LIST = "0.001,0.005,0.01,0.02,0.03,0.04,0.05,0.075,0.1,0.125,0.15,0.175,0.2"
+BANDWIDTH_LIST = "50e3,200e3,410e3,500e3"  # [Hz]
+NOISELESS_LEVEL_LIST = "1,2,3,4,5"  # gate levels of the noiseless study [V]
+NOISELESS_VDS_AXIS = (5.0, 0.1, 50)  # its drain-voltage start [V], step [V], count
+SNR_SWEEP_DELTA = 0.41  # level spacing of the SNR sweep [V]
 
 
-def noiseless_vds_grid(start: float = 5.0, step: float = 0.1, count: int = 50) -> np.ndarray:
-    """Drain-voltage sweep grid of the functional study (50 points per curve)."""
+def float_list(text: str) -> tuple[float, ...]:
+    """Floats of a comma-separated list; empty items are skipped."""
+    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+
+
+def axis_points(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... up to hi, which is included up to rounding."""
+    return [lo + i * step for i in range(int(round((hi - lo) / step)) + 1)]
+
+
+def delta_points(lo: float, hi: float, step: float) -> list[float]:
+    """Level spacings of an axis, rounded to 12 decimals to drop float residue."""
+    return [round(d, 12) for d in axis_points(lo, hi, step)]
+
+
+DEFAULT_DELTA_GRID = tuple(delta_points(*DELTA_AXIS))
+DEFAULT_LAMBDA_GRID = float_list(LAMBDA_LIST)
+DEFAULT_SNR_GRID = tuple(axis_points(*SNR_AXIS))
+DEFAULT_BANDWIDTHS = float_list(BANDWIDTH_LIST)
+NOISELESS_LEVELS = float_list(NOISELESS_LEVEL_LIST)
+
+
+def noiseless_vds_grid(start: float, step: float, count: int) -> np.ndarray:
+    """Drain-voltage sweep grid of the functional study: ``count`` points from ``start``."""
     return start + step * np.arange(count)
 
 
@@ -153,7 +180,7 @@ def run_noiseless(p: MosfetParams, levels=NOISELESS_LEVELS, vds_grid=None,
     the decoder with and without range-check correction.
     """
     if vds_grid is None:
-        vds_grid = noiseless_vds_grid()
+        vds_grid = noiseless_vds_grid(*NOISELESS_VDS_AXIS)
     vds_grid = np.asarray(vds_grid, dtype=float)
     levels = np.asarray(levels, dtype=float)
     lo, hi = vds_range
@@ -229,8 +256,8 @@ class LinkConfig:
     t_p: int = 10
     bandwidth: float = 410e3
     snr_db: float = -20.0
-    doppler_fraction: float = 0.02
-    rician_k_db: float = 6.0
+    doppler_fraction: float = ChannelConfig.doppler_fraction
+    rician_k_db: float = ChannelConfig.rician_k_db
     n_samples: int = 8192
     oversample: float = 4.0
     fm_headroom: float = 0.7
@@ -266,31 +293,14 @@ class LinkConfig:
         return gs, ds
 
 
-def _encode_streams(cfg: LinkConfig, field_gs: Field, field_ds: Field,
-                    codec: CodecConfig) -> np.ndarray:
-    """Transmitted currents, one row per sensor's time series."""
-    q = quantize(field_gs.values, codec.levels)
-    return drain_current(cfg.mosfet, q, field_ds.values).reshape(-1, field_gs.nt)
+def _link_points(cfg: LinkConfig, field_gs: Field, field_ds: Field, deltas,
+                 chans, link_seed) -> list[MseReport]:
+    """Quantize, encode, link, decode and score each (delta, channel) point, delta-major.
 
-
-def _decode_score(cfg: LinkConfig, field_gs: Field, field_ds: Field, codec: CodecConfig,
-                  ids_hat: np.ndarray, **echo) -> MseReport:
-    """Decode received sensor streams and score them against the fields."""
-    lo, hi = cfg.vds_range
-    est_gs, vds_hat, _, ok = decode_stream(cfg.mosfet, codec, ids_hat)
-    est_ds = np.where(ok, np.clip(vds_hat, lo, hi), 0.5 * (lo + hi))
-    shape = field_gs.values.shape
-    return mse_averaged(field_gs, est_gs.reshape(shape), field_ds, est_ds.reshape(shape),
-                        **echo)
-
-
-def run_link_point(cfg: LinkConfig, field_gs: Field, field_ds: Field, delta: float,
-                   chan: ChannelConfig | None, link_seed) -> MseReport:
-    """One full pipeline pass: quantize, encode, link, decode, block MSE.
-
-    ``chan=None`` models a perfect link (currents delivered unchanged),
-    used by identity checks.  Decoding pairs consecutive samples of each
-    sensor's time-ordered stream.
+    ``chans=None`` models a perfect link (currents delivered unchanged).
+    Every point uses ``link_seed``: common random numbers across axis
+    points stabilise the reported argmin.  Decoding pairs consecutive
+    samples of each sensor's time-ordered stream.
 
     Drain-voltage estimates are range-informed before averaging: the
     receiver knows the transmitter's vds interval, so in-range decodes are
@@ -299,34 +309,43 @@ def run_link_point(cfg: LinkConfig, field_gs: Field, field_ds: Field, delta: flo
     interval midpoint, the minimum-MSE estimate under the uniform prior.
     Level estimates are reported as decoded.
     """
-    codec = CodecConfig.uniform(cfg.vgs_range, delta, cfg.vds_range)
-    streams = _encode_streams(cfg, field_gs, field_ds, codec)
-    ids_hat = streams if chan is None else simulate_link(streams, chan, link_seed)
-    echo = {"delta": float(delta), "lam": cfg.mosfet.lam}
-    if chan is not None:
-        echo.update(snr_db=chan.snr_db, bandwidth=chan.bandwidth)
-    return _decode_score(cfg, field_gs, field_ds, codec, ids_hat, **echo)
-
-
-def _replicate_task(args) -> np.ndarray:
-    """(mse_gs, mse_ds) of every (delta, channel) point of one replicate, delta-major.
-
-    Every point is the :func:`run_link_point` of its delta and channel.
-    The link seed depends on the replicate only, not the axis point:
-    common random numbers across axis points reduce the variance of
-    point-to-point differences, stabilising the reported argmin.
-    """
-    cfg, deltas, chans, rep = args
-    field_gs, field_ds = cfg.fields(rep)
     codecs = [CodecConfig.uniform(cfg.vgs_range, d, cfg.vds_range) for d in deltas]
-    streams = [_encode_streams(cfg, field_gs, field_ds, codec) for codec in codecs]
-    ids_hat = simulate_link_grid(streams, chans, (cfg.seed, rep))
-    reports = [_decode_score(cfg, field_gs, field_ds, codec, ids_hat[i, j])
-               for i, codec in enumerate(codecs) for j in range(len(chans))]
-    return np.array([(r.mse_gs, r.mse_ds) for r in reports])
+    streams = [drain_current(cfg.mosfet, quantize(field_gs.values, codec.levels),
+                             field_ds.values).reshape(-1, field_gs.nt) for codec in codecs]
+    if chans is None:
+        chans, ids_hat = [None], [[ids] for ids in streams]
+    else:
+        ids_hat = simulate_link_grid(streams, chans, link_seed)
+    lo, hi = cfg.vds_range
+    shape = field_gs.values.shape
+    reports = []
+    for i, (delta, codec) in enumerate(zip(deltas, codecs)):
+        for j, chan in enumerate(chans):
+            est_gs, vds_hat, _, ok = decode_stream(cfg.mosfet, codec, ids_hat[i][j])
+            est_ds = np.where(ok, np.clip(vds_hat, lo, hi), 0.5 * (lo + hi))
+            echo = {"delta": float(delta), "lam": cfg.mosfet.lam}
+            if chan is not None:
+                echo.update(snr_db=chan.snr_db, bandwidth=chan.bandwidth)
+            reports.append(mse_averaged(field_gs, est_gs.reshape(shape), field_ds,
+                                        est_ds.reshape(shape), **echo))
+    return reports
 
 
-def _sweep_reports(cfg: LinkConfig, deltas, chans, echoes) -> tuple[MseReport, ...]:
+def run_link_point(cfg: LinkConfig, field_gs: Field, field_ds: Field, delta: float,
+                   chan: ChannelConfig | None, link_seed) -> MseReport:
+    """One pass of the sweeps' pipeline (quantize, encode, link, decode, block
+    MSE) at one point; ``chan=None`` models a perfect link, as in identity checks."""
+    return _link_points(cfg, field_gs, field_ds, [delta],
+                        None if chan is None else [chan], link_seed)[0]
+
+
+def _replicate_task(args) -> list[MseReport]:
+    """Report of every (delta, channel) point of one replicate, delta-major."""
+    cfg, deltas, chans, rep = args
+    return _link_points(cfg, *cfg.fields(rep), deltas, chans, (cfg.seed, rep))
+
+
+def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     """Replicate-averaged report per (delta, channel) point, delta-major.
 
     Replicates run in a process pool of at most ``cfg.workers`` processes
@@ -338,11 +357,10 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans, echoes) -> tuple[MseReport, .
             per_rep = list(pool.map(_replicate_task, tasks))
     else:
         per_rep = [_replicate_task(t) for t in tasks]
-    acc = np.stack(per_rep, axis=1)  # (point, replicate, gs/ds)
-    n_blocks = cfg.fields(0)[0].n_blocks
-    return tuple(MseReport.from_pair(acc[i, :, 0].mean(), acc[i, :, 1].mean(), n_blocks,
-                                     **echo)
-                 for i, echo in enumerate(echoes))
+    return tuple(MseReport.from_pair(np.mean([r.mse_gs for r in reps]),
+                                     np.mean([r.mse_ds for r in reps]),
+                                     reps[0].n_blocks, **reps[0].params_echo)
+                 for reps in zip(*per_rep))
 
 
 def sweep_delta(deltas=DEFAULT_DELTA_GRID, cfg: LinkConfig = LinkConfig()) -> SweepResult:
@@ -350,17 +368,15 @@ def sweep_delta(deltas=DEFAULT_DELTA_GRID, cfg: LinkConfig = LinkConfig()) -> Sw
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
-    echoes = [dict(delta=d, snr_db=cfg.snr_db, bandwidth=cfg.bandwidth, lam=cfg.mosfet.lam)
-              for d in deltas]
-    reports = _sweep_reports(cfg, deltas, [cfg.channel()], echoes)
+    reports = _sweep_reports(cfg, deltas, [cfg.channel()])
     best = int(np.argmin([r.mse_sum for r in reports]))
     meta = {"delta_star": deltas[best], "mse_sum_star": reports[best].mse_sum,
             "argmin_index": best, "n_seeds": cfg.n_seeds}
     return SweepResult("delta", tuple(deltas), reports, meta)
 
 
-def sweep_snr(snrs=DEFAULT_SNR_GRID, bandwidths=DEFAULT_BANDWIDTHS, delta: float = 0.41,
-              cfg: LinkConfig = LinkConfig()) -> SweepResult:
+def sweep_snr(snrs=DEFAULT_SNR_GRID, bandwidths=DEFAULT_BANDWIDTHS,
+              delta: float = SNR_SWEEP_DELTA, cfg: LinkConfig = LinkConfig()) -> SweepResult:
     """MSE versus SNR, one curve per bandwidth, at fixed level spacing.
 
     Points are (snr_db, bandwidth) pairs, snr-major; each bandwidth derives
@@ -378,8 +394,6 @@ def sweep_snr(snrs=DEFAULT_SNR_GRID, bandwidths=DEFAULT_BANDWIDTHS, delta: float
     bandwidths = [float(b) for b in bandwidths]
     points = [(s, b) for s in snrs for b in bandwidths]
     chans = [cfg.channel(bandwidth=b, snr_db=s) for s, b in points]
-    echoes = [dict(delta=float(delta), snr_db=s, bandwidth=b, lam=cfg.mosfet.lam)
-              for s, b in points]
-    reports = _sweep_reports(cfg, [float(delta)], chans, echoes)
+    reports = _sweep_reports(cfg, [float(delta)], chans)
     return SweepResult("snr_db", tuple(points), reports,
                        {"delta": float(delta), "n_seeds": cfg.n_seeds})

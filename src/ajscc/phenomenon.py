@@ -4,9 +4,7 @@ A field is an nx x ny grid of sensors observed at nt time instants.  The
 phenomenon is correlated over s_p x s_p spatial blocks and t_p-instant time
 windows; inside each (space block x time block) the value is constant,
 drawn i.i.d. uniform on [lo, hi].  Block boundaries align with the grid
-origin.  An optional jitter knob perturbs samples inside blocks for
-sensitivity studies (default off, keeping the block-averaging contract
-exact).
+origin.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ class Field:
 
 
 def generate_field(nx: int, ny: int, nt: int, s_p: int, t_p: int,
-                   lo: float, hi: float, seed: int, jitter: float = 0.0) -> Field:
+                   lo: float, hi: float, seed: int) -> Field:
     """Draw a block-constant random field; deterministic per seed."""
     for name, dim in (("nx", nx), ("ny", ny), ("nt", nt), ("s_p", s_p), ("t_p", t_p)):
         if dim < 1:
@@ -55,16 +53,12 @@ def generate_field(nx: int, ny: int, nt: int, s_p: int, t_p: int,
         raise ValueError(f"t_p={t_p} exceeds nt={nt}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    if jitter < 0:
-        raise ValueError("jitter must be non-negative")
 
     bx, by, bt = -(-nx // s_p), -(-ny // s_p), -(-nt // t_p)
     rng = np.random.default_rng(seed)
     blocks = lo + (hi - lo) * rng.random((bx, by, bt))
     values = blocks.repeat(s_p, axis=0).repeat(s_p, axis=1).repeat(t_p, axis=2)
     values = values[:nx, :ny, :nt]
-    if jitter > 0:
-        values = np.clip(values + rng.uniform(-jitter, jitter, values.shape), lo, hi)
     return Field(nx, ny, nt, s_p, t_p, float(lo), float(hi), int(seed), values)
 
 

@@ -4,13 +4,17 @@ Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all;
 captured output is shown for failures either way).
 
 Criterion 4's knee-ratio clause is implemented faithfully and is expected
-to fail: at 0.41 V spacing the slope-matching decoder has a noise-free
-drain-voltage ambiguity floor (a one-level-up candidate whose implied vds
-stays in range always wins the score once the mean current is inflated by
-the channel-length-modulation factor), so mse_sum at -10 dB cannot drop
-low enough for a 10x knee once estimates are range-bounded, which the
-delta-sweep magnitudes require.  See the project notes for the full
-analysis and the parameter studies that established it.
+to fail: at 0.41 V spacing the decoder has a noise-free drain-voltage
+floor.  Both fields are block-constant and no decode pair straddles a
+10-instant block, so on a perfect link every pair carries two equal
+currents and no slope score is compared at all.  The decoder falls back
+to the lowest level whose implied vds is in range, and 10 of the 13
+levels (those >= 6.23 V) lie inside the ambiguity window of the 5..10 V
+gate range (see the codec caveat), so a pair often decodes to a lower
+level and a biased vds.  The perfect-link mse_ds, 2.81, exceeds even the
+25/12 variance of the uniform vds prior, and mse_sum is 1.43 there, while
+a 10x knee needs mse_sum at -10 dB near 0.33
+(``TestPerfectLinkFloor`` in test_experiments.py pins this floor).
 """
 
 import math

@@ -1,6 +1,8 @@
 """Public API guard: every exported name resolves."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +32,20 @@ def test_star_import_exposes_exactly_all():
     exec("from ajscc import *", ns)
     assert sorted(k for k in ns if k != "__builtins__") == sorted(ajscc.__all__)
 
+
+def test_benchmark_names_resolve():
+    # bench/tracing.py wraps these names and bench/run.py calls these, so
+    # a removal that breaks the benchmark fails here, not only under bench/
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = [(mod.__name__, attr) for mod, attr, _, _ in tracing.WRAPPED]
+    called = [("ajscc.experiments", attr) for attr in (
+        "DEFAULT_DELTA_GRID", "run_link_point", "LinkConfig", "sweep_delta", "sweep_lambda")]
+    called += [("ajscc.cli", "main")]
+    called += [("ajscc.phenomenon", attr)
+               for attr in ("generate_field", "field_to_csv", "field_from_csv")]
+    missing = [(mod, attr) for mod, attr in wrapped + called
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing

@@ -229,7 +229,7 @@ class TestDeterminism:
         b = transmit_block([1e5, 2e5], cfg, np.random.default_rng(42))
         np.testing.assert_array_equal(a, b)
 
-    def test_simulate_link_reproducible_and_chunk_stable(self):
+    def test_simulate_link_reproducible_per_seed(self):
         cfg = make_cfg(n=1024)
         ids = np.random.default_rng(11).uniform(0.2, 0.9, 300) * I_MAX
         a = simulate_link(ids, cfg, seed=33)
@@ -295,7 +295,10 @@ def edge_currents(cfg):
 class TestPrunedPeakSearch:
     """simulate_link searches candidate bins only; it must equal a full search bit for bit."""
 
-    @pytest.mark.parametrize("n", [8192, 512, 16])
+    # 256 and 260 samples give 64 and 65 bins, where the ranked count
+    # min(_TOP_NOISE, n_bins - 1) reaches _TOP_NOISE; 388 and 392 give 97 and
+    # 98, on both sides of 2 _WINDOW + 1 + _TOP_NOISE candidate bins
+    @pytest.mark.parametrize("n", [8192, 512, 16, 256, 260, 388, 392])
     @pytest.mark.parametrize("snr", [-50.0, -20.0, 10.0, math.inf])
     def test_matches_full_row_reference(self, n, snr):
         cfg = make_cfg(snr_db=snr, n=n)

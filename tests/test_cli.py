@@ -180,6 +180,9 @@ class TestSubcommands:
         ("sweep-snr", ["--snr-step", "0"], "snr_step"),
         ("sweep-snr", ["--snr-min", "nan"], "snr_min/snr_max"),
         ("sweep-snr", ["--snr-min", "0", "--snr-max", "-10"], "snr_min/snr_max"),
+        ("sweep-snr", ["--bandwidths", "0"], "bandwidths"),
+        ("sweep-snr", ["--bandwidths", "410e3,nan"], "bandwidths"),
+        ("sweep-snr", ["--bandwidths", "-5"], "bandwidths"),
     ])
     def test_bad_sweep_grid_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                     key):

@@ -200,6 +200,25 @@ class TestLinkPipeline:
         assert rpt.mse_gs >= 0 and rpt.mse_ds >= 0
 
 
+class TestPerfectLinkFloor:
+    def test_knee_config_pairs_are_degenerate_and_vds_is_worse_than_the_midpoint(self):
+        # The knee test's config at 0.41 V spacing on a perfect link.  Both
+        # fields are block-constant and no pair straddles a 10-instant block,
+        # so every pair carries two equal currents: no slope score is
+        # compared, and the decoder falls back to the lowest in-range level.
+        cfg = LinkConfig(n_seeds=5)
+        codec = CodecConfig.uniform(cfg.vgs_range, 0.41, cfg.vds_range)
+        shares, mse_ds = [], []
+        for rep in range(cfg.n_seeds):
+            gs, ds = cfg.fields(rep)
+            ids = drain_current(cfg.mosfet, quantize(gs.values, codec.levels), ds.values)
+            shares.append(np.mean(ids[..., 0::2] == ids[..., 1::2]))
+            mse_ds.append(run_link_point(cfg, gs, ds, 0.41, None, None).mse_ds)
+        assert np.mean(shares) == 1.0
+        # above the variance of U(5, 10), the MSE of the midpoint estimate
+        assert np.mean(mse_ds) > 25 / 12
+
+
 class TestSweeps:
     def test_sweep_delta_result_structure(self):
         cfg = tiny_link_cfg()

@@ -78,12 +78,6 @@ def test_block_values_uniform_ks():
     assert p > 0.01
 
 
-def test_jitter_perturbs_within_bounds():
-    f = generate_field(10, 10, 4, 5, 2, 5.0, 10.0, seed=11, jitter=0.3)
-    assert f.values.min() >= 5.0 and f.values.max() <= 10.0
-    assert len(np.unique(f.values)) > f.n_blocks  # no longer block-constant
-
-
 def test_invalid_arguments():
     with pytest.raises(ValueError, match="nx"):
         generate_field(0, 5, 5, 1, 1, 0, 1, seed=0)
@@ -93,8 +87,6 @@ def test_invalid_arguments():
         generate_field(4, 4, 4, 2, 5, 0, 1, seed=0)
     with pytest.raises(ValueError, match="lo"):
         generate_field(4, 4, 4, 2, 2, 1.0, 1.0, seed=0)
-    with pytest.raises(ValueError, match="jitter"):
-        generate_field(4, 4, 4, 2, 2, 0, 1, seed=0, jitter=-1)
 
 
 def test_field_shape_validated():
