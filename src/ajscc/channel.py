@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "OVERSAMPLE",
     "ChannelConfig",
     "modulate",
     "transmit_block",
@@ -52,26 +53,28 @@ __all__ = [
     "simulate_link_grid",
 ]
 
+OVERSAMPLE = 4.0  # default sample rate over bandwidth
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
     """Link parameters; snr_db or rician_k_db may be +inf to disable noise/fading.
 
     rician_k_db = -inf is pure Rayleigh fading.  Every other parameter must
-    be finite.
+    be finite.  n_samples, an integer >= 8, is the samples per symbol and
+    the FFT length; a symbol lasts n_samples / sample_rate seconds.
     """
 
     bandwidth: float          # occupied signal band [Hz]
     snr_db: float             # in-band SNR [dB]
     fm_scale: float           # current -> frequency map [Hz/A]
     sample_rate: float        # [Hz]
-    symbol_duration: float    # [s]; product with sample_rate must be integral
+    n_samples: int            # samples per symbol = FFT length
     doppler_fraction: float = 0.02
     rician_k_db: float = 6.0
 
     def __post_init__(self) -> None:
-        for name in ("bandwidth", "fm_scale", "sample_rate", "symbol_duration",
-                     "doppler_fraction"):
+        for name in ("bandwidth", "fm_scale", "sample_rate", "doppler_fraction"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
@@ -90,18 +93,10 @@ class ChannelConfig:
                 f"sample_rate {self.sample_rate} below {nyquist_needed} needed for "
                 f"band {self.bandwidth} Hz with doppler margin"
             )
-        n_float = self.symbol_duration * self.sample_rate
-        if abs(n_float - round(n_float)) > 1e-6 or round(n_float) < 8:
-            raise ValueError(
-                f"symbol_duration*sample_rate = {n_float} must be an integer >= 8"
-            )
+        if not isinstance(self.n_samples, (int, np.integer)) or self.n_samples < 8:
+            raise ValueError(f"n_samples = {self.n_samples} must be an integer >= 8")
         if self.n_bins < 1:
             raise ValueError("bandwidth spans less than one FFT bin")
-
-    @property
-    def n_samples(self) -> int:
-        """Samples per symbol = FFT length."""
-        return int(round(self.symbol_duration * self.sample_rate))
 
     @property
     def n_bins(self) -> int:
@@ -110,20 +105,19 @@ class ChannelConfig:
 
     @classmethod
     def for_current_range(cls, i_max: float, bandwidth: float, snr_db: float, *,
-                          headroom: float, n_samples: int, oversample: float = 4.0,
+                          headroom: float, n_samples: int, oversample: float = OVERSAMPLE,
                           doppler_fraction: float, rician_k_db: float) -> "ChannelConfig":
         """Config whose FM scale maps i_max to ``headroom * bandwidth``."""
         if not i_max > 0:
             raise ValueError(f"i_max must be positive, got {i_max}")
         if not 0 < bandwidth < math.inf:
             raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-        sample_rate = oversample * bandwidth
         return cls(
             bandwidth=float(bandwidth),
             snr_db=float(snr_db),
             fm_scale=headroom * bandwidth / i_max,
-            sample_rate=sample_rate,
-            symbol_duration=n_samples / sample_rate,
+            sample_rate=oversample * bandwidth,
+            n_samples=n_samples,
             doppler_fraction=doppler_fraction,
             rician_k_db=rician_k_db,
         )
@@ -376,9 +370,9 @@ def _candidate_currents(factors, noise, loud, tone_cfg: ChannelConfig, roots: np
     tone = _tone_spectrum(factors, tone_cfg, roots, bins)
     # |x - k| / n lies in [(_WINDOW + 1/2) / n, 1/2] for the tone at bin
     # position x and every bin k outside the window, where sin increases;
-    # below 2 _WINDOW + 1 samples no bin lies outside and eps is not needed
+    # below 2 _WINDOW + 1 samples the window holds every in-band bin, so eps = 0
     den = 2.0 * math.sin(math.pi * (_WINDOW + 0.5) / tone_cfg.n_samples) - _DEN_SLACK
-    eps = np.abs(hnum.astype(complex)) / den if den > 0 else math.inf
+    eps = np.abs(hnum.astype(complex)) / den if tone_cfg.n_samples > 2 * _WINDOW else 0.0
     estimates = []
     for cfg in cfgs:
         if _noisy(cfg):

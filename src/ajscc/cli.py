@@ -6,11 +6,8 @@ defaults, then a config file (``key = value`` lines, ``#`` comments), then
 artifact starts with a ``#`` line echoing the fully resolved configuration,
 so a run is reproducible from its own output.
 
-Subcommands: noiseless, sweep-lambda, sweep-delta, sweep-snr, gen-field,
-encode, decode.
+The subcommands are the keys of :data:`COMMANDS`.
 """
-
-from __future__ import annotations
 
 import argparse
 import contextlib
@@ -22,19 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecConfig, decode_stream, encode
+from .codec import decode_stream, encode
 from .experiments import (
     BANDWIDTH_LIST, DELTA_AXIS, LAMBDA_LIST, NOISELESS_LEVEL_LIST, NOISELESS_VDS_AXIS,
     SNR_AXIS, SNR_SWEEP_DELTA, LinkConfig, axis_points, delta_points, float_list,
-    noiseless_vds_grid, run_noiseless, sweep_delta, sweep_lambda, sweep_snr,
+    noiseless_codec, noiseless_vds_grid, run_noiseless, sweep_delta, sweep_lambda,
+    sweep_snr,
 )
 from .mosfet import MosfetParams
 from .phenomenon import field_to_csv, generate_field
 
 ENV_PREFIX = "AJSCC_"
-
-COMMANDS = ("noiseless", "sweep-lambda", "sweep-delta", "sweep-snr",
-            "gen-field", "encode", "decode")
 
 
 class ConfigError(ValueError):
@@ -64,7 +59,7 @@ class RunConfig:
     vgs_hi: float = _LINK.vgs_range[1]
     vds_lo: float = _LINK.vds_range[0]
     vds_hi: float = _LINK.vds_range[1]
-    delta: float | None = None  # set to pin sweep-delta to a single spacing
+    delta: float | None = None  # set to pin the delta sweep to a single spacing
     # noiseless functional study
     noiseless_levels: str = NOISELESS_LEVEL_LIST
     noiseless_vds_start: float = NOISELESS_VDS_AXIS[0]
@@ -151,27 +146,18 @@ def _parse_float_list(key: str, text: str) -> list[float]:
     return vals
 
 
-def _coerce(key: str, raw, target_type) -> object:
-    if raw is None:
-        return None
+def _coerce(key: str, raw, field_type) -> object:
+    """``raw`` converted to ``field_type``; ``float | None`` also takes none or empty."""
     if isinstance(raw, str):
         raw = raw.strip()
+    if field_type == float | None:
+        if raw is None or str(raw).lower() in ("", "none"):
+            return None
+        field_type = float
     try:
-        if target_type is float:
-            return float(raw)
-        if target_type is int:
-            return int(raw)
-        if target_type == float | None:
-            if isinstance(raw, str) and raw.lower() in ("", "none"):
-                return None
-            return float(raw)
-        return str(raw)
+        return field_type(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"invalid value for '{key}': {raw!r}") from None
-
-
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_TYPE_OBJECTS = {"float": float, "int": int, "str": str, "float | None": float | None}
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> RunConfig:
@@ -201,10 +187,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         if val is not None:
             values[key] = val
 
-    coerced = {}
-    for key, raw in values.items():
-        coerced[key] = _coerce(key, raw, _TYPE_OBJECTS[str(_FIELD_TYPES[key])])
-    cfg = RunConfig(**coerced)
+    cfg = RunConfig(**{f.name: _coerce(f.name, values[f.name], f.type)
+                       for f in dataclasses.fields(RunConfig)})
     _validate(cfg)
     return cfg
 
@@ -231,13 +215,13 @@ def _validate(cfg: RunConfig) -> None:
                               "need finite bounds with min <= max")
         if not 0 < step < math.inf:
             raise ConfigError(f"invalid value for '{axis}_step': must be positive and finite")
-    if not cfg.delta_min > 0:
-        raise ConfigError("invalid value for 'delta_min': must be positive")
-    for key, val in (("noiseless_vds_count", cfg.noiseless_vds_count),
-                     ("nx", cfg.nx), ("ny", cfg.ny), ("nt", cfg.nt),
-                     ("s_p", cfg.s_p), ("t_p", cfg.t_p), ("seeds", cfg.seeds)):
-        if val < 1:
-            raise ConfigError(f"invalid value for '{key}': must be >= 1")
+    for key in ("delta_min", "lam"):
+        if not getattr(cfg, key) > 0:
+            raise ConfigError(f"invalid value for '{key}': must be positive")
+    for key, least in (("noiseless_vds_count", 1), ("nx", 1), ("ny", 1), ("nt", 1),
+                       ("s_p", 1), ("t_p", 1), ("seeds", 1), ("seed", 0), ("workers", 0)):
+        if getattr(cfg, key) < least:
+            raise ConfigError(f"invalid value for '{key}': must be >= {least}")
     _parse_float_list("lambda_grid", cfg.lambda_grid)
     try:
         link = cfg.link()
@@ -268,11 +252,11 @@ def _atomic_path(path: str):
         raise
 
 
-def _write_csv(path: str, echo: str, header: str, rows) -> None:
-    """Write one CSV artifact atomically: config echo line, header, rows."""
-    with _atomic_path(path) as tmp:
+def _write_csv(cfg: RunConfig, name: str, header: str, rows) -> None:
+    """Write ``name`` in the output directory atomically: config echo line, header, rows."""
+    with _atomic_path(os.path.join(cfg.outdir, name)) as tmp:
         with open(tmp, "w") as fh:
-            fh.write(f"# ajscc {echo}\n")
+            fh.write(f"# ajscc {cfg.echo()}\n")
             fh.write(header + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -293,8 +277,7 @@ def _cmd_noiseless(cfg: RunConfig) -> int:
                         vds_grid=cfg.noiseless_vds_grid(),
                         vds_range=(cfg.vds_lo, cfg.vds_hi))
     rows = zip(res.vgs_true, res.vds_true, res.vgs_hat, res.vds_hat, res.corrected)
-    _write_csv(os.path.join(cfg.outdir, "noiseless.csv"), cfg.echo(),
-               "vgs_true,vds_true,vgs_hat,vds_hat,corrected", rows)
+    _write_csv(cfg, "noiseless.csv", "vgs_true,vds_true,vgs_hat,vds_hat,corrected", rows)
     print(f"accuracy={res.accuracy:.6g} accuracy_uncorrected={res.accuracy_pre:.6g} "
           f"mse_gs={res.mse_gs:.6g} mse_ds={res.mse_ds:.6g}")
     return 0
@@ -306,8 +289,7 @@ def _cmd_sweep_lambda(cfg: RunConfig) -> int:
                       vds_grid=cfg.noiseless_vds_grid(),
                       vds_range=(cfg.vds_lo, cfg.vds_hi))
     rows = zip(sw.lambdas, sw.mse_pre, sw.mse_post, sw.accuracy_pre, sw.accuracy_post)
-    _write_csv(os.path.join(cfg.outdir, "sweep_lambda.csv"), cfg.echo(),
-               "lambda,mse_pre,mse_post,accuracy_pre,accuracy_post", rows)
+    _write_csv(cfg, "sweep_lambda.csv", "lambda,mse_pre,mse_post,accuracy_pre,accuracy_post", rows)
     print(f"lambda_points={len(sw.lambdas)} max_mse_pre={max(sw.mse_pre):.6g} "
           f"max_mse_post={max(sw.mse_post):.6g}")
     return 0
@@ -317,8 +299,7 @@ def _cmd_sweep_delta(cfg: RunConfig) -> int:
     sw = sweep_delta(cfg.delta_grid(), cfg.link())
     rows = ((d, r.mse_gs, r.mse_ds, r.mse_sum)
             for d, r in zip(sw.points, sw.reports))
-    _write_csv(os.path.join(cfg.outdir, "sweep_delta.csv"), cfg.echo(),
-               "delta,mse_gs,mse_ds,mse_sum", rows)
+    _write_csv(cfg, "sweep_delta.csv", "delta,mse_gs,mse_ds,mse_sum", rows)
     star = sw.reports[sw.metadata["argmin_index"]]
     # mse_sum is the mean of the two MSEs; the literal sum is echoed as well
     print(f"delta_star={sw.metadata['delta_star']:.6g} "
@@ -330,8 +311,7 @@ def _cmd_sweep_snr(cfg: RunConfig) -> int:
     delta = cfg.delta if cfg.delta is not None else SNR_SWEEP_DELTA
     sw = sweep_snr(cfg.snr_grid(), cfg.bandwidth_list(), delta, cfg.link())
     rows = ((s, b, r.mse_sum) for (s, b), r in zip(sw.points, sw.reports))
-    _write_csv(os.path.join(cfg.outdir, "sweep_snr.csv"), cfg.echo(),
-               "snr_db,bandwidth_hz,mse_sum", rows)
+    _write_csv(cfg, "sweep_snr.csv", "snr_db,bandwidth_hz,mse_sum", rows)
     best = min(r.mse_sum for r in sw.reports)
     worst = max(r.mse_sum for r in sw.reports)
     print(f"delta={delta:.6g} best_mse_sum={best:.6g} worst_mse_sum={worst:.6g}")
@@ -348,44 +328,39 @@ def _cmd_gen_field(cfg: RunConfig) -> int:
     return 0
 
 
-def _noiseless_codec(cfg: RunConfig) -> CodecConfig:
-    levels = cfg.noiseless_level_list()
-    return CodecConfig(levels=levels, vgs_range=(levels[0], levels[-1]),
-                       vds_range=(cfg.vds_lo, cfg.vds_hi))
-
-
 def _cmd_encode(cfg: RunConfig, vgs: float, vds: float) -> int:
-    ids = encode(cfg.mosfet(), _noiseless_codec(cfg), vgs, vds)
+    codec = noiseless_codec(cfg.noiseless_level_list(), (cfg.vds_lo, cfg.vds_hi))
+    ids = encode(cfg.mosfet(), codec, vgs, vds)
     print(f"{ids:.5g}")
     return 0
 
 
 def _cmd_decode(cfg: RunConfig, ids1: float, ids2: float) -> int:
-    vgs, vds, corrected, in_range = decode_stream(cfg.mosfet(), _noiseless_codec(cfg),
-                                                  [ids1, ids2])
+    codec = noiseless_codec(cfg.noiseless_level_list(), (cfg.vds_lo, cfg.vds_hi))
+    vgs, vds, corrected, in_range = decode_stream(cfg.mosfet(), codec, [ids1, ids2])
     print(f"vgs_hat={vgs[0]:.6g} vds_hat_1={vds[0]:.6g} vds_hat_2={vds[1]:.6g} "
           f"corrected={int(corrected[0])} in_range={int(in_range[0])}")
     return 0
 
 
+# command name -> (handler, the float arguments it takes after the config)
+COMMANDS = {
+    "noiseless": (_cmd_noiseless, ()),
+    "sweep-lambda": (_cmd_sweep_lambda, ()),
+    "sweep-delta": (_cmd_sweep_delta, ()),
+    "sweep-snr": (_cmd_sweep_snr, ()),
+    "gen-field": (_cmd_gen_field, ()),
+    "encode": (_cmd_encode, ("vgs", "vds")),
+    "decode": (_cmd_decode, ("ids1", "ids2")),
+}
+
+
 def dispatch(command: str, cfg: RunConfig, **extra) -> int:
     """Run one subcommand; returns a process exit status."""
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command '{command}'")
     os.makedirs(cfg.outdir, exist_ok=True)
-    if command == "noiseless":
-        return _cmd_noiseless(cfg)
-    if command == "sweep-lambda":
-        return _cmd_sweep_lambda(cfg)
-    if command == "sweep-delta":
-        return _cmd_sweep_delta(cfg)
-    if command == "sweep-snr":
-        return _cmd_sweep_snr(cfg)
-    if command == "gen-field":
-        return _cmd_gen_field(cfg)
-    if command == "encode":
-        return _cmd_encode(cfg, extra["vgs"], extra["vds"])
-    if command == "decode":
-        return _cmd_decode(cfg, extra["ids1"], extra["ids2"])
-    raise ConfigError(f"unknown command '{command}'")
+    return COMMANDS[command][0](cfg, **extra)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -398,23 +373,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ajscc",
         description="Two-voltages-over-one-current simulator and experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, extras) in COMMANDS.items():
         sp = sub.add_parser(name, parents=[common])
-        if name == "encode":
-            sp.add_argument("--vgs", type=float, required=True)
-            sp.add_argument("--vds", type=float, required=True)
-        if name == "decode":
-            sp.add_argument("--ids1", type=float, required=True)
-            sp.add_argument("--ids2", type=float, required=True)
+        for arg in extras:
+            sp.add_argument(f"--{arg}", type=float, required=True)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    field_names = {f.name for f in dataclasses.fields(RunConfig)}
-    overrides = {k: v for k, v in vars(args).items()
-                 if k in field_names and v is not None}
-    extra = {k: v for k, v in vars(args).items() if k in ("vgs", "vds", "ids1", "ids2")}
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
+    extra = {k: getattr(args, k) for k in COMMANDS[args.command][1]}
     try:
         cfg = parse_config(args.config, overrides)
         return dispatch(args.command, cfg, **extra)

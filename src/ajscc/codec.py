@@ -79,16 +79,14 @@ def build_levels(vgs_range: tuple[float, float], delta: float, min_levels: int =
 class CodecConfig:
     """Level set and valid ranges shared by transmitter and receiver.
 
-    levels must be strictly ascending; when ``delta`` is given the set must
-    be uniform with that spacing and start at the low end of vgs_range.
-    vds_range is the drain-voltage interval the transmitter guarantees,
-    which the decoder uses for range checking.
+    levels must be strictly ascending.  vds_range is the drain-voltage
+    interval the transmitter guarantees, which the decoder uses for range
+    checking.
     """
 
     levels: np.ndarray
     vgs_range: tuple[float, float]
     vds_range: tuple[float, float]
-    delta: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", np.asarray(self.levels, dtype=float))
@@ -98,22 +96,14 @@ class CodecConfig:
             raise ValueError("levels must be strictly ascending")
         if not self.vds_range[0] < self.vds_range[1]:
             raise ValueError(f"invalid vds_range {self.vds_range}")
-        if self.delta is not None:
-            gaps = np.diff(self.levels)
-            if gaps.size and np.max(np.abs(gaps - self.delta)) > 1e-12:
-                raise ValueError("levels are not uniform with the declared delta")
-            if abs(self.levels[0] - self.vgs_range[0]) > 1e-12:
-                raise ValueError("uniform levels must start at vgs_range[0]")
-            if self.levels[-1] > self.vgs_range[1] + 1e-12:
-                raise ValueError("levels exceed vgs_range[1]")
 
     @classmethod
     def uniform(cls, vgs_range, delta, vds_range, min_levels: int = 2) -> "CodecConfig":
+        """Levels of spacing ``delta`` from the low end of vgs_range (:func:`build_levels`)."""
         return cls(
             levels=build_levels(vgs_range, delta, min_levels=min_levels),
             vgs_range=(float(vgs_range[0]), float(vgs_range[1])),
             vds_range=(float(vds_range[0]), float(vds_range[1])),
-            delta=float(delta),
         )
 
 
@@ -157,9 +147,12 @@ def decode_pairs(p: MosfetParams, cfg: CodecConfig, ids1, ids2, range_check: boo
     two-point slope undefined; their candidate order falls back to
     ascending levels so the range check alone selects the lowest level in
     range.  Non-positive currents are tolerated: their implied vds is far
-    out of range and the pair resolves through the fallback path.
+    out of range and the pair resolves through the fallback path.  Needs
+    lam > 0: with flat saturation curves there is no slope to match.
     """
     _check_levels_on(p, cfg)
+    if not p.lam > 0:
+        raise ValueError(f"decoding needs lam > 0, got {p.lam}")
     ids1 = np.atleast_1d(np.asarray(ids1, dtype=float))
     ids2 = np.atleast_1d(np.asarray(ids2, dtype=float))
     if ids1.shape != ids2.shape:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 # simulate_link is not called here; bench/tracing.py wraps it in this namespace
-from .channel import ChannelConfig, simulate_link, simulate_link_grid  # noqa: F401
+from .channel import OVERSAMPLE, ChannelConfig, simulate_link, simulate_link_grid  # noqa: F401
 # decode_pairs is not called here; bench/tracing.py wraps it in this namespace
 from .codec import CodecConfig, decode_pairs, decode_stream, quantize  # noqa: F401
 from .mosfet import MosfetParams, drain_current
@@ -50,10 +50,12 @@ __all__ = [
     "DEFAULT_SNR_GRID",
     "DEFAULT_BANDWIDTHS",
     "NOISELESS_LEVELS",
+    "noiseless_codec",
     "noiseless_vds_grid",
 ]
 
-# Default grids; the command line's config defaults are these values and strings
+# Default ranges and grids; the command line's config defaults are these values and strings
+SOURCE_RANGE = (5.0, 10.0)  # default range of both sources, the gate's and the drain's [V]
 DELTA_AXIS = (0.05, 1.25, 0.05)  # level spacing min, max, step [V]
 SNR_AXIS = (-100.0, 0.0, 10.0)  # in-band SNR min, max, step [dB]
 LAMBDA_LIST = "0.001,0.005,0.01,0.02,0.03,0.04,0.05,0.075,0.1,0.125,0.15,0.175,0.2"
@@ -88,6 +90,11 @@ NOISELESS_LEVELS = float_list(NOISELESS_LEVEL_LIST)
 def noiseless_vds_grid(start: float, step: float, count: int) -> np.ndarray:
     """Drain-voltage sweep grid of the functional study: ``count`` points from ``start``."""
     return start + step * np.arange(count)
+
+
+def noiseless_codec(levels, vds_range: tuple[float, float]) -> CodecConfig:
+    """Codec of the noiseless study: the given levels, spanning their own vgs range."""
+    return CodecConfig(levels=levels, vgs_range=(levels[0], levels[-1]), vds_range=vds_range)
 
 
 @dataclass(frozen=True)
@@ -172,7 +179,7 @@ def mse_averaged(truth_gs: Field, est_gs: np.ndarray, truth_ds: Field,
 
 
 def run_noiseless(p: MosfetParams, levels=NOISELESS_LEVELS, vds_grid=None,
-                  vds_range: tuple[float, float] = (5.0, 10.0)) -> NoiselessResult:
+                  vds_range: tuple[float, float] = SOURCE_RANGE) -> NoiselessResult:
     """Encode every (level, vds) grid point and decode each curve back.
 
     Each curve is decoded independently as a stream of consecutive
@@ -186,7 +193,7 @@ def run_noiseless(p: MosfetParams, levels=NOISELESS_LEVELS, vds_grid=None,
     lo, hi = vds_range
     if np.any(vds_grid < lo - 1e-9) or np.any(vds_grid > hi + 1e-9):
         raise ValueError("vds_grid extends outside vds_range")
-    cfg = CodecConfig(levels=levels, vgs_range=(levels[0], levels[-1]), vds_range=vds_range)
+    cfg = noiseless_codec(levels, vds_range)
 
     g = vds_grid.size
     vgs_true = np.repeat(levels, g)
@@ -225,7 +232,7 @@ class LambdaSweep:
 
 def sweep_lambda(lambdas=DEFAULT_LAMBDA_GRID, base: MosfetParams = MosfetParams(),
                  levels=NOISELESS_LEVELS, vds_grid=None,
-                 vds_range: tuple[float, float] = (5.0, 10.0)) -> LambdaSweep:
+                 vds_range: tuple[float, float] = SOURCE_RANGE) -> LambdaSweep:
     """Run the noiseless study for each lam value (combined MSE = mean of gs, ds)."""
     lambdas = [float(l) for l in lambdas]
     if any(l <= 0 for l in lambdas) or not all(a < b for a, b in zip(lambdas, lambdas[1:])):
@@ -247,8 +254,8 @@ class LinkConfig:
     """Shared configuration of the channel experiments."""
 
     mosfet: MosfetParams = MosfetParams()
-    vgs_range: tuple[float, float] = (5.0, 10.0)
-    vds_range: tuple[float, float] = (5.0, 10.0)
+    vgs_range: tuple[float, float] = SOURCE_RANGE
+    vds_range: tuple[float, float] = SOURCE_RANGE
     nx: int = 20
     ny: int = 20
     nt: int = 20
@@ -259,7 +266,7 @@ class LinkConfig:
     doppler_fraction: float = ChannelConfig.doppler_fraction
     rician_k_db: float = ChannelConfig.rician_k_db
     n_samples: int = 8192
-    oversample: float = 4.0
+    oversample: float = OVERSAMPLE
     fm_headroom: float = 0.7
     n_seeds: int = 10
     seed: int = 42

@@ -43,19 +43,19 @@ class TestConfig:
     def test_nyquist_guard(self):
         with pytest.raises(ValueError, match="sample_rate"):
             ChannelConfig(bandwidth=410e3, snr_db=0.0, fm_scale=1e8,
-                          sample_rate=500e3, symbol_duration=4096 / 500e3)
+                          sample_rate=500e3, n_samples=4096)
 
     def test_block_length_must_be_integral(self):
         with pytest.raises(ValueError, match="integer"):
             ChannelConfig(bandwidth=100e3, snr_db=0.0, fm_scale=1e8,
-                          sample_rate=400e3, symbol_duration=1.00001e-2)
+                          sample_rate=400e3, n_samples=4000.5)
 
     def test_bad_scalars(self):
         with pytest.raises(ValueError):
             make_cfg(bandwidth=-1.0)
         with pytest.raises(ValueError):
             ChannelConfig(bandwidth=1e5, snr_db=0, fm_scale=-1.0,
-                          sample_rate=4e5, symbol_duration=1e-2)
+                          sample_rate=4e5, n_samples=4000)
         with pytest.raises(ValueError):
             make_cfg(i_max=0.0)
 
@@ -81,12 +81,12 @@ class TestConfig:
 class TestModulate:
     def test_linear_scaling(self):
         cfg = ChannelConfig(bandwidth=410e3, snr_db=0, fm_scale=1e8,
-                            sample_rate=4 * 410e3, symbol_duration=4096 / (4 * 410e3))
+                            sample_rate=4 * 410e3, n_samples=4096)
         assert modulate(1e-3, cfg) == pytest.approx(100e3)
 
     def test_reference_product(self):
         cfg = ChannelConfig(bandwidth=410e3, snr_db=0, fm_scale=2e8,
-                            sample_rate=4 * 410e3, symbol_duration=4096 / (4 * 410e3))
+                            sample_rate=4 * 410e3, n_samples=4096)
         assert modulate(1.9268e-3, cfg) == pytest.approx(385.36e3)
 
     def test_nonpositive_current_rejected(self):
@@ -350,6 +350,14 @@ class TestPrunedPeakSearch:
             assert np.array_equal(simulate_link(ids, cfg, 6, chunk_symbols=300),
                                   full_search_link(ids, cfg, 6, chunk_symbols=300))
             assert 0 < sum(rows) <= ids.size, snr
+
+    def test_no_fallback_when_the_window_holds_every_bin(self, monkeypatch):
+        # below 2 _WINDOW + 1 samples every in-band bin is a candidate
+        rows = self.count_fallback_rows(monkeypatch)
+        ids = np.random.default_rng(17).uniform(0.01, 1.0, 2000) * I_MAX
+        cfgs = [make_cfg(snr_db=snr, n=16) for snr in (-20.0, 10.0, math.inf)]
+        simulate_link_grid([ids], cfgs, 8)
+        assert sum(rows) == 0
 
     def test_fallback_is_rare(self, monkeypatch):
         # the bound proves nearly every row at the default candidate counts

@@ -3,11 +3,13 @@
 import dataclasses
 import hashlib
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ajscc.cli import ConfigError, RunConfig, main, parse_config
+from ajscc.cli import COMMANDS, ConfigError, RunConfig, dispatch, main, parse_config
 from ajscc.experiments import LinkConfig
 
 FAST_LINK = ["--nx", "4", "--ny", "4", "--nt", "4", "--s-p", "2", "--t-p", "2",
@@ -183,6 +185,11 @@ class TestSubcommands:
         ("sweep-snr", ["--bandwidths", "0"], "bandwidths"),
         ("sweep-snr", ["--bandwidths", "410e3,nan"], "bandwidths"),
         ("sweep-snr", ["--bandwidths", "-5"], "bandwidths"),
+        ("sweep-delta", ["--seed", "-1"], "seed"),
+        ("gen-field", ["--seed", "-5"], "seed"),
+        ("sweep-snr", ["--workers", "-3"], "workers"),
+        ("noiseless", ["--lam", "0"], "lam"),
+        ("sweep-delta", ["--lam", "0"], "lam"),
     ])
     def test_bad_sweep_grid_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                     key):
@@ -190,6 +197,16 @@ class TestSubcommands:
         assert main([command, "--outdir", str(out), *FAST_LINK, *flags]) == 1
         assert f"error: invalid value for '{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unknown_command_creates_no_outdir(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match="bogus"):
+            dispatch("bogus", parse_config(None, {"outdir": str(out)}))
+        assert not out.exists()
+
+    def test_readme_lists_exactly_the_commands(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert set(re.findall(r"^ajscc ([\w-]+)", readme, re.M)) == set(COMMANDS)
 
     def test_infinite_snr_and_k_factor_still_run(self, tmp_path):
         assert main(["sweep-delta", "--outdir", str(tmp_path), "--delta", "0.5",

@@ -66,15 +66,11 @@ class TestBuildLevels:
 class TestCodecConfig:
     def test_uniform_constructor(self):
         cfg = CodecConfig.uniform((5.0, 10.0), 0.41, (5.0, 10.0))
-        assert cfg.delta == 0.41 and cfg.levels.size == 13
+        assert cfg.levels.size == 13
 
     def test_rejects_unsorted_levels(self):
         with pytest.raises(ValueError, match="ascending"):
             CodecConfig(levels=[2.0, 1.0], vgs_range=(1, 2), vds_range=(5, 10))
-
-    def test_rejects_inconsistent_delta(self):
-        with pytest.raises(ValueError, match="uniform"):
-            CodecConfig(levels=[1.0, 2.5], vgs_range=(1, 3), vds_range=(5, 10), delta=1.0)
 
     def test_rejects_bad_vds_range(self):
         with pytest.raises(ValueError, match="vds_range"):
@@ -187,6 +183,13 @@ class TestDecodePair:
         assert g[0] == g[1]
         assert v1[0] == v2[1] and v2[0] == v1[1]
         assert ok[0] == ok[1]
+
+    def test_flat_curves_rejected(self):
+        # lam = 0 is a valid device, but its curves carry no slope to match
+        flat = MosfetParams(lam=0.0)
+        ids = drain_current(flat, 3.0, 5.0)
+        with pytest.raises(ValueError, match="lam"):
+            decode_pairs(flat, REF_CFG, [ids], [ids])
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
