@@ -237,22 +237,17 @@ def _tone_factors(freqs: np.ndarray, draws, cfg: ChannelConfig):
     return h, omega, hnum, z, k0
 
 
-def _tone_spectrum(factors, cfg: ChannelConfig, roots: np.ndarray, bins=None) -> np.ndarray:
-    """Noise-free in-band spectrum rows of the faded tones, complex64.
+def _tone_spectrum(factors, cfg: ChannelConfig, roots: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Noise-free spectrum of the faded tones at 1-based in-band ``bins``, complex64.
 
-    Rows hold bins 1..n_bins, or with ``bins`` (1-based, one row per
-    symbol) row r holds bins ``bins[r]``; each bin gets the same float
-    operations either way.  The bin nearest each tone is recomputed in
-    float64 since the kernel denominator loses precision there.
+    Row r holds bins ``bins[r]``; one index row, such as the full row
+    ``np.arange(1, n_bins + 1)[None, :]``, serves every symbol.  The bin
+    nearest each tone is recomputed in float64 since the kernel denominator
+    loses precision there.
     """
     h, omega, hnum, z, k0 = factors
-    if bins is None:
-        spectrum = hnum[:, None] / (1.0 - z[:, None] * roots[None, :])
-        rows = np.nonzero((k0 >= 1) & (k0 <= roots.size))[0]
-        cols = k0[rows] - 1
-    else:
-        spectrum = hnum[:, None] / (1.0 - z[:, None] * roots[bins - 1])
-        rows, cols = np.nonzero(bins == k0[:, None])
+    spectrum = hnum[:, None] / (1.0 - z[:, None] * roots[bins - 1])
+    rows, cols = np.nonzero(bins == k0[:, None])
     if rows.size:
         exact = h[rows] * _tone_kernel_exact(omega[rows], k0[rows].astype(float), cfg.n_samples)
         spectrum[rows, cols] = exact.astype(np.complex64)
@@ -272,7 +267,8 @@ def received_spectrum(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
     """
     freqs = _check_tones(freqs, cfg)
     factors = _tone_factors(freqs, _draw_gains(rng, freqs.size), cfg)
-    spectrum = _tone_spectrum(factors, cfg, _bin_roots(cfg))
+    roots = _bin_roots(cfg)
+    spectrum = _tone_spectrum(factors, cfg, roots, np.arange(1, roots.size + 1)[None, :])
     if _noisy(cfg):
         noise = _draw_noise(rng, freqs.size, cfg.n_bins)
         spectrum.real += _noise_scale(cfg) * noise[0]
@@ -387,7 +383,8 @@ def _candidate_currents(factors, noise, loud, tone_cfg: ChannelConfig, roots: np
         proven = (best > np.maximum(_SAFETY * bound, _TINY_POWER)) & np.isfinite(best)
         rows = np.nonzero(~proven)[0]
         if rows.size:
-            full = _tone_spectrum(tuple(f[rows] for f in factors), tone_cfg, roots)
+            full = _tone_spectrum(tuple(f[rows] for f in factors), tone_cfg, roots,
+                                  np.arange(1, n_bins + 1)[None, :])
             rows_noise = None if noise is None else tuple(plane[rows] for plane in noise)
             est[rows] = _link_currents(full, rows_noise, cfg)
         estimates.append(est)

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import decode_stream, encode
+from .codec import CodecConfig, decode_stream, encode
 from .experiments import (
     BANDWIDTH_LIST, DELTA_AXIS, LAMBDA_LIST, NOISELESS_LEVEL_LIST, NOISELESS_VDS_AXIS,
     SNR_AXIS, SNR_SWEEP_DELTA, LinkConfig, axis_points, delta_points, float_list,
-    noiseless_codec, noiseless_vds_grid, run_noiseless, sweep_delta, sweep_lambda,
-    sweep_snr,
+    noiseless_vds_grid, run_noiseless, sweep_delta, sweep_lambda, sweep_snr,
 )
 from .mosfet import MosfetParams
 from .phenomenon import field_to_csv, generate_field
@@ -239,9 +238,12 @@ def _validate(cfg: RunConfig) -> None:
 def _atomic_path(path: str):
     """Yield a temporary path that replaces ``path`` only if the block succeeds.
 
-    A failed run leaves neither a partial artifact nor the temporary file,
-    and an earlier artifact at ``path`` stays as it was.
+    The directory is made here, when the artifact is written, so a run that
+    fails before that leaves no output directory.  A failed write leaves
+    neither a partial artifact nor the temporary file, and an earlier
+    artifact at ``path`` stays as it was.
     """
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     tmp = path + ".tmp"
     try:
         yield tmp
@@ -329,14 +331,14 @@ def _cmd_gen_field(cfg: RunConfig) -> int:
 
 
 def _cmd_encode(cfg: RunConfig, vgs: float, vds: float) -> int:
-    codec = noiseless_codec(cfg.noiseless_level_list(), (cfg.vds_lo, cfg.vds_hi))
+    codec = CodecConfig(cfg.noiseless_level_list(), (cfg.vds_lo, cfg.vds_hi))
     ids = encode(cfg.mosfet(), codec, vgs, vds)
     print(f"{ids:.5g}")
     return 0
 
 
 def _cmd_decode(cfg: RunConfig, ids1: float, ids2: float) -> int:
-    codec = noiseless_codec(cfg.noiseless_level_list(), (cfg.vds_lo, cfg.vds_hi))
+    codec = CodecConfig(cfg.noiseless_level_list(), (cfg.vds_lo, cfg.vds_hi))
     vgs, vds, corrected, in_range = decode_stream(cfg.mosfet(), codec, [ids1, ids2])
     print(f"vgs_hat={vgs[0]:.6g} vds_hat_1={vds[0]:.6g} vds_hat_2={vds[1]:.6g} "
           f"corrected={int(corrected[0])} in_range={int(in_range[0])}")
@@ -359,7 +361,6 @@ def dispatch(command: str, cfg: RunConfig, **extra) -> int:
     """Run one subcommand; returns a process exit status."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
-    os.makedirs(cfg.outdir, exist_ok=True)
     return COMMANDS[command][0](cfg, **extra)
 
 

@@ -32,7 +32,6 @@ whose spacing exceeds this window (all coarse-level setups here do).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +53,11 @@ __all__ = [
 RANGE_TOL = 1e-6
 
 
-def build_levels(vgs_range: tuple[float, float], delta: float, min_levels: int = 1) -> np.ndarray:
+def build_levels(vgs_range: tuple[float, float], delta: float) -> np.ndarray:
     """Uniform level set {lo, lo+delta, ...} up to the largest value <= hi.
 
-    Warns (and with min_levels >= 2, raises) when the spacing admits only a
-    single level, since the decoder then has nothing to discriminate.
+    Raises ValueError when the spacing admits fewer than two levels, since
+    the decoder then has nothing to discriminate.
     """
     lo, hi = float(vgs_range[0]), float(vgs_range[1])
     if not delta > 0:
@@ -66,18 +65,16 @@ def build_levels(vgs_range: tuple[float, float], delta: float, min_levels: int =
     if hi < lo:
         raise ValueError(f"empty vgs_range {vgs_range}")
     n = int(np.floor((hi - lo) / delta * (1.0 + 1e-12) + 1e-12)) + 1
+    if n < 2:
+        raise ValueError(f"spacing {delta} over {vgs_range} yields {n} level(s); need at least 2")
     levels = lo + delta * np.arange(n)
     levels[-1] = min(levels[-1], hi)
-    if n < min_levels:
-        raise ValueError(f"spacing {delta} yields {n} level(s), caller requires {min_levels}")
-    if n == 1:
-        warnings.warn(f"spacing {delta} over {vgs_range} yields a single level", stacklevel=2)
     return levels
 
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Level set and valid ranges shared by transmitter and receiver.
+    """Level set and drain-voltage interval shared by transmitter and receiver.
 
     levels must be strictly ascending.  vds_range is the drain-voltage
     interval the transmitter guarantees, which the decoder uses for range
@@ -85,7 +82,6 @@ class CodecConfig:
     """
 
     levels: np.ndarray
-    vgs_range: tuple[float, float]
     vds_range: tuple[float, float]
 
     def __post_init__(self) -> None:
@@ -96,15 +92,6 @@ class CodecConfig:
             raise ValueError("levels must be strictly ascending")
         if not self.vds_range[0] < self.vds_range[1]:
             raise ValueError(f"invalid vds_range {self.vds_range}")
-
-    @classmethod
-    def uniform(cls, vgs_range, delta, vds_range, min_levels: int = 2) -> "CodecConfig":
-        """Levels of spacing ``delta`` from the low end of vgs_range (:func:`build_levels`)."""
-        return cls(
-            levels=build_levels(vgs_range, delta, min_levels=min_levels),
-            vgs_range=(float(vgs_range[0]), float(vgs_range[1])),
-            vds_range=(float(vds_range[0]), float(vds_range[1])),
-        )
 
 
 def quantize(value, levels):

@@ -29,7 +29,7 @@ import numpy as np
 # simulate_link is not called here; bench/tracing.py wraps it in this namespace
 from .channel import OVERSAMPLE, ChannelConfig, simulate_link, simulate_link_grid  # noqa: F401
 # decode_pairs is not called here; bench/tracing.py wraps it in this namespace
-from .codec import CodecConfig, decode_pairs, decode_stream, quantize  # noqa: F401
+from .codec import CodecConfig, build_levels, decode_pairs, decode_stream, quantize  # noqa: F401
 from .mosfet import MosfetParams, drain_current
 from .phenomenon import Field, block_means, generate_field
 
@@ -50,7 +50,6 @@ __all__ = [
     "DEFAULT_SNR_GRID",
     "DEFAULT_BANDWIDTHS",
     "NOISELESS_LEVELS",
-    "noiseless_codec",
     "noiseless_vds_grid",
 ]
 
@@ -92,11 +91,6 @@ def noiseless_vds_grid(start: float, step: float, count: int) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def noiseless_codec(levels, vds_range: tuple[float, float]) -> CodecConfig:
-    """Codec of the noiseless study: the given levels, spanning their own vgs range."""
-    return CodecConfig(levels=levels, vgs_range=(levels[0], levels[-1]), vds_range=vds_range)
-
-
 @dataclass(frozen=True)
 class MseReport:
     """Space/time-averaged MSE [V^2] for one parameter point."""
@@ -117,20 +111,12 @@ class MseReport:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One MseReport per axis point plus argmin metadata."""
+    """One MseReport per axis point, in axis order, plus argmin metadata."""
 
     axis_name: str
     points: tuple
     reports: tuple
     metadata: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if len(self.points) != len(self.reports):
-            raise ValueError("one report per axis point required")
-        vals = [p for p in self.points if np.isscalar(p)]
-        if len(vals) == len(self.points) and len(vals) > 1:
-            if not all(a < b for a, b in zip(vals, vals[1:])):
-                raise ValueError("axis values must be strictly ascending")
 
 
 @dataclass(frozen=True)
@@ -191,9 +177,10 @@ def run_noiseless(p: MosfetParams, levels=NOISELESS_LEVELS, vds_grid=None,
     vds_grid = np.asarray(vds_grid, dtype=float)
     levels = np.asarray(levels, dtype=float)
     lo, hi = vds_range
-    if np.any(vds_grid < lo - 1e-9) or np.any(vds_grid > hi + 1e-9):
-        raise ValueError("vds_grid extends outside vds_range")
-    cfg = noiseless_codec(levels, vds_range)
+    # written so that a NaN point fails too
+    if not np.all((vds_grid >= lo - 1e-9) & (vds_grid <= hi + 1e-9)):
+        raise ValueError(f"vds_grid extends outside vds_range {vds_range}")
+    cfg = CodecConfig(levels, vds_range)
 
     g = vds_grid.size
     vgs_true = np.repeat(levels, g)
@@ -316,7 +303,7 @@ def _link_points(cfg: LinkConfig, field_gs: Field, field_ds: Field, deltas,
     interval midpoint, the minimum-MSE estimate under the uniform prior.
     Level estimates are reported as decoded.
     """
-    codecs = [CodecConfig.uniform(cfg.vgs_range, d, cfg.vds_range) for d in deltas]
+    codecs = [CodecConfig(build_levels(cfg.vgs_range, d), cfg.vds_range) for d in deltas]
     streams = [drain_current(cfg.mosfet, quantize(field_gs.values, codec.levels),
                              field_ds.values).reshape(-1, field_gs.nt) for codec in codecs]
     if chans is None:
@@ -358,6 +345,8 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     Replicates run in a process pool of at most ``cfg.workers`` processes
     (one per replicate at most) and are reduced in replicate order.
     """
+    if cfg.n_seeds < 1:
+        raise ValueError(f"need at least one replicate, got n_seeds={cfg.n_seeds}")
     tasks = [(cfg, deltas, chans, rep) for rep in range(cfg.n_seeds)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
@@ -373,8 +362,8 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
 def sweep_delta(deltas=DEFAULT_DELTA_GRID, cfg: LinkConfig = LinkConfig()) -> SweepResult:
     """MSE versus level spacing at fixed bandwidth/SNR, averaged over replicates."""
     deltas = [float(d) for d in deltas]
-    if any(d <= 0 for d in deltas):
-        raise ValueError("deltas must be positive")
+    if not deltas or not deltas[0] > 0 or not all(a < b for a, b in zip(deltas, deltas[1:])):
+        raise ValueError("deltas must be non-empty, positive and strictly ascending")
     reports = _sweep_reports(cfg, deltas, [cfg.channel()])
     best = int(np.argmin([r.mse_sum for r in reports]))
     meta = {"delta_star": deltas[best], "mse_sum_star": reports[best].mse_sum,
@@ -396,9 +385,9 @@ def sweep_snr(snrs=DEFAULT_SNR_GRID, bandwidths=DEFAULT_BANDWIDTHS,
     another's result.
     """
     snrs = [float(s) for s in snrs]
-    if not all(a < b for a, b in zip(snrs, snrs[1:])):
-        raise ValueError("snrs must be strictly ascending")
     bandwidths = [float(b) for b in bandwidths]
+    if not snrs or not bandwidths or not all(a < b for a, b in zip(snrs, snrs[1:])):
+        raise ValueError("snrs and bandwidths must be non-empty, snrs strictly ascending")
     points = [(s, b) for s in snrs for b in bandwidths]
     chans = [cfg.channel(bandwidth=b, snr_db=s) for s, b in points]
     reports = _sweep_reports(cfg, [float(delta)], chans)

@@ -41,12 +41,16 @@ class Field:
         )
 
 
-def generate_field(nx: int, ny: int, nt: int, s_p: int, t_p: int,
-                   lo: float, hi: float, seed: int) -> Field:
-    """Draw a block-constant random field; deterministic per seed."""
+def _check_sizes(nx: int, ny: int, nt: int, s_p: int, t_p: int) -> None:
     for name, dim in (("nx", nx), ("ny", ny), ("nt", nt), ("s_p", s_p), ("t_p", t_p)):
         if dim < 1:
             raise ValueError(f"{name} must be >= 1, got {dim}")
+
+
+def generate_field(nx: int, ny: int, nt: int, s_p: int, t_p: int,
+                   lo: float, hi: float, seed: int) -> Field:
+    """Draw a block-constant random field; deterministic per seed."""
+    _check_sizes(nx, ny, nt, s_p, t_p)
     if s_p > nx or s_p > ny:
         raise ValueError(f"s_p={s_p} exceeds grid {nx}x{ny}")
     if t_p > nt:
@@ -95,17 +99,30 @@ def field_from_csv(path) -> Field:
     """Read a field written by :func:`field_to_csv`.
 
     Every grid cell must appear exactly once; a malformed row, a row
-    outside the grid or a repeated cell is rejected with its line number.
+    outside the grid or a repeated cell is rejected with its line number,
+    as is a metadata line with a missing or malformed key or a size below 1.
     """
     with open(path) as fh:
         meta_line = fh.readline()
         if not meta_line.startswith("#"):
             raise ValueError(f"{path}: missing metadata line")
-        meta = dict(kv.split("=", 1) for kv in meta_line[1:].split())
+        tokens = meta_line[1:].split()
+        stray = [kv for kv in tokens if "=" not in kv]
+        if stray:
+            raise ValueError(f"{path}:1: metadata token {stray[0]!r} is not key=value")
+        meta = dict(kv.split("=", 1) for kv in tokens)
+        try:
+            nx, ny, nt, s_p, t_p, seed = (int(meta[k])
+                                          for k in ("nx", "ny", "nt", "s_p", "t_p", "seed"))
+            lo, hi = float(meta["lo"]), float(meta["hi"])
+            _check_sizes(nx, ny, nt, s_p, t_p)
+        except KeyError as exc:
+            raise ValueError(f"{path}:1: missing metadata key {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: bad metadata: {exc}") from None
         header = fh.readline().strip()
         if header != "x,y,t,value":
             raise ValueError(f"{path}: unexpected header {header!r}")
-        nx, ny, nt = int(meta["nx"]), int(meta["ny"]), int(meta["nt"])
         values = np.empty((nx, ny, nt))
         filled = np.zeros((nx, ny, nt), dtype=bool)
         for lineno, line in enumerate(fh, 3):
@@ -128,5 +145,4 @@ def field_from_csv(path) -> Field:
         seen = int(np.count_nonzero(filled))
         if seen != nx * ny * nt:
             raise ValueError(f"{path}: expected {nx * ny * nt} rows, got {seen}")
-    return Field(nx, ny, nt, int(meta["s_p"]), int(meta["t_p"]),
-                 float(meta["lo"]), float(meta["hi"]), int(meta["seed"]), values)
+    return Field(nx, ny, nt, s_p, t_p, lo, hi, seed, values)

@@ -1,5 +1,6 @@
-"""Public API guard: every exported name resolves."""
+"""Public API guard: every exported name resolves, and no import is unused."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -49,3 +50,23 @@ def test_benchmark_names_resolve():
     missing = [(mod, attr) for mod, attr in wrapped + called
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing
+
+
+# Imported only so that bench/tracing.py can wrap them in the experiments namespace
+TRACER_IMPORTS = {("experiments", "simulate_link"), ("experiments", "decode_pairs")}
+
+
+def test_no_unused_imports():
+    # a name a module imports must be used in it or listed in its __all__
+    unused = set()
+    for path in sorted(Path(ajscc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(getattr(importlib.import_module(f"ajscc.{path.stem}"), "__all__", ()))
+        unused |= {(path.stem, name) for name in imported - used - exported}
+    assert unused == TRACER_IMPORTS

@@ -198,6 +198,46 @@ class TestSubcommands:
         assert f"error: invalid value for '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    # rejected by the library, before any artifact is written; the output
+    # directory is made only when an artifact is written
+    @pytest.mark.parametrize("command, flags, message", [
+        ("sweep-delta", ["--delta", "6"], "spacing 6.0 over (5.0, 10.0) yields 1 level(s)"),
+        ("sweep-delta", ["--delta-min", "1", "--delta-max", "6", "--delta-step", "1"],
+         "spacing 6.0 over (5.0, 10.0) yields 1 level(s)"),
+        ("sweep-snr", ["--delta", "6"], "spacing 6.0 over (5.0, 10.0) yields 1 level(s)"),
+        ("sweep-delta", ["--nx", "5", "--s-p", "10"], "s_p=10 exceeds grid 5x"),
+        ("gen-field", ["--nx", "5", "--s-p", "10"], "s_p=10 exceeds grid 5x"),
+        ("sweep-delta", ["--nt", "5", "--t-p", "10"], "t_p=10 exceeds nt=5"),
+        ("sweep-delta", ["--nt", "1", "--t-p", "1"], "need at least 2 samples to decode"),
+        ("noiseless", ["--noiseless-levels", "1,3,2"], "levels must be strictly ascending"),
+        ("encode", ["--noiseless-levels", "1,3,2", "--vgs", "5", "--vds", "7"],
+         "levels must be strictly ascending"),
+        ("noiseless", ["--noiseless-vds-start", "20"], "vds_grid extends outside vds_range"),
+        ("noiseless", ["--noiseless-vds-start", "4"], "vds_grid extends outside vds_range"),
+        ("noiseless", ["--noiseless-vds-step", "nan"], "vds_grid extends outside vds_range"),
+        ("sweep-lambda", ["--noiseless-vds-step", "nan"], "vds_grid extends outside vds_range"),
+        ("sweep-delta", ["--vgs-lo", "0.5"], "levels must all exceed v_th"),
+    ], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
+    def test_failing_input_exits_without_artifacts(self, tmp_path, capsys, command, flags,
+                                                   message):
+        out = tmp_path / "out"
+        assert main([command, "--outdir", str(out), *FAST_LINK, *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    # each command is checked on what it reads, not on values only another
+    # command reads
+    @pytest.mark.parametrize("command, flags, name", [
+        ("sweep-delta", ["--vds-lo", "6"], "sweep_delta.csv"),
+        ("sweep-snr", ["--vgs-lo", "5", "--vgs-hi", "6"], "sweep_snr.csv"),
+        ("gen-field", ["--nt", "1", "--t-p", "1"], "field.csv"),
+        ("noiseless", ["--vgs-lo", "5", "--vgs-hi", "5.5"], "noiseless.csv"),
+        ("sweep-lambda", ["--nx", "5", "--s-p", "10"], "sweep_lambda.csv"),
+    ])
+    def test_values_other_commands_read_do_not_block(self, tmp_path, command, flags, name):
+        assert main([command, "--outdir", str(tmp_path), *FAST_LINK, *flags]) == 0
+        assert (tmp_path / name).exists()
+
     def test_unknown_command_creates_no_outdir(self, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(ConfigError, match="bogus"):

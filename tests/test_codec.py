@@ -17,7 +17,7 @@ from ajscc.mosfet import MosfetParams, drain_current
 
 P = MosfetParams()
 REF_LEVELS = np.arange(1.0, 6.0)
-REF_CFG = CodecConfig(levels=REF_LEVELS, vgs_range=(1.0, 5.0), vds_range=(5.0, 10.0))
+REF_CFG = CodecConfig(levels=REF_LEVELS, vds_range=(5.0, 10.0))
 VDS_GRID = 5.0 + 0.1 * np.arange(50)
 
 
@@ -49,12 +49,9 @@ class TestBuildLevels:
         for delta in (0.1, 0.3, 0.41, 0.7, 0.99):
             assert build_levels((5.0, 10.0), delta)[-1] <= 10.0
 
-    def test_single_level_warns_and_min_levels_raises(self):
-        with pytest.warns(UserWarning, match="single"):
-            levels = build_levels((1.0, 5.0), 6.0)
-        assert levels.tolist() == [1.0]
-        with pytest.raises(ValueError, match="requires 2"):
-            build_levels((1.0, 5.0), 6.0, min_levels=2)
+    def test_single_level_raises(self):
+        with pytest.raises(ValueError, match=r"yields 1 level\(s\); need at least 2"):
+            build_levels((1.0, 5.0), 6.0)
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -64,17 +61,13 @@ class TestBuildLevels:
 
 
 class TestCodecConfig:
-    def test_uniform_constructor(self):
-        cfg = CodecConfig.uniform((5.0, 10.0), 0.41, (5.0, 10.0))
-        assert cfg.levels.size == 13
-
     def test_rejects_unsorted_levels(self):
         with pytest.raises(ValueError, match="ascending"):
-            CodecConfig(levels=[2.0, 1.0], vgs_range=(1, 2), vds_range=(5, 10))
+            CodecConfig(levels=[2.0, 1.0], vds_range=(5, 10))
 
     def test_rejects_bad_vds_range(self):
         with pytest.raises(ValueError, match="vds_range"):
-            CodecConfig(levels=[1.0, 2.0], vgs_range=(1, 2), vds_range=(10, 5))
+            CodecConfig(levels=[1.0, 2.0], vds_range=(10, 5))
 
 
 class TestQuantize:
@@ -114,7 +107,7 @@ class TestEncode:
             encode(P, REF_CFG, 3.0, 4.0)
 
     def test_levels_below_threshold_rejected(self):
-        cfg = CodecConfig(levels=[0.5, 1.0], vgs_range=(0.5, 1.0), vds_range=(5, 10))
+        cfg = CodecConfig(levels=[0.5, 1.0], vds_range=(5, 10))
         with pytest.raises(ValueError, match="v_th"):
             encode(P, cfg, 0.6, 5.0)
 
@@ -204,7 +197,7 @@ class TestDecodePair:
         # implied vds stays in range for high-vds pairs and wins the score;
         # exact recovery is only guaranteed for coarser spacing (see module
         # docstring for the condition)
-        cfg = CodecConfig.uniform((5.0, 10.0), 0.41, (5.0, 10.0))
+        cfg = CodecConfig(build_levels((5.0, 10.0), 0.41), (5.0, 10.0))
         lvl = cfg.levels[11]  # 9.51
         g, _, _, _, ok = decode_one(P, cfg, drain_current(P, lvl, 9.9),
                                     drain_current(P, lvl, 10.0))
@@ -235,7 +228,7 @@ class TestNoiselessIdentity:
         levels = build_levels((1.0, 5.0), delta)
         vds_range = (v_lo, v_lo + span)
         assume(_alias_free(levels, lam, vds_range))
-        cfg = CodecConfig(levels=levels, vgs_range=(1.0, 5.0), vds_range=vds_range)
+        cfg = CodecConfig(levels=levels, vds_range=vds_range)
         v1, v2 = v_lo + 0.25 * span, v_lo + 0.75 * span
         g, v1_hat, v2_hat, _, _ = decode_pairs(p, cfg, [encode(p, cfg, vgs_raw, v1)],
                                                [encode(p, cfg, vgs_raw, v2)])

@@ -5,11 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ajscc.codec import CodecConfig, decode_pairs, quantize
+from ajscc.codec import CodecConfig, build_levels, decode_pairs, quantize
 from ajscc.experiments import (
     LinkConfig,
     MseReport,
-    SweepResult,
     mse_averaged,
     run_link_point,
     run_noiseless,
@@ -94,6 +93,10 @@ class TestRunNoiseless:
         with pytest.raises(ValueError, match="vds_grid"):
             run_noiseless(P, vds_grid=np.array([4.0, 5.0]))
 
+    def test_nan_grid_point_rejected(self):
+        with pytest.raises(ValueError, match="vds_grid"):
+            run_noiseless(P, vds_grid=np.array([5.0, np.nan]))
+
 
 class TestSweepLambda:
     def test_breakdown_beyond_point_zero_three(self):
@@ -169,7 +172,7 @@ class TestLinkPipeline:
             chan = cfg.channel()
             rpt = run_link_point(cfg, gs, ds, delta=0.5, chan=chan, link_seed=(5, 0))
 
-            codec = CodecConfig.uniform(cfg.vgs_range, 0.5, cfg.vds_range)
+            codec = CodecConfig(build_levels(cfg.vgs_range, 0.5), cfg.vds_range)
             ids = drain_current(P, quantize(gs.values, codec.levels), ds.values)
             ids_hat = simulate_link(ids.reshape(-1, nt), chan, (5, 0))
             est_gs = np.empty_like(ids_hat)
@@ -207,7 +210,7 @@ class TestPerfectLinkFloor:
         # so every pair carries two equal currents: no slope score is
         # compared, and the decoder falls back to the lowest in-range level.
         cfg = LinkConfig(n_seeds=5)
-        codec = CodecConfig.uniform(cfg.vgs_range, 0.41, cfg.vds_range)
+        codec = CodecConfig(build_levels(cfg.vgs_range, 0.41), cfg.vds_range)
         shares, mse_ds = [], []
         for rep in range(cfg.n_seeds):
             gs, ds = cfg.fields(rep)
@@ -279,12 +282,23 @@ class TestSweeps:
         with pytest.raises(ValueError, match="ascending"):
             sweep_snr((-10.0, -30.0), (410e3,), 0.5, tiny_link_cfg())
 
-    def test_sweep_result_validates(self):
-        with pytest.raises(ValueError, match="one report"):
-            SweepResult("delta", (0.1, 0.2), ())
-        with pytest.raises(ValueError, match="ascending"):
-            SweepResult("delta", (0.2, 0.1),
-                        (MseReport.from_pair(0, 0, 8), MseReport.from_pair(0, 0, 8)))
+    @pytest.mark.parametrize("sweep, match", [
+        (lambda: sweep_delta([0.5, 0.3], tiny_link_cfg()), "ascending"),
+        (lambda: sweep_delta([], tiny_link_cfg()), "non-empty"),
+        (lambda: sweep_delta([math.nan], tiny_link_cfg()), "positive"),
+        (lambda: sweep_delta([0.5], tiny_link_cfg(n_seeds=0)), "replicate"),
+        (lambda: sweep_snr((-10.0,), (410e3,), 0.5, tiny_link_cfg(n_seeds=0)), "replicate"),
+        (lambda: sweep_snr((), (410e3,), 0.5, tiny_link_cfg()), "non-empty"),
+        (lambda: sweep_snr((-10.0,), (), 0.5, tiny_link_cfg()), "non-empty"),
+    ], ids=["unsorted_deltas", "no_deltas", "nan_delta", "delta_no_seeds", "snr_no_seeds",
+            "no_snrs", "no_bandwidths"])
+    def test_sweeps_reject_bad_input_before_any_replicate(self, monkeypatch, sweep, match):
+        def no_replicate(args):
+            raise AssertionError("a replicate ran before the input was checked")
+
+        monkeypatch.setattr("ajscc.experiments._replicate_task", no_replicate)
+        with pytest.raises(ValueError, match=match):
+            sweep()
 
 
 # 12 x 12 sensors x 10 instants = 1440 symbols: one full 1024-symbol chunk

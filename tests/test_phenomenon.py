@@ -129,3 +129,18 @@ def test_csv_rejects_bad_cells(tmp_path, edit, match):
     with pytest.raises(ValueError, match=match):
         field_from_csv(path)
 
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda meta: meta.replace(" s_p=1", ""), r"field.csv:1: missing metadata key 's_p'"),
+    (lambda meta: meta + " stray", r"field.csv:1: metadata token 'stray' is not key=value"),
+    (lambda meta: meta.replace("nx=3", "nx=three"), r"field.csv:1: bad metadata: .*'three'"),
+    (lambda meta: meta.replace("s_p=1", "s_p=0"), r"field.csv:1: .*s_p must be >= 1, got 0"),
+    (lambda meta: meta.replace("nt=2", "nt=-2"), r"field.csv:1: .*nt must be >= 1, got -2"),
+], ids=["missing_key", "stray_token", "bad_int", "zero_block", "negative_dim"])
+def test_csv_rejects_bad_metadata(tmp_path, edit, match):
+    path = tmp_path / "field.csv"
+    field_to_csv(generate_field(3, 2, 2, 1, 1, 5.0, 10.0, seed=14), path)
+    meta, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([edit(meta), *rest]) + "\n")
+    with pytest.raises(ValueError, match=match):
+        field_from_csv(path)
