@@ -12,26 +12,36 @@ signal power / 10^(snr_db/10).
 :func:`received_spectrum` / :func:`demodulate_spectrum` sample the received
 spectrum directly: the tone's transform is the closed-form geometric-series
 kernel, and the FFT of white Gaussian noise is again white Gaussian
-(variance scaled by the block length), so only the searched in-band bins
-need noise draws.  This is an exact sampler of the peak statistic of the
-actual sample blocks, roughly two orders of magnitude cheaper than building
-them.  :func:`transmit_block` builds those blocks (rectangular window, FFT
-length = block length), and ``simulate_link(..., time_domain=True)``
-transforms them as the sampler's reference.
+(variance scaled by the block length), so each in-band bin carries i.i.d.
+complex Gaussian noise.  This is an exact sampler of the peak statistic of
+the actual sample blocks, roughly two orders of magnitude cheaper than
+building them.  :func:`transmit_block` builds those blocks (rectangular
+window, FFT length = block length), and ``simulate_link(...,
+time_domain=True)`` transforms them as the sampler's reference.
+
+Only the noise the peak search reads is drawn.  Per symbol, the power u of
+a bin's unit noise has u/2 ~ Exp(1) and a uniform phase; the loudest
+_TOP_NOISE + 1 values are drawn directly from their order-statistics law
+and placed at uniformly chosen bins, and every other bin's value, Exp(1)
+truncated below the quietest of those, is a pure function of (seed,
+symbol, bin) from a counter-based generator, evaluated only at the bins
+searched (:func:`_noise_draws`).
 
 :func:`simulate_link` runs the spectrum sampler over a current sequence
-in chunks with one RNG stream each; :func:`simulate_link_grid` does the
-same for many current sequences and configs at once (the Monte-Carlo
-sweeps' axis points), drawing each chunk once and sharing it.  Its peak
-search is exact but pruned at every bin count: the power is evaluated
-only at each symbol's candidate bins (those near the tone and those with
-the loudest unit noise), a per-row bound on every other bin's tone
-leakage plus noise proves that none of them can win, and a row without
-that proof is searched in full, so the estimates equal a full search's.
+in chunks; :func:`simulate_link_grid` does the same for many current
+sequences and configs at once (the Monte-Carlo sweeps' axis points),
+drawing each symbol once and sharing it.  Its peak search is exact but
+pruned at every bin count: the power is evaluated only at each symbol's
+candidate bins (those near the tone and those with explicitly drawn, loud
+unit noise), a per-row bound on every other bin's tone leakage plus noise
+proves that none of them can win, and a row without that proof is
+searched in full, so the estimates equal a full search's.
 
-Within one RNG stream draws are ordered doppler, fading, noise.  None of
-them depends on the tone frequencies or the SNR: noise is drawn at unit
-variance and scaled per config.
+Every draw of the spectrum path (doppler, fading and noise) is keyed by
+the seed and the symbol's index, the noise also by the bin count, so the
+results do not depend on the chunking or on how the work is split.  None
+of them depends on the tone frequencies or the SNR: noise is drawn at
+unit power and scaled per config.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,12 +189,6 @@ def _symbol_gains(freqs: np.ndarray, draws, cfg: ChannelConfig):
     return f_eff, h
 
 
-def _draw_noise(rng, b: int, n_bins: int):
-    """Unit in-band noise planes (real, imaginary), float32, drawn after the gains."""
-    w = rng.standard_normal((b, 2 * n_bins), dtype=np.float32)
-    return w[:, :n_bins], w[:, n_bins:]
-
-
 def _check_tones(freqs, cfg: ChannelConfig) -> np.ndarray:
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if np.any(freqs <= 0) or np.any(freqs >= cfg.sample_rate / 2):
@@ -259,20 +264,185 @@ def _noise_scale(cfg: ChannelConfig) -> np.float32:
     return np.float32(math.sqrt(cfg.n_samples * _noise_variance(cfg) / 2.0))
 
 
-def received_spectrum(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
+# The spectrum sampler's random values are pure functions of (seed, symbol
+# index, stream, counter): the SplitMix64 finaliser, a bijection of uint64,
+# applied to a per-symbol key plus a Weyl step per counter (the counter-based
+# design of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC 2011).  A symbol's noise key also depends on the bin count.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# Counter streams of one key; counter = stream << 32 | index
+_FAR, _SUBSET, _LEVEL, _PHASE, _GAMMA_TOP, _GAMMA_REST = range(6)
+# Loudest unit-noise values drawn explicitly per symbol: _TOP_NOISE above
+# the (_TOP_NOISE + 1)-th, which bounds every other bin
+_TOP_NOISE = 64
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser of the uint64 array ``z``, in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _symbol_keys(seed, tag: int, start: int, stop: int) -> np.ndarray:
+    """Keys of symbols start..stop-1 under ``seed``: tag 0 for the gains, n_bins for the noise."""
+    base = np.random.SeedSequence(seed, spawn_key=(tag,)).generate_state(1, np.uint64)
+    return _mix(base + _GOLDEN * np.arange(start + 1, stop + 1, dtype=np.uint64))
+
+
+def _bits(keys: np.ndarray, stream: int, index) -> np.ndarray:
+    """64 random bits per (symbol, index); ``index`` is (k,) or (len(keys), k)."""
+    counters = (np.uint64(stream) << np.uint64(32)) + np.asarray(index, dtype=np.uint64)
+    return _mix(keys[:, None] + _GOLDEN * counters)
+
+
+def _uniform(keys: np.ndarray, stream: int, index) -> np.ndarray:
+    """Float64 uniforms on [0, 1) with 53 random bits, one per (symbol, index)."""
+    return (_bits(keys, stream, index) >> np.uint64(11)) * 2.0 ** -53
+
+
+def _uniform24(bits: np.ndarray, shift: int) -> np.ndarray:
+    """Float32 uniforms on [0, 1) from the 24 bits of ``bits`` above bit ``shift``."""
+    word = (bits >> np.uint64(shift)) & np.uint64(0xFFFFFF)
+    return word.astype(np.int32).astype(np.float32) * np.float32(2.0 ** -24)
+
+
+def _gain_draws(seed, start: int, stop: int):
+    """Unit draws of symbols start..stop-1: doppler d ~ U(-1, 1), fading z_re, z_im ~ N(0, 1)."""
+    u = _uniform(_symbol_keys(seed, 0, start, stop), 0, np.arange(3))
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 1]))
+    angle = 2.0 * np.pi * u[:, 2]
+    return 2.0 * u[:, 0] - 1.0, radius * np.cos(angle), radius * np.sin(angle)
+
+
+def _gamma(keys: np.ndarray, shape: float, stream: int) -> np.ndarray:
+    """One Gamma(shape) variate per key, shape >= 1, by Marsaglia and Tsang's
+    exact rejection method (ACM TOMS 26(3), 2000); attempt a of a key reads
+    counters 3a..3a+2."""
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    out = np.empty(keys.size)
+    todo = np.arange(keys.size)
+    attempt = 0
+    while todo.size:
+        u = _uniform(keys[todo], stream, 3 * attempt + np.arange(3))
+        x = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
+        v = (1.0 + c * x) ** 3
+        ok = v > 0
+        ok[ok] = np.log1p(-u[ok, 2]) < 0.5 * x[ok] ** 2 + d - d * v[ok] + d * np.log(v[ok])
+        out[todo[ok]] = d * v[ok]
+        todo = todo[~ok]
+        attempt += 1
+    return out
+
+
+def _subset(keys: np.ndarray, n: int, m: int) -> np.ndarray:
+    """A uniform m-subset of the 0-based bins 0..n-1 per key (Floyd's algorithm)."""
+    picks = (_uniform(keys, _SUBSET, np.arange(m)) * np.arange(n - m + 1, n + 1)).astype(np.intp)
+    rows = np.arange(keys.size)
+    taken = np.zeros((keys.size, n), dtype=bool)
+    out = np.empty((keys.size, m), dtype=np.intp)
+    for k in range(m):  # picks[:, k] is uniform on 0..n-m+k
+        pick = np.where(taken[rows, picks[:, k]], n - m + k, picks[:, k])
+        taken[rows, pick] = True
+        out[:, k] = pick
+    return out
+
+
+class _Noise(NamedTuple):
+    """Unit noise of a chunk of symbols at one bin count, drawn lazily.
+
+    ``bins`` (1-based) hold explicitly drawn values ``top_re``/``top_im``
+    and ``slot`` maps each bin to 1 + its column in them (0 if none).  Every
+    other bin's unit power is below ``u_rest``; it is generated on demand
+    from ``keys`` with u/2 ~ Exp(1) truncated to [0, u_rest / 2), which is
+    ``-log1p(U * shrink)`` for a uniform U.
+    """
+
+    keys: np.ndarray     # (b,) uint64
+    shrink: np.ndarray   # (b,) float32, expm1(-u_rest / 2)
+    slot: np.ndarray     # (b, n_bins) int8
+    bins: np.ndarray     # (b, m)
+    top_re: np.ndarray   # (b, m) float32
+    top_im: np.ndarray   # (b, m) float32
+    u_rest: np.ndarray   # (b,) float64
+
+
+def _noise_draws(seed, n_bins: int, start: int, stop: int) -> _Noise:
+    """Explicit unit noise of symbols start..stop-1 at ``n_bins`` bins.
+
+    Per symbol, u/2 of the n_bins bins is i.i.d. Exp(1) with a uniform phase
+    (the power of a unit complex Gaussian).  The m = _TOP_NOISE + 1 largest
+    values are drawn directly, by the Renyi representation of exponential
+    order statistics (Acta Math. Acad. Sci. Hung. 4, 1953): the m-th largest
+    is t = -log B with B ~ Beta(m, n_bins - m + 1) = G_a / (G_a + G_b) for
+    independent G_a ~ Gamma(m), G_b ~ Gamma(n_bins - m + 1), and the m - 1
+    above it are t plus i.i.d. Exp(1).  They sit at a uniform m-subset of the
+    bins, t at a uniform member of it; given t, every other bin is Exp(1)
+    truncated below t.  With n_bins <= m every bin is drawn explicitly.
+    """
+    keys = _symbol_keys(seed, n_bins, start, stop)
+    m = _TOP_NOISE + 1
+    if n_bins <= m:
+        bins = np.broadcast_to(np.arange(n_bins), (keys.size, n_bins))
+        level = -np.log1p(-_uniform(keys, _LEVEL, np.arange(n_bins)))
+        t = np.zeros(keys.size)  # no other bin is left to bound
+    else:
+        bins = _subset(keys, n_bins, m)
+        t = np.log1p(_gamma(keys, n_bins - m + 1.0, _GAMMA_REST)
+                     / _gamma(keys, float(m), _GAMMA_TOP))
+        level = t[:, None] - np.log1p(-_uniform(keys, _LEVEL, np.arange(m)))
+        # Floyd's order is not uniform: draw the member that holds t
+        level[np.arange(keys.size), (_uniform(keys, _LEVEL, [m])[:, 0] * m).astype(np.intp)] = t
+    angle = np.float32(2.0 * np.pi) * _uniform24(_bits(keys, _PHASE, np.arange(bins.shape[1])), 0)
+    radius = np.sqrt(2.0 * level).astype(np.float32)
+    slot = np.zeros((keys.size, n_bins), dtype=np.int8)
+    np.put_along_axis(slot, bins, np.arange(1, bins.shape[1] + 1, dtype=np.int8)[None, :], axis=1)
+    return _Noise(keys, np.expm1(-t).astype(np.float32), slot, bins + 1,
+                  radius * np.cos(angle), radius * np.sin(angle), 2.0 * t)
+
+
+def _unit_noise(noise: _Noise, bins: np.ndarray):
+    """Unit noise planes (real, imaginary), float32, of each symbol at 1-based
+    ``bins`` ((b, k), or (1, k) for the same bins in every row)."""
+    bits = _bits(noise.keys, _FAR, bins)
+    radius = np.sqrt(np.float32(-2.0) * np.log1p(_uniform24(bits, 40) * noise.shrink[:, None]))
+    angle = np.float32(2.0 * np.pi) * _uniform24(bits, 0)
+    re, im = radius * np.cos(angle), radius * np.sin(angle)
+    slot = np.take_along_axis(noise.slot, np.broadcast_to(bins - 1, re.shape), axis=1)
+    rows, cols = np.nonzero(slot)
+    top = slot[rows, cols] - 1
+    re[rows, cols] = noise.top_re[rows, top]
+    im[rows, cols] = noise.top_im[rows, top]
+    return re, im
+
+
+def _full_rows(factors, noise: _Noise | None, cfg: ChannelConfig, roots: np.ndarray):
+    """Tone spectrum and unit noise (None without noise) of every in-band bin."""
+    bins = np.arange(1, roots.size + 1)[None, :]
+    return (_tone_spectrum(factors, cfg, roots, bins),
+            None if noise is None else _unit_noise(noise, bins))
+
+
+def received_spectrum(freqs, cfg: ChannelConfig, seed, start: int = 0) -> np.ndarray:
     """In-band received spectrum rows (bins 1..n_bins), complex64.
 
-    Statistically identical to ``fft(transmit_block(...))`` restricted to
-    the searched bins; noise is drawn directly per bin.
+    Row r is symbol ``start + r`` of a link run under ``seed``: the same
+    draws :func:`simulate_link` makes for that symbol, materialised at
+    every bin.  Statistically identical to ``fft(transmit_block(...))``
+    restricted to the searched bins.
     """
     freqs = _check_tones(freqs, cfg)
-    factors = _tone_factors(freqs, _draw_gains(rng, freqs.size), cfg)
-    roots = _bin_roots(cfg)
-    spectrum = _tone_spectrum(factors, cfg, roots, np.arange(1, roots.size + 1)[None, :])
-    if _noisy(cfg):
-        noise = _draw_noise(rng, freqs.size, cfg.n_bins)
-        spectrum.real += _noise_scale(cfg) * noise[0]
-        spectrum.imag += _noise_scale(cfg) * noise[1]
+    stop = start + freqs.size
+    factors = _tone_factors(freqs, _gain_draws(seed, start, stop), cfg)
+    noise = _noise_draws(seed, cfg.n_bins, start, stop) if _noisy(cfg) else None
+    spectrum, unit = _full_rows(factors, noise, cfg, _bin_roots(cfg))
+    if unit is not None:
+        spectrum.real += _noise_scale(cfg) * unit[0]
+        spectrum.imag += _noise_scale(cfg) * unit[1]
     return spectrum
 
 
@@ -310,10 +480,9 @@ def _link_currents(tone: np.ndarray, noise, cfg: ChannelConfig) -> np.ndarray:
 
 
 # Pruned peak search of simulate_link_grid.  Candidate bins are those
-# within _WINDOW of a symbol's tone bin plus the _TOP_NOISE bins with the
-# loudest unit noise (all but one bin when there are fewer).
+# within _WINDOW of a symbol's tone bin plus the bins whose unit noise is
+# drawn explicitly (_noise_draws: the _TOP_NOISE + 1 loudest, or every bin).
 _WINDOW = 16
-_TOP_NOISE = 64
 # Margin of the no-other-bin-wins bound over float32 rounding of the powers
 _SAFETY = 1.01
 # Above the rounding error of a complex64 kernel denominator 1 - z * root
@@ -322,47 +491,30 @@ _DEN_SLACK = 16 * float(np.finfo(np.float32).eps)
 _TINY_POWER = 1e-30
 
 
-def _loudest_noise(noise):
-    """Each row's _TOP_NOISE loudest unit-noise bins: (bins, noise planes there, u_rest).
-
-    Bins are 1-based (a row of at most _TOP_NOISE bins ranks all but its
-    quietest); u_rest, the next-loudest unit-noise power, bounds every other bin's.
-    """
-    u = noise[0] ** 2
-    u += noise[1] ** 2
-    kth = max(u.shape[1] - _TOP_NOISE - 1, 0)
-    order = np.argpartition(u, kth, axis=1)
-    u_rest = np.take_along_axis(u, order[:, kth:kth + 1], axis=1)[:, 0]
-    top = order[:, kth + 1:]
-    top_noise = tuple(np.take_along_axis(plane, top, axis=1) for plane in noise)
-    return top + 1, top_noise, u_rest.astype(float)
-
-
-def _candidate_currents(factors, noise, loud, tone_cfg: ChannelConfig, roots: np.ndarray,
-                        cfgs) -> list:
+def _candidate_currents(factors, noise: _Noise | None, tone_cfg: ChannelConfig,
+                        roots: np.ndarray, cfgs) -> list:
     """Current estimates for each of ``cfgs`` (``tone_cfg`` at their SNRs),
     equal bit for bit to :func:`_link_currents` on the full rows.
 
     The power is evaluated exactly at each row's candidate bins: the
-    window around its tone and, with noise, the bins of ``loud``
-    (:func:`_loudest_noise`).  A bin outside the window lies at least
-    _WINDOW + 1/2 bins from the tone, so its tone amplitude is at most
+    window around its tone and, with noise, the explicitly drawn bins of
+    ``noise``.  A bin outside the window lies at least _WINDOW + 1/2 bins
+    from the tone, so its tone amplitude is at most
     ``eps = |hnum| / (2 sin(pi (_WINDOW + 1/2) / n) - _DEN_SLACK)``; a bin
-    outside ``loud`` has noise amplitude at most ``scale * sqrt(u_rest)``.
-    A row whose best candidate beats ``(scale * sqrt(u_rest) + eps)^2`` by
-    the margin has its peak among the candidates (ties go to the lowest
-    bin, as with ``np.argmax``); any other row is searched in full.
+    not drawn explicitly has noise amplitude at most
+    ``scale * sqrt(u_rest)``.  A row whose best candidate beats
+    ``(scale * sqrt(u_rest) + eps)^2`` by the margin has its peak among the
+    candidates (ties go to the lowest bin, as with ``np.argmax``); any other
+    row is searched in full.
     """
     n_bins = roots.size
     hnum, k0 = factors[2], factors[4]
     bins = np.clip(k0[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 1, n_bins)
     n_window = bins.shape[1]
-    if loud is not None:
-        top_bins, top_noise, u_rest = loud
-        cand_noise = tuple(
-            np.concatenate([np.take_along_axis(plane, bins - 1, axis=1), top], axis=1)
-            for plane, top in zip(noise, top_noise))
-        bins = np.concatenate([bins, top_bins], axis=1)
+    if noise is not None:
+        cand_noise = tuple(np.concatenate([near, top], axis=1) for near, top in
+                           zip(_unit_noise(noise, bins), (noise.top_re, noise.top_im)))
+        bins = np.concatenate([bins, noise.bins], axis=1)
     tone = _tone_spectrum(factors, tone_cfg, roots, bins)
     # |x - k| / n lies in [(_WINDOW + 1/2) / n, 1/2] for the tone at bin
     # position x and every bin k outside the window, where sin increases;
@@ -373,7 +525,7 @@ def _candidate_currents(factors, noise, loud, tone_cfg: ChannelConfig, roots: np
     for cfg in cfgs:
         if _noisy(cfg):
             power = _power(tone, cand_noise, cfg)
-            bound = (float(_noise_scale(cfg)) * np.sqrt(u_rest) + eps) ** 2
+            bound = (float(_noise_scale(cfg)) * np.sqrt(noise.u_rest) + eps) ** 2
         else:
             power = _power(tone[:, :n_window], None, cfg)
             bound = eps ** 2
@@ -383,10 +535,9 @@ def _candidate_currents(factors, noise, loud, tone_cfg: ChannelConfig, roots: np
         proven = (best > np.maximum(_SAFETY * bound, _TINY_POWER)) & np.isfinite(best)
         rows = np.nonzero(~proven)[0]
         if rows.size:
-            full = _tone_spectrum(tuple(f[rows] for f in factors), tone_cfg, roots,
-                                  np.arange(1, n_bins + 1)[None, :])
-            rows_noise = None if noise is None else tuple(plane[rows] for plane in noise)
-            est[rows] = _link_currents(full, rows_noise, cfg)
+            rows_noise = _Noise(*(f[rows] for f in noise)) if _noisy(cfg) else None
+            est[rows] = _link_currents(*_full_rows(tuple(f[rows] for f in factors), rows_noise,
+                                                   tone_cfg, roots), cfg)
         estimates.append(est)
     return estimates
 
@@ -395,15 +546,16 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     """Pass every current array through every link config on shared draws.
 
     Returns an array of shape ``(len(ids_list), len(cfgs), *ids.shape)``
-    whose entry ``[i, j]`` is ``simulate_link(ids_list[i], cfgs[j], seed,
-    chunk_symbols=chunk_symbols)``, bit for bit.  The draws of a chunk do
-    not depend on the tone frequencies or the SNR, so per chunk and bin
-    count the doppler, fading and (if any config has noise) unit noise are
-    drawn once, and the noise's loudest bins are ranked once.  Per current
-    array and config modulo SNR the tone is evaluated at each symbol's
-    candidate bins only; per SNR only the noise is rescaled and the peak
-    searched among the candidates, with a per-row proof that no other bin
-    can win and the full row as the fallback (:func:`_candidate_currents`).
+    whose entry ``[i, j]`` is ``simulate_link(ids_list[i], cfgs[j], seed)``,
+    bit for bit.  The draws of a symbol do not depend on the tone
+    frequencies or the SNR, so per chunk the doppler and fading and, per
+    bin count (if any config has noise), the explicit unit noise are drawn
+    once.  Per current array and config modulo SNR the tone and the noise
+    are evaluated at each symbol's candidate bins only; per SNR only the
+    noise is rescaled and the peak searched among the candidates, with a
+    per-row proof that no other bin can win and the full row as the
+    fallback (:func:`_candidate_currents`).  ``chunk_symbols`` bounds the
+    memory of a chunk and does not change any result.
     """
     ids_list = [np.asarray(ids, dtype=float) for ids in ids_list]
     cfgs = list(cfgs)
@@ -425,21 +577,19 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
 
     n_sym = ids_list[0].size
     out = np.empty((len(ids_list), len(cfgs), n_sym))
-    for ci, start in enumerate(range(0, n_sym, chunk_symbols)):
+    for start in range(0, n_sym, chunk_symbols):
         stop = min(start + chunk_symbols, n_sym)
+        gains = _gain_draws(seed, start, stop)
         for n_bins, tones in groups.items():
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
-            draws = _draw_gains(rng, stop - start)
-            noise = loud = None
+            noise = None
             if any(_noisy(cfgs[j]) for js in tones.values() for j in js):
-                noise = _draw_noise(rng, stop - start, n_bins)
-                loud = _loudest_noise(noise)
+                noise = _noise_draws(seed, n_bins, start, stop)
             for tone_cfg, js in tones.items():
                 link_cfgs = [cfgs[j] for j in js]
                 for i in range(len(ids_list)):
-                    factors = _tone_factors(freqs[i, tone_cfg][start:stop], draws, tone_cfg)
+                    factors = _tone_factors(freqs[i, tone_cfg][start:stop], gains, tone_cfg)
                     out[i, js, start:stop] = _candidate_currents(
-                        factors, noise, loud, tone_cfg, roots[tone_cfg], link_cfgs)
+                        factors, noise, tone_cfg, roots[tone_cfg], link_cfgs)
     return out.reshape(len(ids_list), len(cfgs), *shape)
 
 
@@ -447,13 +597,14 @@ def simulate_link(ids, cfg: ChannelConfig, seed, *, chunk_symbols: int = 1024,
                   time_domain: bool = False) -> np.ndarray:
     """Pass a current sequence through the link, one symbol each.
 
-    Symbols are processed in fixed-size chunks, each with its own RNG
-    stream derived from (seed, chunk index), so results are reproducible
-    and independent of any outer parallelisation, but depend on
-    ``chunk_symbols``: another chunk size draws other noise.  ``seed`` may
-    be an int or a tuple of ints.  The spectrum path is the one-point case of
-    :func:`simulate_link_grid`; ``time_domain=True`` instead builds and
-    transforms the sample blocks, as the reference for that sampler.
+    Every draw of the spectrum path is a pure function of ``seed`` (an int
+    or a tuple of ints) and the symbol's index, so results are reproducible
+    and do not depend on ``chunk_symbols``, which only bounds the memory of
+    a chunk, or on any outer parallelisation.  The spectrum path is the
+    one-point case of :func:`simulate_link_grid`; ``time_domain=True``
+    instead builds and transforms the sample blocks, as the physical
+    reference for that sampler, with one RNG stream per chunk of
+    ``chunk_symbols`` symbols derived from (seed, chunk index).
     """
     if not time_domain:
         return simulate_link_grid([ids], [cfg], seed, chunk_symbols=chunk_symbols)[0, 0]

@@ -193,7 +193,11 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 
 
 def _validate(cfg: RunConfig) -> None:
-    """Construct every module config so all invariants are checked up front."""
+    """Check the values that parse_config resolves for every command.
+
+    The channel and bandwidth values are checked only for the commands
+    that read them, when they are dispatched (:data:`COMMANDS`).
+    """
     try:
         p = cfg.mosfet()
     except ValueError as exc:
@@ -222,16 +226,22 @@ def _validate(cfg: RunConfig) -> None:
         if getattr(cfg, key) < least:
             raise ConfigError(f"invalid value for '{key}': must be >= {least}")
     _parse_float_list("lambda_grid", cfg.lambda_grid)
+
+
+def _check_channel(cfg: RunConfig, **channel) -> None:
+    """The link config at ``channel``'s bandwidth/SNR overrides must be valid."""
     try:
-        link = cfg.link()
-        link.channel()
+        cfg.link().channel(**channel)
     except ValueError as exc:
         raise ConfigError(f"invalid channel configuration: {exc}") from None
+
+
+def _check_bandwidths(cfg: RunConfig) -> None:
+    """Each bandwidth of the SNR sweep must give a valid link config."""
     for b in cfg.bandwidth_list():
-        try:
-            link.channel(bandwidth=b)
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for 'bandwidths': {exc}") from None
+        if not 0 < b < math.inf:
+            raise ConfigError(f"invalid value for 'bandwidths': {b} is not positive and finite")
+        _check_channel(cfg, bandwidth=b, snr_db=cfg.snr_min)
 
 
 @contextlib.contextmanager
@@ -345,23 +355,27 @@ def _cmd_decode(cfg: RunConfig, ids1: float, ids2: float) -> int:
     return 0
 
 
-# command name -> (handler, the float arguments it takes after the config)
+# command name -> (handler, the float arguments it takes after the config,
+# checks of the config values only this command reads)
 COMMANDS = {
-    "noiseless": (_cmd_noiseless, ()),
-    "sweep-lambda": (_cmd_sweep_lambda, ()),
-    "sweep-delta": (_cmd_sweep_delta, ()),
-    "sweep-snr": (_cmd_sweep_snr, ()),
-    "gen-field": (_cmd_gen_field, ()),
-    "encode": (_cmd_encode, ("vgs", "vds")),
-    "decode": (_cmd_decode, ("ids1", "ids2")),
+    "noiseless": (_cmd_noiseless, (), ()),
+    "sweep-lambda": (_cmd_sweep_lambda, (), ()),
+    "sweep-delta": (_cmd_sweep_delta, (), (_check_channel,)),
+    "sweep-snr": (_cmd_sweep_snr, (), (_check_bandwidths,)),
+    "gen-field": (_cmd_gen_field, (), ()),
+    "encode": (_cmd_encode, ("vgs", "vds"), ()),
+    "decode": (_cmd_decode, ("ids1", "ids2"), ()),
 }
 
 
 def dispatch(command: str, cfg: RunConfig, **extra) -> int:
-    """Run one subcommand; returns a process exit status."""
+    """Check the values ``command`` reads, then run it; returns a process exit status."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
-    return COMMANDS[command][0](cfg, **extra)
+    handler, _, checks = COMMANDS[command]
+    for check in checks:
+        check(cfg)
+    return handler(cfg, **extra)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -374,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ajscc",
         description="Two-voltages-over-one-current simulator and experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, extras) in COMMANDS.items():
+    for name, (_, extras, _) in COMMANDS.items():
         sp = sub.add_parser(name, parents=[common])
         for arg in extras:
             sp.add_argument(f"--{arg}", type=float, required=True)

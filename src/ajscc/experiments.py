@@ -11,12 +11,13 @@ seeds from (seed, replicate); axis points within a replicate share the
 channel realization (common random numbers, which sharpens point-to-point
 comparisons such as the argmin) while replicates stay independent.
 Replicates are the work units: one pipeline pass encodes a replicate's
-fields at every level spacing, draws each chunk's doppler, fading and
-noise once for all its axis points (:func:`ajscc.channel.simulate_link_grid`),
-then decodes and scores each point; :func:`run_link_point` is its
-one-point case.  With ``workers > 1`` replicates run in a process pool
-and are reduced in replicate order, so results do not depend on
-scheduling.  The default grids are written once, here.
+fields at every level spacing, draws each symbol's doppler, fading and
+noise once for all its axis points (:func:`ajscc.channel.simulate_link_grid`,
+whose draws are keyed by seed and symbol index), then decodes and scores
+each point; :func:`run_link_point` is its one-point case.  With
+``workers > 1`` replicates run in a process pool and are reduced in
+replicate order, so results do not depend on scheduling.  The default
+grids are written once, here.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .channel import OVERSAMPLE, ChannelConfig, simulate_link, simulate_link_gri
 # decode_pairs is not called here; bench/tracing.py wraps it in this namespace
 from .codec import CodecConfig, build_levels, decode_pairs, decode_stream, quantize  # noqa: F401
 from .mosfet import MosfetParams, drain_current
-from .phenomenon import Field, block_means, generate_field
+from .phenomenon import Field, block_means, check_geometry, generate_field
 
 __all__ = [
     "MseReport",
@@ -343,10 +344,18 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     """Replicate-averaged report per (delta, channel) point, delta-major.
 
     Replicates run in a process pool of at most ``cfg.workers`` processes
-    (one per replicate at most) and are reduced in replicate order.
+    (one per replicate at most) and are reduced in replicate order.  Input
+    that every replicate would reject is rejected first: a replicate count
+    below 1, a block geometry the fields or the pair decoder cannot take,
+    and a spacing with fewer than two levels.
     """
     if cfg.n_seeds < 1:
         raise ValueError(f"need at least one replicate, got n_seeds={cfg.n_seeds}")
+    check_geometry(cfg.nx, cfg.ny, cfg.nt, cfg.s_p, cfg.t_p)
+    if cfg.nt < 2:
+        raise ValueError(f"need at least 2 samples to decode, got nt={cfg.nt}")
+    for delta in deltas:
+        CodecConfig(build_levels(cfg.vgs_range, delta), cfg.vds_range)
     tasks = [(cfg, deltas, chans, rep) for rep in range(cfg.n_seeds)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Field", "generate_field", "block_means", "field_to_csv", "field_from_csv"]
+__all__ = ["Field", "check_geometry", "generate_field", "block_means", "field_to_csv",
+           "field_from_csv"]
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,19 @@ def _check_sizes(nx: int, ny: int, nt: int, s_p: int, t_p: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {dim}")
 
 
-def generate_field(nx: int, ny: int, nt: int, s_p: int, t_p: int,
-                   lo: float, hi: float, seed: int) -> Field:
-    """Draw a block-constant random field; deterministic per seed."""
+def check_geometry(nx: int, ny: int, nt: int, s_p: int, t_p: int) -> None:
+    """Raise ValueError unless the grid and its blocks are sizes >= 1 that fit."""
     _check_sizes(nx, ny, nt, s_p, t_p)
     if s_p > nx or s_p > ny:
         raise ValueError(f"s_p={s_p} exceeds grid {nx}x{ny}")
     if t_p > nt:
         raise ValueError(f"t_p={t_p} exceeds nt={nt}")
+
+
+def generate_field(nx: int, ny: int, nt: int, s_p: int, t_p: int,
+                   lo: float, hi: float, seed: int) -> Field:
+    """Draw a block-constant random field; deterministic per seed."""
+    check_geometry(nx, ny, nt, s_p, t_p)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import ajscc.channel as channel
 from ajscc.channel import (
@@ -191,7 +192,7 @@ class TestFastPath:
         cfg = make_cfg(snr_db=math.inf, doppler=0.0, k_db=math.inf)
         rng = np.random.default_rng(9)
         freqs = rng.uniform(0.05, 0.95, 8) * cfg.bandwidth
-        spectrum = received_spectrum(freqs, cfg, np.random.default_rng(0))
+        spectrum = received_spectrum(freqs, cfg, 0)
         t = np.arange(cfg.n_samples) / cfg.sample_rate
         for row, f in zip(spectrum, freqs):
             # single-precision kernel: sidelobes match to ~1e-5 of the peak,
@@ -204,7 +205,7 @@ class TestFastPath:
     def test_on_bin_tone_handled_exactly(self):
         cfg = make_cfg(snr_db=math.inf, doppler=0.0, k_db=math.inf)
         f = 100 * cfg.sample_rate / cfg.n_samples  # exactly bin 100
-        spectrum = received_spectrum(np.array([f]), cfg, np.random.default_rng(0))
+        spectrum = received_spectrum(np.array([f]), cfg, 0)
         assert np.abs(spectrum[0, 99]) == pytest.approx(cfg.n_samples, rel=1e-9)
         ids = demodulate_spectrum(spectrum, cfg)[0]
         assert ids == pytest.approx(f / cfg.fm_scale, rel=1e-12)
@@ -247,7 +248,8 @@ class TestDeterminism:
 
     def test_grid_points_equal_one_point_links(self):
         # several current arrays x configs with two bin counts, noisy and
-        # noiseless SNRs, over three chunks (the last one partial)
+        # noiseless SNRs, over three chunks (the last one partial), against
+        # one-point links in one chunk
         cfgs = [make_cfg(snr_db=snr, bandwidth=bw, n=n)
                 for n in (256, 512) for bw in (50e3, 410e3)
                 for snr in (-30.0, math.inf, 0.0)]
@@ -257,33 +259,64 @@ class TestDeterminism:
         assert grid.shape == (2, len(cfgs), 25, 10)
         for i, ids in enumerate(ids_list):
             for j, cfg in enumerate(cfgs):
-                one = simulate_link(ids, cfg, (3, 1), chunk_symbols=100)
+                one = simulate_link(ids, cfg, (3, 1))
                 assert np.array_equal(grid[i, j], one), (i, j)
 
     def test_grid_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shape"):
             simulate_link_grid([np.full(4, 1e-3), np.full(5, 1e-3)], [IDEAL], 0)
 
-    def test_received_spectrum_draws_what_the_link_draws(self):
-        # one chunk: the spectrum sampler and the link consume one RNG
-        # stream identically, so their peak decisions agree bit for bit
+    def test_chunk_size_does_not_change_results(self):
+        # every draw is keyed by (seed, symbol index), not by chunk
+        ids = np.random.default_rng(13).uniform(0.01, 1.0, 1100) * I_MAX
         for snr in (-20.0, math.inf):
             cfg = make_cfg(snr_db=snr, n=512)
-            ids = np.random.default_rng(13).uniform(0.1, 0.9, 64) * I_MAX
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(4, 2), spawn_key=(0,)))
-            spectrum = received_spectrum(modulate(ids, cfg), cfg, rng)
-            assert np.array_equal(demodulate_spectrum(spectrum, cfg),
-                                  simulate_link(ids, cfg, (4, 2)))
+            want = simulate_link(ids, cfg, (4, 2))
+            for chunk in (1, 7, 100, 5000):
+                assert np.array_equal(simulate_link(ids, cfg, (4, 2), chunk_symbols=chunk),
+                                      want), (snr, chunk)
+
+    def test_received_spectrum_rows_are_keyed_by_symbol(self):
+        # a row depends on its symbol index only, not on the rows around it
+        cfg = make_cfg(snr_db=-10.0, n=512)
+        freqs = modulate(np.random.default_rng(18).uniform(0.1, 0.9, 40) * I_MAX, cfg)
+        whole = received_spectrum(freqs, cfg, 9)
+        assert np.array_equal(received_spectrum(freqs[25:31], cfg, 9, start=25), whole[25:31])
+        assert not np.array_equal(received_spectrum(freqs[25:31], cfg, 9), whole[25:31])
 
 
 def full_search_link(ids, cfg, seed, chunk_symbols=1024):
-    """Reference link: per chunk, the spectrum sampler's full rows and an argmax over every bin."""
+    """Reference link: the materialised rows of received_spectrum and an argmax over every bin."""
     freqs = modulate(np.ravel(ids), cfg)
+    out = np.empty(freqs.size)
+    for start in range(0, freqs.size, chunk_symbols):
+        stop = min(start + chunk_symbols, freqs.size)
+        spectrum = received_spectrum(freqs[start:stop], cfg, seed, start)
+        out[start:stop] = demodulate_spectrum(spectrum, cfg)
+    return out.reshape(np.shape(ids))
+
+
+def gaussian_link(ids, cfg, seed, chunk_symbols=1024):
+    """Statistical reference: i.i.d. complex Gaussian unit noise drawn at every
+    in-band bin in float32 from one numpy stream per chunk, after the doppler
+    and fading draws, and an argmax over every bin (the full-row law the
+    order-statistics sampler replaces)."""
+    freqs = modulate(np.ravel(ids), cfg)
+    roots = channel._bin_roots(cfg)
+    scale = channel._noise_scale(cfg)
     out = np.empty(freqs.size)
     for ci, start in enumerate(range(0, freqs.size, chunk_symbols)):
         stop = min(start + chunk_symbols, freqs.size)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
-        out[start:stop] = demodulate_spectrum(received_spectrum(freqs[start:stop], cfg, rng), cfg)
+        factors = channel._tone_factors(freqs[start:stop],
+                                        channel._draw_gains(rng, stop - start), cfg)
+        full_row = np.arange(1, roots.size + 1)[None, :]
+        spectrum = channel._tone_spectrum(factors, cfg, roots, full_row)
+        if not math.isinf(cfg.snr_db):
+            w = rng.standard_normal((stop - start, 2 * roots.size), dtype=np.float32)
+            spectrum.real += scale * w[:, :roots.size]
+            spectrum.imag += scale * w[:, roots.size:]
+        out[start:stop] = demodulate_spectrum(spectrum, cfg)
     return out.reshape(np.shape(ids))
 
 
@@ -295,10 +328,11 @@ def edge_currents(cfg):
 class TestPrunedPeakSearch:
     """simulate_link searches candidate bins only; it must equal a full search bit for bit."""
 
-    # 256 and 260 samples give 64 and 65 bins, where the ranked count
-    # min(_TOP_NOISE, n_bins - 1) reaches _TOP_NOISE; 388 and 392 give 97 and
-    # 98, on both sides of 2 _WINDOW + 1 + _TOP_NOISE candidate bins
-    @pytest.mark.parametrize("n", [8192, 512, 16, 256, 260, 388, 392])
+    # 256, 260 and 264 samples give 64, 65 and 66 bins: the whole row is
+    # drawn explicitly up to _TOP_NOISE + 1 bins and by order statistics
+    # above; 388, 392 and 396 give 97, 98 and 99 bins, around the
+    # 2 _WINDOW + 1 + _TOP_NOISE + 1 candidate bins
+    @pytest.mark.parametrize("n", [8192, 512, 16, 256, 260, 264, 388, 392, 396])
     @pytest.mark.parametrize("snr", [-50.0, -20.0, 10.0, math.inf])
     def test_matches_full_row_reference(self, n, snr):
         cfg = make_cfg(snr_db=snr, n=n)
@@ -339,7 +373,7 @@ class TestPrunedPeakSearch:
         return rows
 
     def test_forced_fallback_stays_exact(self, monkeypatch):
-        # with no window and a single loud bin the bound rarely holds
+        # with no window and a single explicit loud bin the bound rarely holds
         monkeypatch.setattr(channel, "_WINDOW", 0)
         monkeypatch.setattr(channel, "_TOP_NOISE", 1)
         rows = self.count_fallback_rows(monkeypatch)
@@ -366,3 +400,64 @@ class TestPrunedPeakSearch:
         cfgs = [make_cfg(snr_db=snr, n=8192) for snr in (-60.0, -20.0, 0.0, math.inf)]
         simulate_link_grid([ids], cfgs, 7)
         assert sum(rows) <= 0.01 * ids.size * len(cfgs)
+
+
+class TestSamplerLaw:
+    """The order-statistics sampler draws the law of i.i.d. complex Gaussian
+    unit noise at every bin: checked against that law directly and against
+    the full-row Gaussian reference (gaussian_link)."""
+
+    @staticmethod
+    def unit_power(n_bins, rows, seed):
+        """u/2 of materialised rows and whether each bin was drawn explicitly."""
+        noise = channel._noise_draws(seed, n_bins, 0, rows)
+        re, im = channel._unit_noise(noise, np.arange(1, n_bins + 1)[None, :])
+        half = (re.astype(float) ** 2 + im.astype(float) ** 2) / 2
+        return half, noise.slot > 0, noise.u_rest
+
+    # alpha = 0.001; 300 rows x n_bins values (19 200 at 64 bins, 614 400 at 2048)
+    @pytest.mark.parametrize("n_bins", [64, 2048])
+    def test_materialised_row_power_is_exponential(self, n_bins):
+        half, _, _ = self.unit_power(n_bins, 300, 19)
+        assert stats.kstest(half.ravel(), stats.expon.cdf).pvalue > 0.001
+
+    # alpha = 0.001; 2000 rows of 512 bins
+    def test_row_maximum_follows_the_order_statistic(self):
+        n_bins = 512
+        half, _, _ = self.unit_power(n_bins, 2000, 20)
+        cdf = lambda x: (-np.expm1(-x)) ** n_bins  # noqa: E731
+        assert stats.kstest(half.max(axis=1), cdf).pvalue > 0.001
+
+    # alpha = 0.001; 2000 rows of 512 bins
+    def test_bound_is_the_order_statistic(self):
+        # u_rest / 2 is the (_TOP_NOISE + 1)-th largest u/2 of the row, so
+        # exp(-u_rest / 2) ~ Beta(m, n_bins - m + 1)
+        n_bins, m = 512, channel._TOP_NOISE + 1
+        _, _, u_rest = self.unit_power(n_bins, 2000, 24)
+        assert stats.kstest(np.exp(-u_rest / 2), stats.beta(m, n_bins - m + 1).cdf).pvalue > 0.001
+
+    def test_bins_not_drawn_explicitly_stay_below_the_bound(self):
+        # the pruned search's proof rests on this, up to float32 rounding
+        half, explicit, u_rest = self.unit_power(2048, 300, 21)
+        assert np.all(explicit.sum(axis=1) == channel._TOP_NOISE + 1)
+        rest = np.where(explicit, 0.0, half).max(axis=1)
+        assert np.all(rest <= u_rest / 2 * (1 + 1e-6))
+        assert np.all(np.where(explicit, half, np.inf).min(axis=1) >= u_rest / 2 * (1 - 1e-6))
+
+    # alpha = 0.001 for each test; 4000 symbols per side at 2048 bins
+    @pytest.mark.parametrize("snr", [-60.0, -20.0, 0.0, math.inf])
+    def test_peak_bin_error_matches_gaussian_reference(self, snr):
+        cfg = make_cfg(snr_db=snr, n=8192)
+        ids = np.random.default_rng(22).uniform(0.05, 1.0, 4000) * I_MAX
+        to_bin = cfg.fm_scale * cfg.n_samples / cfg.sample_rate
+        k_true = np.rint(ids * to_bin)
+        err_new = np.rint(simulate_link(ids, cfg, 23) * to_bin) - k_true
+        err_ref = np.rint(gaussian_link(ids, cfg, 23) * to_bin) - k_true
+        assert stats.ks_2samp(err_new, err_ref).pvalue > 0.001
+        # chi-square on the pooled deciles of the error
+        edges = np.unique(np.quantile(np.concatenate([err_new, err_ref]), np.linspace(0, 1, 11)))
+        table = np.array([np.histogram(e, np.append(edges[:-1], np.inf))[0]
+                          for e in (err_new, err_ref)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert table.shape[1] >= 2
+        assert stats.chi2_contingency(table).pvalue > 0.001

@@ -233,6 +233,11 @@ class TestSubcommands:
         ("gen-field", ["--nt", "1", "--t-p", "1"], "field.csv"),
         ("noiseless", ["--vgs-lo", "5", "--vgs-hi", "5.5"], "noiseless.csv"),
         ("sweep-lambda", ["--nx", "5", "--s-p", "10"], "sweep_lambda.csv"),
+        ("noiseless", ["--bandwidths", "0"], "noiseless.csv"),
+        ("gen-field", ["--snr-db", "nan"], "field.csv"),
+        ("sweep-delta", ["--bandwidths", "0", "--delta", "0.5"], "sweep_delta.csv"),
+        ("sweep-snr", ["--bandwidth", "-5", "--snr-db", "nan", "--snr-min", "-10",
+                       "--snr-max", "-10", "--bandwidths", "410e3"], "sweep_snr.csv"),
     ])
     def test_values_other_commands_read_do_not_block(self, tmp_path, command, flags, name):
         assert main([command, "--outdir", str(tmp_path), *FAST_LINK, *flags]) == 0

@@ -290,8 +290,19 @@ class TestSweeps:
         (lambda: sweep_snr((-10.0,), (410e3,), 0.5, tiny_link_cfg(n_seeds=0)), "replicate"),
         (lambda: sweep_snr((), (410e3,), 0.5, tiny_link_cfg()), "non-empty"),
         (lambda: sweep_snr((-10.0,), (), 0.5, tiny_link_cfg()), "non-empty"),
+        (lambda: sweep_delta([6.0], tiny_link_cfg(workers=2)), "yields 1 level"),
+        (lambda: sweep_delta([0.5, 6.0], tiny_link_cfg()), "yields 1 level"),
+        (lambda: sweep_snr((-10.0,), (410e3,), 6.0, tiny_link_cfg()), "yields 1 level"),
+        (lambda: sweep_delta([0.5], tiny_link_cfg(nt=1, t_p=1, workers=2)), "at least 2 samples"),
+        (lambda: sweep_snr((-10.0,), (410e3,), 0.5, tiny_link_cfg(nt=1, t_p=1)),
+         "at least 2 samples"),
+        (lambda: sweep_delta([0.5], tiny_link_cfg(nx=3, s_p=4)), "s_p=4 exceeds grid"),
+        (lambda: sweep_snr((-10.0,), (410e3,), 0.5, tiny_link_cfg(t_p=5)), "t_p=5 exceeds nt"),
+        (lambda: sweep_delta([0.5], tiny_link_cfg(vds_range=(5.0, 5.0))), "vds_range"),
     ], ids=["unsorted_deltas", "no_deltas", "nan_delta", "delta_no_seeds", "snr_no_seeds",
-            "no_snrs", "no_bandwidths"])
+            "no_snrs", "no_bandwidths", "one_level_pool", "one_level_on_grid", "snr_one_level",
+            "one_sample_pool", "snr_one_sample", "block_wider_than_grid",
+            "snr_window_longer_than_nt", "empty_vds_range"])
     def test_sweeps_reject_bad_input_before_any_replicate(self, monkeypatch, sweep, match):
         def no_replicate(args):
             raise AssertionError("a replicate ran before the input was checked")
@@ -302,12 +313,12 @@ class TestSweeps:
 
 
 # 12 x 12 sensors x 10 instants = 1440 symbols: one full 1024-symbol chunk
-# and a partial one.
+# and a partial one (the chunking changes no result).
 GOLDEN_CFG = LinkConfig(nx=12, ny=12, nt=10, s_p=6, t_p=5, n_samples=512, n_seeds=2, seed=7)
 
 
 class TestGoldenSweeps:
-    """Exact sweep results, recorded before the sweeps shared realisations.
+    """Exact sweep results, re-recorded when the noise became keyed by symbol.
 
     Any change to the draws, their order or the float arithmetic of the
     link shows here as a changed digit.
@@ -316,20 +327,20 @@ class TestGoldenSweeps:
     def test_sweep_delta_values(self):
         sw = sweep_delta((0.2, 0.41, 0.9), GOLDEN_CFG)
         assert [(r.mse_gs, r.mse_ds) for r in sw.reports] == [
-            (4.824065256078146, 2.706735093364363),
-            (4.723969131196883, 2.7315285494127886),
-            (4.097071314379013, 2.7127001084460454),
+            (4.84877219765394, 2.7405303761182704),
+            (4.716691743214888, 2.7309756243568124),
+            (4.0373682362674845, 2.740838233195532),
         ]
 
     def test_sweep_snr_values(self):
         sw = sweep_snr((-40.0, -10.0, math.inf), (123.456e3, 410e3), 0.41, GOLDEN_CFG)
         assert [(r.mse_gs, r.mse_ds) for r in sw.reports] == [
-            (5.084385331205676, 2.7362984855290673),
-            (5.084385331205676, 2.7362984855290673),
-            (0.8275618897954606, 2.523291533800435),
-            (0.8275618897954606, 2.5232915338004354),
-            (0.1359775817051201, 2.392007309520932),
-            (0.1359775817051201, 2.392007309520932),
+            (5.116248040786869, 2.717192550305663),
+            (5.116248040786869, 2.717192550305663),
+            (0.8766989139017709, 2.3930903185579058),
+            (0.8766989139017709, 2.393090318557906),
+            (0.12661665971482286, 2.339087487701961),
+            (0.12661665971482286, 2.3390874877019616),
         ]
 
     def test_bandwidth_invariance_holds_to_rounding_only(self):
@@ -346,17 +357,18 @@ class TestGoldenSweeps:
 
 class TestGoldenDecodePaths:
     """Exact link-point and noiseless results, recorded before the stream
-    decoder moved to arrays; odd stream lengths exercise the tail pair."""
+    decoder moved to arrays (the noisy link points re-recorded when the
+    noise became keyed by symbol); odd stream lengths exercise the tail pair."""
 
     @pytest.mark.parametrize("nt, perfect, want", [
         (5, True, (0.5166974416319835, 0.24443260474771825)),
-        (5, False, (1.6418030605063016, 1.0549481971828587)),
+        (5, False, (1.259143346366183, 1.1215806425937755)),
         (3, True, (1.7249525230832807, 0.21459973028456786)),
-        (3, False, (3.2151915945287746, 1.9085141009340068)),
+        (3, False, (1.8843290893280458, 1.9341737832871009)),
         (21, True, (0.3592831794293288, 1.8642142461522675)),
-        (21, False, (1.1973285226177688, 1.343205264866205)),
+        (21, False, (0.8005502717746598, 1.4136729312426952)),
         (20, True, (0.024225027605808663, 1.1807126850971126)),
-        (20, False, (0.7985133161130843, 1.5196221021729166)),
+        (20, False, (0.7670151614736097, 1.1316135901092088)),
     ])
     def test_link_point_values(self, nt, perfect, want):
         cfg = LinkConfig(nx=6, ny=6, nt=nt, s_p=3, t_p=2, n_samples=512,
