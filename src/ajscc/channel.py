@@ -9,39 +9,36 @@ scale factor.  Impairments per symbol: a Doppler shift drawn uniformly in
 Gaussian), and white complex Gaussian noise whose in-band power equals
 signal power / 10^(snr_db/10).
 
-:func:`received_spectrum` / :func:`demodulate_spectrum` sample the received
-spectrum directly: the tone's transform is the closed-form geometric-series
-kernel, and the FFT of white Gaussian noise is again white Gaussian
-(variance scaled by the block length), so each in-band bin carries i.i.d.
-complex Gaussian noise.  This is an exact sampler of the peak statistic of
-the actual sample blocks, roughly two orders of magnitude cheaper than
-building them.  :func:`transmit_block` builds those blocks (rectangular
-window, FFT length = block length), and ``simulate_link(...,
-time_domain=True)`` transforms them as the sampler's reference.
+:func:`received_spectrum` samples the received spectrum directly: the
+tone's transform is the closed-form geometric-series kernel, and the FFT of
+white Gaussian noise is again white Gaussian (variance scaled by the block
+length), so each in-band bin carries i.i.d. complex Gaussian noise.  This is
+an exact sampler of the peak statistic of the actual sample blocks, roughly
+two orders of magnitude cheaper than building them.  :func:`transmit_block`
+builds those blocks (rectangular window, FFT length = block length), and
+``simulate_link(..., time_domain=True)`` transforms them as its reference.
 
 Only the noise the peak search reads is drawn.  Per symbol, the power u of
-a bin's unit noise has u/2 ~ Exp(1) and a uniform phase; the loudest
-_TOP_NOISE + 1 values are drawn directly from their order-statistics law
-and placed at uniformly chosen bins, and every other bin's value, Exp(1)
-truncated below the quietest of those, is a pure function of (seed,
-symbol, bin) from a counter-based generator, evaluated only at the bins
-searched (:func:`_noise_draws`).
+a bin's unit noise has u/2 ~ Exp(1) and a uniform phase; at every bin
+count the loudest min(_TOP_NOISE + 1, n_bins) values are drawn directly
+from their order-statistics law at uniformly chosen bins, and every other
+bin's value, Exp(1) truncated below the quietest of those, is a pure
+function of (seed, symbol, bin), evaluated only where it is read
+(:func:`_noise_draws`).
 
-:func:`simulate_link` runs the spectrum sampler over a current sequence
-in chunks; :func:`simulate_link_grid` does the same for many current
-sequences and configs at once (the Monte-Carlo sweeps' axis points),
-drawing each symbol once and sharing it.  Its peak search is exact but
-pruned at every bin count: the power is evaluated only at each symbol's
-candidate bins (those near the tone and those with explicitly drawn, loud
-unit noise), a per-row bound on every other bin's tone leakage plus noise
-proves that none of them can win, and a row without that proof is
-searched in full, so the estimates equal a full search's.
+:func:`simulate_link`, and :func:`simulate_link_grid` for many current
+sequences and configs on shared draws (the Monte-Carlo sweeps' axis
+points), evaluate the power only at each symbol's candidate bins (near the
+tone, or with explicitly drawn loud noise).  A per-row bound proves that no
+other bin can win; a row without that proof takes
+:func:`demodulate_spectrum` of its :func:`received_spectrum` row, the one
+full-row path, so the estimates equal a full search's bit for bit.
 
-Every draw of the spectrum path (doppler, fading and noise) is keyed by
-the seed and the symbol's index, the noise also by the bin count, so the
-results do not depend on the chunking or on how the work is split.  None
-of them depends on the tone frequencies or the SNR: noise is drawn at
-unit power and scaled per config.
+Every draw (doppler, fading and noise) is keyed by the seed and the
+symbol's index, the noise also by the bin count, so the results do not
+depend on the chunking or on how the work is split.  None of them depends
+on the tone frequencies or the SNR: noise is drawn at unit power and
+scaled per config.
 """
 
 from __future__ import annotations
@@ -174,10 +171,7 @@ def _noisy(cfg: ChannelConfig) -> bool:
 
 def _draw_gains(rng, b: int):
     """Unit per-symbol draws in stream order: doppler d ~ U(-1, 1), fading z_re, z_im ~ N(0, 1)."""
-    d = rng.uniform(-1.0, 1.0, b)
-    z_re = rng.standard_normal(b)
-    z_im = rng.standard_normal(b)
-    return d, z_re, z_im
+    return rng.uniform(-1.0, 1.0, b), rng.standard_normal(b), rng.standard_normal(b)
 
 
 def _symbol_gains(freqs: np.ndarray, draws, cfg: ChannelConfig):
@@ -287,10 +281,10 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _symbol_keys(seed, tag: int, start: int, stop: int) -> np.ndarray:
-    """Keys of symbols start..stop-1 under ``seed``: tag 0 for the gains, n_bins for the noise."""
+def _symbol_keys(seed, tag: int, symbols: np.ndarray) -> np.ndarray:
+    """Keys of symbol indices ``symbols``: tag 0 for the gains, n_bins for the noise."""
     base = np.random.SeedSequence(seed, spawn_key=(tag,)).generate_state(1, np.uint64)
-    return _mix(base + _GOLDEN * np.arange(start + 1, stop + 1, dtype=np.uint64))
+    return _mix(base + _GOLDEN * (symbols.astype(np.uint64) + np.uint64(1)))
 
 
 def _bits(keys: np.ndarray, stream: int, index) -> np.ndarray:
@@ -310,9 +304,9 @@ def _uniform24(bits: np.ndarray, shift: int) -> np.ndarray:
     return word.astype(np.int32).astype(np.float32) * np.float32(2.0 ** -24)
 
 
-def _gain_draws(seed, start: int, stop: int):
-    """Unit draws of symbols start..stop-1: doppler d ~ U(-1, 1), fading z_re, z_im ~ N(0, 1)."""
-    u = _uniform(_symbol_keys(seed, 0, start, stop), 0, np.arange(3))
+def _gain_draws(seed, symbols: np.ndarray):
+    """Unit draws of the indexed symbols: doppler d ~ U(-1, 1), fading z_re, z_im ~ N(0, 1)."""
+    u = _uniform(_symbol_keys(seed, 0, symbols), 0, np.arange(3))
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 1]))
     angle = 2.0 * np.pi * u[:, 2]
     return 2.0 * u[:, 0] - 1.0, radius * np.cos(angle), radius * np.sin(angle)
@@ -339,17 +333,19 @@ def _gamma(keys: np.ndarray, shape: float, stream: int) -> np.ndarray:
     return out
 
 
-def _subset(keys: np.ndarray, n: int, m: int) -> np.ndarray:
-    """A uniform m-subset of the 0-based bins 0..n-1 per key (Floyd's algorithm)."""
+def _subset(keys: np.ndarray, n: int, m: int):
+    """A uniform m-subset of the 0-based bins 0..n-1 per key (Floyd's algorithm),
+    (len(keys), m), and its (len(keys), n) int8 slot plane: 1 + each bin's
+    column in the subset, 0 if none."""
     picks = (_uniform(keys, _SUBSET, np.arange(m)) * np.arange(n - m + 1, n + 1)).astype(np.intp)
     rows = np.arange(keys.size)
-    taken = np.zeros((keys.size, n), dtype=bool)
+    slot = np.zeros((keys.size, n), dtype=np.int8)
     out = np.empty((keys.size, m), dtype=np.intp)
     for k in range(m):  # picks[:, k] is uniform on 0..n-m+k
-        pick = np.where(taken[rows, picks[:, k]], n - m + k, picks[:, k])
-        taken[rows, pick] = True
+        pick = np.where(slot[rows, picks[:, k]], n - m + k, picks[:, k])
+        slot[rows, pick] = k + 1
         out[:, k] = pick
-    return out
+    return out, slot
 
 
 class _Noise(NamedTuple):
@@ -371,36 +367,28 @@ class _Noise(NamedTuple):
     u_rest: np.ndarray   # (b,) float64
 
 
-def _noise_draws(seed, n_bins: int, start: int, stop: int) -> _Noise:
-    """Explicit unit noise of symbols start..stop-1 at ``n_bins`` bins.
+def _noise_draws(seed, n_bins: int, symbols: np.ndarray) -> _Noise:
+    """Explicit unit noise of the indexed symbols at ``n_bins`` bins.
 
     Per symbol, u/2 of the n_bins bins is i.i.d. Exp(1) with a uniform phase
-    (the power of a unit complex Gaussian).  The m = _TOP_NOISE + 1 largest
-    values are drawn directly, by the Renyi representation of exponential
-    order statistics (Acta Math. Acad. Sci. Hung. 4, 1953): the m-th largest
-    is t = -log B with B ~ Beta(m, n_bins - m + 1) = G_a / (G_a + G_b) for
-    independent G_a ~ Gamma(m), G_b ~ Gamma(n_bins - m + 1), and the m - 1
-    above it are t plus i.i.d. Exp(1).  They sit at a uniform m-subset of the
-    bins, t at a uniform member of it; given t, every other bin is Exp(1)
-    truncated below t.  With n_bins <= m every bin is drawn explicitly.
+    (the power of a unit complex Gaussian).  The m = min(_TOP_NOISE + 1,
+    n_bins) largest values are drawn directly, by the Renyi representation
+    of exponential order statistics (Acta Math. Acad. Sci. Hung. 4, 1953):
+    the m-th largest is t = -log B with B ~ Beta(m, n_bins - m + 1) =
+    G_a / (G_a + G_b) for independent G_a ~ Gamma(m), G_b ~ Gamma(n_bins -
+    m + 1), and the m - 1 above it are t plus i.i.d. Exp(1).  They sit at a
+    uniform m-subset of the bins, t at a uniform member of it; given t,
+    every other bin (none when m = n_bins) is Exp(1) truncated below t.
     """
-    keys = _symbol_keys(seed, n_bins, start, stop)
-    m = _TOP_NOISE + 1
-    if n_bins <= m:
-        bins = np.broadcast_to(np.arange(n_bins), (keys.size, n_bins))
-        level = -np.log1p(-_uniform(keys, _LEVEL, np.arange(n_bins)))
-        t = np.zeros(keys.size)  # no other bin is left to bound
-    else:
-        bins = _subset(keys, n_bins, m)
-        t = np.log1p(_gamma(keys, n_bins - m + 1.0, _GAMMA_REST)
-                     / _gamma(keys, float(m), _GAMMA_TOP))
-        level = t[:, None] - np.log1p(-_uniform(keys, _LEVEL, np.arange(m)))
-        # Floyd's order is not uniform: draw the member that holds t
-        level[np.arange(keys.size), (_uniform(keys, _LEVEL, [m])[:, 0] * m).astype(np.intp)] = t
-    angle = np.float32(2.0 * np.pi) * _uniform24(_bits(keys, _PHASE, np.arange(bins.shape[1])), 0)
+    keys = _symbol_keys(seed, n_bins, symbols)
+    m = min(_TOP_NOISE + 1, n_bins)
+    bins, slot = _subset(keys, n_bins, m)
+    t = np.log1p(_gamma(keys, n_bins - m + 1.0, _GAMMA_REST) / _gamma(keys, float(m), _GAMMA_TOP))
+    level = t[:, None] - np.log1p(-_uniform(keys, _LEVEL, np.arange(m)))
+    # Floyd's order is not uniform: draw the member that holds t
+    level[np.arange(keys.size), (_uniform(keys, _LEVEL, [m])[:, 0] * m).astype(np.intp)] = t
+    angle = np.float32(2.0 * np.pi) * _uniform24(_bits(keys, _PHASE, np.arange(m)), 0)
     radius = np.sqrt(2.0 * level).astype(np.float32)
-    slot = np.zeros((keys.size, n_bins), dtype=np.int8)
-    np.put_along_axis(slot, bins, np.arange(1, bins.shape[1] + 1, dtype=np.int8)[None, :], axis=1)
     return _Noise(keys, np.expm1(-t).astype(np.float32), slot, bins + 1,
                   radius * np.cos(angle), radius * np.sin(angle), 2.0 * t)
 
@@ -420,29 +408,27 @@ def _unit_noise(noise: _Noise, bins: np.ndarray):
     return re, im
 
 
-def _full_rows(factors, noise: _Noise | None, cfg: ChannelConfig, roots: np.ndarray):
-    """Tone spectrum and unit noise (None without noise) of every in-band bin."""
-    bins = np.arange(1, roots.size + 1)[None, :]
-    return (_tone_spectrum(factors, cfg, roots, bins),
-            None if noise is None else _unit_noise(noise, bins))
-
-
-def received_spectrum(freqs, cfg: ChannelConfig, seed, start: int = 0) -> np.ndarray:
+def received_spectrum(freqs, cfg: ChannelConfig, seed, symbols=None) -> np.ndarray:
     """In-band received spectrum rows (bins 1..n_bins), complex64.
 
-    Row r is symbol ``start + r`` of a link run under ``seed``: the same
-    draws :func:`simulate_link` makes for that symbol, materialised at
-    every bin.  Statistically identical to ``fft(transmit_block(...))``
-    restricted to the searched bins.
+    Row r is symbol ``symbols[r]`` (default r) of a link run under
+    ``seed``: the same draws :func:`simulate_link` makes for that symbol,
+    materialised at every bin.  This is the link's one full-row path: the
+    pruned search of :func:`simulate_link_grid` falls back to it, and it is
+    statistically identical to ``fft(transmit_block(...))`` restricted to
+    the searched bins.
     """
     freqs = _check_tones(freqs, cfg)
-    stop = start + freqs.size
-    factors = _tone_factors(freqs, _gain_draws(seed, start, stop), cfg)
-    noise = _noise_draws(seed, cfg.n_bins, start, stop) if _noisy(cfg) else None
-    spectrum, unit = _full_rows(factors, noise, cfg, _bin_roots(cfg))
-    if unit is not None:
-        spectrum.real += _noise_scale(cfg) * unit[0]
-        spectrum.imag += _noise_scale(cfg) * unit[1]
+    symbols = np.arange(freqs.size) if symbols is None else np.atleast_1d(symbols)
+    if symbols.shape != freqs.shape:
+        raise ValueError("need one symbol index per tone")
+    bins = np.arange(1, cfg.n_bins + 1)[None, :]
+    factors = _tone_factors(freqs, _gain_draws(seed, symbols), cfg)
+    spectrum = _tone_spectrum(factors, cfg, _bin_roots(cfg), bins)
+    if _noisy(cfg):
+        re, im = _unit_noise(_noise_draws(seed, cfg.n_bins, symbols), bins)
+        spectrum.real += _noise_scale(cfg) * re
+        spectrum.imag += _noise_scale(cfg) * im
     return spectrum
 
 
@@ -451,14 +437,9 @@ def _bin_currents(k: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     return k * (cfg.sample_rate / cfg.n_samples) / cfg.fm_scale
 
 
-def _peak_currents(power: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
-    """Current estimates from the peak bin of each row of in-band bins 1..n."""
-    return _bin_currents(1 + np.argmax(power, axis=1), cfg)
-
-
 def demodulate_spectrum(spectrum: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
-    """Current estimates from in-band spectrum rows."""
-    return _peak_currents(spectrum.real ** 2 + spectrum.imag ** 2, cfg)
+    """Current estimates from the peak bin of each in-band spectrum row (bins 1..n_bins)."""
+    return _bin_currents(1 + np.argmax(spectrum.real ** 2 + spectrum.imag ** 2, axis=1), cfg)
 
 
 def _power(tone: np.ndarray, noise, cfg: ChannelConfig) -> np.ndarray:
@@ -474,14 +455,9 @@ def _power(tone: np.ndarray, noise, cfg: ChannelConfig) -> np.ndarray:
     return re
 
 
-def _link_currents(tone: np.ndarray, noise, cfg: ChannelConfig) -> np.ndarray:
-    """Current estimates at cfg's SNR from a full-row tone spectrum and unit noise."""
-    return _peak_currents(_power(tone, noise, cfg), cfg)
-
-
 # Pruned peak search of simulate_link_grid.  Candidate bins are those
 # within _WINDOW of a symbol's tone bin plus the bins whose unit noise is
-# drawn explicitly (_noise_draws: the _TOP_NOISE + 1 loudest, or every bin).
+# drawn explicitly (_noise_draws: the min(_TOP_NOISE + 1, n_bins) loudest).
 _WINDOW = 16
 # Margin of the no-other-bin-wins bound over float32 rounding of the powers
 _SAFETY = 1.01
@@ -491,10 +467,13 @@ _DEN_SLACK = 16 * float(np.finfo(np.float32).eps)
 _TINY_POWER = 1e-30
 
 
-def _candidate_currents(factors, noise: _Noise | None, tone_cfg: ChannelConfig,
-                        roots: np.ndarray, cfgs) -> list:
-    """Current estimates for each of ``cfgs`` (``tone_cfg`` at their SNRs),
-    equal bit for bit to :func:`_link_currents` on the full rows.
+def _candidate_currents(freqs: np.ndarray, symbols: np.ndarray, seed, gains,
+                        noise: _Noise | None, tone_cfg: ChannelConfig, roots: np.ndarray,
+                        cfgs) -> list:
+    """Current estimates of the indexed symbols' tones ``freqs`` for each of
+    ``cfgs`` (``tone_cfg`` at their SNRs), given the symbols' ``gains`` and
+    ``noise`` draws; equal bit for bit to :func:`demodulate_spectrum` of
+    their :func:`received_spectrum` rows.
 
     The power is evaluated exactly at each row's candidate bins: the
     window around its tone and, with noise, the explicitly drawn bins of
@@ -505,9 +484,11 @@ def _candidate_currents(factors, noise: _Noise | None, tone_cfg: ChannelConfig,
     ``scale * sqrt(u_rest)``.  A row whose best candidate beats
     ``(scale * sqrt(u_rest) + eps)^2`` by the margin has its peak among the
     candidates (ties go to the lowest bin, as with ``np.argmax``); any other
-    row is searched in full.
+    row's estimate is that reference, its received spectrum row materialised
+    at every bin.
     """
     n_bins = roots.size
+    factors = _tone_factors(freqs, gains, tone_cfg)
     hnum, k0 = factors[2], factors[4]
     bins = np.clip(k0[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 1, n_bins)
     n_window = bins.shape[1]
@@ -535,9 +516,8 @@ def _candidate_currents(factors, noise: _Noise | None, tone_cfg: ChannelConfig,
         proven = (best > np.maximum(_SAFETY * bound, _TINY_POWER)) & np.isfinite(best)
         rows = np.nonzero(~proven)[0]
         if rows.size:
-            rows_noise = _Noise(*(f[rows] for f in noise)) if _noisy(cfg) else None
-            est[rows] = _link_currents(*_full_rows(tuple(f[rows] for f in factors), rows_noise,
-                                                   tone_cfg, roots), cfg)
+            est[rows] = demodulate_spectrum(
+                received_spectrum(freqs[rows], cfg, seed, symbols[rows]), cfg)
         estimates.append(est)
     return estimates
 
@@ -553,9 +533,10 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     once.  Per current array and config modulo SNR the tone and the noise
     are evaluated at each symbol's candidate bins only; per SNR only the
     noise is rescaled and the peak searched among the candidates, with a
-    per-row proof that no other bin can win and the full row as the
-    fallback (:func:`_candidate_currents`).  ``chunk_symbols`` bounds the
-    memory of a chunk and does not change any result.
+    per-row proof that no other bin can win and the symbol's
+    :func:`received_spectrum` row as the fallback, at every bin count
+    (:func:`_candidate_currents`).  ``chunk_symbols`` bounds the memory of
+    a chunk and does not change any result.
     """
     ids_list = [np.asarray(ids, dtype=float) for ids in ids_list]
     cfgs = list(cfgs)
@@ -579,17 +560,18 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     out = np.empty((len(ids_list), len(cfgs), n_sym))
     for start in range(0, n_sym, chunk_symbols):
         stop = min(start + chunk_symbols, n_sym)
-        gains = _gain_draws(seed, start, stop)
+        symbols = np.arange(start, stop)
+        gains = _gain_draws(seed, symbols)
         for n_bins, tones in groups.items():
             noise = None
             if any(_noisy(cfgs[j]) for js in tones.values() for j in js):
-                noise = _noise_draws(seed, n_bins, start, stop)
+                noise = _noise_draws(seed, n_bins, symbols)
             for tone_cfg, js in tones.items():
                 link_cfgs = [cfgs[j] for j in js]
                 for i in range(len(ids_list)):
-                    factors = _tone_factors(freqs[i, tone_cfg][start:stop], gains, tone_cfg)
                     out[i, js, start:stop] = _candidate_currents(
-                        factors, noise, tone_cfg, roots[tone_cfg], link_cfgs)
+                        freqs[i, tone_cfg][start:stop], symbols, seed, gains, noise, tone_cfg,
+                        roots[tone_cfg], link_cfgs)
     return out.reshape(len(ids_list), len(cfgs), *shape)
 
 
@@ -615,5 +597,5 @@ def simulate_link(ids, cfg: ChannelConfig, seed, *, chunk_symbols: int = 1024,
         stop = min(start + chunk_symbols, freqs.size)
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
         spectrum = np.fft.fft(transmit_block(freqs[start:stop], cfg, rng), axis=1)
-        out[start:stop] = _peak_currents(np.abs(spectrum[:, 1:cfg.n_bins + 1]), cfg)
+        out[start:stop] = demodulate_spectrum(spectrum[:, 1:cfg.n_bins + 1], cfg)
     return out.reshape(ids.shape)

@@ -195,8 +195,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
 def _validate(cfg: RunConfig) -> None:
     """Check the values that parse_config resolves for every command.
 
-    The channel and bandwidth values are checked only for the commands
-    that read them, when they are dispatched (:data:`COMMANDS`).
+    The channel, bandwidth, spacing and sweep-grid values are checked only
+    for the commands that read them, when dispatched (:data:`COMMANDS`).
     """
     try:
         p = cfg.mosfet()
@@ -209,23 +209,22 @@ def _validate(cfg: RunConfig) -> None:
                         ("vds_lo/vds_hi", cfg.vds_lo, cfg.vds_hi)):
         if not lo < hi:
             raise ConfigError(f"invalid value for '{key}': need lo < hi")
-    if cfg.delta is not None and not 0 < cfg.delta < math.inf:
-        raise ConfigError("invalid value for 'delta': must be positive and finite")
-    for axis, lo, hi, step in (("delta", cfg.delta_min, cfg.delta_max, cfg.delta_step),
-                               ("snr", cfg.snr_min, cfg.snr_max, cfg.snr_step)):
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-            raise ConfigError(f"invalid value for '{axis}_min/{axis}_max': "
-                              "need finite bounds with min <= max")
-        if not 0 < step < math.inf:
-            raise ConfigError(f"invalid value for '{axis}_step': must be positive and finite")
-    for key in ("delta_min", "lam"):
-        if not getattr(cfg, key) > 0:
-            raise ConfigError(f"invalid value for '{key}': must be positive")
+    if not cfg.lam > 0:
+        raise ConfigError("invalid value for 'lam': must be positive")
     for key, least in (("noiseless_vds_count", 1), ("nx", 1), ("ny", 1), ("nt", 1),
                        ("s_p", 1), ("t_p", 1), ("seeds", 1), ("seed", 0), ("workers", 0)):
         if getattr(cfg, key) < least:
             raise ConfigError(f"invalid value for '{key}': must be >= {least}")
-    _parse_float_list("lambda_grid", cfg.lambda_grid)
+
+
+def _check_axis(cfg: RunConfig, axis: str) -> None:
+    """The ``axis`` sweep grid (``<axis>_min/_max/_step``) must be a valid axis."""
+    lo, hi, step = (getattr(cfg, f"{axis}_{end}") for end in ("min", "max", "step"))
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ConfigError(f"invalid value for '{axis}_min/{axis}_max': "
+                          "need finite bounds with min <= max")
+    if not 0 < step < math.inf:
+        raise ConfigError(f"invalid value for '{axis}_step': must be positive and finite")
 
 
 def _check_channel(cfg: RunConfig, **channel) -> None:
@@ -236,8 +235,24 @@ def _check_channel(cfg: RunConfig, **channel) -> None:
         raise ConfigError(f"invalid channel configuration: {exc}") from None
 
 
-def _check_bandwidths(cfg: RunConfig) -> None:
-    """Each bandwidth of the SNR sweep must give a valid link config."""
+def _check_delta(cfg: RunConfig) -> None:
+    """The spacing ``delta`` that pins either sweep, if set, must be valid."""
+    if cfg.delta is not None and not 0 < cfg.delta < math.inf:
+        raise ConfigError("invalid value for 'delta': must be positive and finite")
+
+
+def _check_sweep_delta(cfg: RunConfig) -> None:
+    """The delta grid (unless ``delta`` pins one spacing) and the link config."""
+    if cfg.delta is None:
+        _check_axis(cfg, "delta")
+        if not cfg.delta_min > 0:
+            raise ConfigError("invalid value for 'delta_min': must be positive")
+    _check_channel(cfg)
+
+
+def _check_sweep_snr(cfg: RunConfig) -> None:
+    """The SNR grid, and a valid link config at each bandwidth of the sweep."""
+    _check_axis(cfg, "snr")
     for b in cfg.bandwidth_list():
         if not 0 < b < math.inf:
             raise ConfigError(f"invalid value for 'bandwidths': {b} is not positive and finite")
@@ -360,8 +375,8 @@ def _cmd_decode(cfg: RunConfig, ids1: float, ids2: float) -> int:
 COMMANDS = {
     "noiseless": (_cmd_noiseless, (), ()),
     "sweep-lambda": (_cmd_sweep_lambda, (), ()),
-    "sweep-delta": (_cmd_sweep_delta, (), (_check_channel,)),
-    "sweep-snr": (_cmd_sweep_snr, (), (_check_bandwidths,)),
+    "sweep-delta": (_cmd_sweep_delta, (), (_check_delta, _check_sweep_delta)),
+    "sweep-snr": (_cmd_sweep_snr, (), (_check_delta, _check_sweep_snr)),
     "gen-field": (_cmd_gen_field, (), ()),
     "encode": (_cmd_encode, ("vgs", "vds"), ()),
     "decode": (_cmd_decode, ("ids1", "ids2"), ()),

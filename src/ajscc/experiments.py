@@ -30,7 +30,8 @@ import numpy as np
 # simulate_link is not called here; bench/tracing.py wraps it in this namespace
 from .channel import OVERSAMPLE, ChannelConfig, simulate_link, simulate_link_grid  # noqa: F401
 # decode_pairs is not called here; bench/tracing.py wraps it in this namespace
-from .codec import CodecConfig, build_levels, decode_pairs, decode_stream, quantize  # noqa: F401
+from .codec import (CodecConfig, _check_levels_on, build_levels, decode_pairs,  # noqa: F401
+                    decode_stream, quantize)
 from .mosfet import MosfetParams, drain_current
 from .phenomenon import Field, block_means, check_geometry, generate_field
 
@@ -347,7 +348,7 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     (one per replicate at most) and are reduced in replicate order.  Input
     that every replicate would reject is rejected first: a replicate count
     below 1, a block geometry the fields or the pair decoder cannot take,
-    and a spacing with fewer than two levels.
+    and a spacing with fewer than two levels or one at or below v_th.
     """
     if cfg.n_seeds < 1:
         raise ValueError(f"need at least one replicate, got n_seeds={cfg.n_seeds}")
@@ -355,7 +356,7 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     if cfg.nt < 2:
         raise ValueError(f"need at least 2 samples to decode, got nt={cfg.nt}")
     for delta in deltas:
-        CodecConfig(build_levels(cfg.vgs_range, delta), cfg.vds_range)
+        _check_levels_on(cfg.mosfet, CodecConfig(build_levels(cfg.vgs_range, delta), cfg.vds_range))
     tasks = [(cfg, deltas, chans, rep) for rep in range(cfg.n_seeds)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:

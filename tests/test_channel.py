@@ -281,8 +281,12 @@ class TestDeterminism:
         cfg = make_cfg(snr_db=-10.0, n=512)
         freqs = modulate(np.random.default_rng(18).uniform(0.1, 0.9, 40) * I_MAX, cfg)
         whole = received_spectrum(freqs, cfg, 9)
-        assert np.array_equal(received_spectrum(freqs[25:31], cfg, 9, start=25), whole[25:31])
+        assert np.array_equal(received_spectrum(freqs[25:31], cfg, 9, np.arange(25, 31)),
+                              whole[25:31])
         assert not np.array_equal(received_spectrum(freqs[25:31], cfg, 9), whole[25:31])
+        # a scattered, unordered index set, as the pruned search's fallback passes
+        idx = np.array([37, 2, 19, 20, 5])
+        assert np.array_equal(received_spectrum(freqs[idx], cfg, 9, idx), whole[idx])
 
 
 def full_search_link(ids, cfg, seed, chunk_symbols=1024):
@@ -291,7 +295,7 @@ def full_search_link(ids, cfg, seed, chunk_symbols=1024):
     out = np.empty(freqs.size)
     for start in range(0, freqs.size, chunk_symbols):
         stop = min(start + chunk_symbols, freqs.size)
-        spectrum = received_spectrum(freqs[start:stop], cfg, seed, start)
+        spectrum = received_spectrum(freqs[start:stop], cfg, seed, np.arange(start, stop))
         out[start:stop] = demodulate_spectrum(spectrum, cfg)
     return out.reshape(np.shape(ids))
 
@@ -328,9 +332,9 @@ def edge_currents(cfg):
 class TestPrunedPeakSearch:
     """simulate_link searches candidate bins only; it must equal a full search bit for bit."""
 
-    # 256, 260 and 264 samples give 64, 65 and 66 bins: the whole row is
-    # drawn explicitly up to _TOP_NOISE + 1 bins and by order statistics
-    # above; 388, 392 and 396 give 97, 98 and 99 bins, around the
+    # 256, 260 and 264 samples give 64, 65 and 66 bins: the order
+    # statistics cover the whole row up to _TOP_NOISE + 1 bins and only the
+    # loudest above; 388, 392 and 396 give 97, 98 and 99 bins, around the
     # 2 _WINDOW + 1 + _TOP_NOISE + 1 candidate bins
     @pytest.mark.parametrize("n", [8192, 512, 16, 256, 260, 264, 388, 392, 396])
     @pytest.mark.parametrize("snr", [-50.0, -20.0, 10.0, math.inf])
@@ -361,15 +365,15 @@ class TestPrunedPeakSearch:
 
     @staticmethod
     def count_fallback_rows(monkeypatch):
-        """Count the rows that the pruned search hands to the full-row search."""
+        """Count the rows that the pruned search hands to the full-row reference."""
         rows = []
-        full_search = channel._link_currents
+        full_rows = channel.received_spectrum
 
-        def counting(tone, noise, cfg):
-            rows.append(tone.shape[0])
-            return full_search(tone, noise, cfg)
+        def counting(freqs, cfg, seed, symbols=None):
+            rows.append(np.size(freqs))
+            return full_rows(freqs, cfg, seed, symbols)
 
-        monkeypatch.setattr(channel, "_link_currents", counting)
+        monkeypatch.setattr(channel, "received_spectrum", counting)
         return rows
 
     def test_forced_fallback_stays_exact(self, monkeypatch):
@@ -410,13 +414,14 @@ class TestSamplerLaw:
     @staticmethod
     def unit_power(n_bins, rows, seed):
         """u/2 of materialised rows and whether each bin was drawn explicitly."""
-        noise = channel._noise_draws(seed, n_bins, 0, rows)
+        noise = channel._noise_draws(seed, n_bins, np.arange(rows))
         re, im = channel._unit_noise(noise, np.arange(1, n_bins + 1)[None, :])
         half = (re.astype(float) ** 2 + im.astype(float) ** 2) / 2
         return half, noise.slot > 0, noise.u_rest
 
-    # alpha = 0.001; 300 rows x n_bins values (19 200 at 64 bins, 614 400 at 2048)
-    @pytest.mark.parametrize("n_bins", [64, 2048])
+    # alpha = 0.001; 300 rows x n_bins values (1200 at 4 bins, 614 400 at
+    # 2048); up to _TOP_NOISE + 1 bins every bin is drawn explicitly
+    @pytest.mark.parametrize("n_bins", [4, 64, 65, 2048])
     def test_materialised_row_power_is_exponential(self, n_bins):
         half, _, _ = self.unit_power(n_bins, 300, 19)
         assert stats.kstest(half.ravel(), stats.expon.cdf).pvalue > 0.001
@@ -428,13 +433,24 @@ class TestSamplerLaw:
         cdf = lambda x: (-np.expm1(-x)) ** n_bins  # noqa: E731
         assert stats.kstest(half.max(axis=1), cdf).pvalue > 0.001
 
+    def bound_pvalue(self, n_bins):
+        """KS p-value of exp(-u_rest / 2) over 2000 rows against its Beta law.
+
+        u_rest / 2 is the m-th largest u/2 of the row, m = min(_TOP_NOISE +
+        1, n_bins), so exp(-u_rest / 2) ~ Beta(m, n_bins - m + 1).
+        """
+        m = min(channel._TOP_NOISE + 1, n_bins)
+        _, _, u_rest = self.unit_power(n_bins, 2000, 24)
+        return stats.kstest(np.exp(-u_rest / 2), stats.beta(m, n_bins - m + 1).cdf).pvalue
+
     # alpha = 0.001; 2000 rows of 512 bins
     def test_bound_is_the_order_statistic(self):
-        # u_rest / 2 is the (_TOP_NOISE + 1)-th largest u/2 of the row, so
-        # exp(-u_rest / 2) ~ Beta(m, n_bins - m + 1)
-        n_bins, m = 512, channel._TOP_NOISE + 1
-        _, _, u_rest = self.unit_power(n_bins, 2000, 24)
-        assert stats.kstest(np.exp(-u_rest / 2), stats.beta(m, n_bins - m + 1).cdf).pvalue > 0.001
+        assert self.bound_pvalue(512) > 0.001
+
+    # alpha = 0.001; up to _TOP_NOISE + 1 bins m = n_bins, so Beta(n_bins, 1)
+    @pytest.mark.parametrize("n_bins", [4, 65])
+    def test_bound_is_the_order_statistic_when_every_bin_is_drawn(self, n_bins):
+        assert self.bound_pvalue(n_bins) > 0.001
 
     def test_bins_not_drawn_explicitly_stay_below_the_bound(self):
         # the pruned search's proof rests on this, up to float32 rounding
@@ -444,10 +460,10 @@ class TestSamplerLaw:
         assert np.all(rest <= u_rest / 2 * (1 + 1e-6))
         assert np.all(np.where(explicit, half, np.inf).min(axis=1) >= u_rest / 2 * (1 - 1e-6))
 
-    # alpha = 0.001 for each test; 4000 symbols per side at 2048 bins
-    @pytest.mark.parametrize("snr", [-60.0, -20.0, 0.0, math.inf])
-    def test_peak_bin_error_matches_gaussian_reference(self, snr):
-        cfg = make_cfg(snr_db=snr, n=8192)
+    @staticmethod
+    def check_peak_bin_error(cfg):
+        """Two-sample KS and chi-square of the peak-bin error against
+        gaussian_link, alpha = 0.001 each, 4000 symbols per side."""
         ids = np.random.default_rng(22).uniform(0.05, 1.0, 4000) * I_MAX
         to_bin = cfg.fm_scale * cfg.n_samples / cfg.sample_rate
         k_true = np.rint(ids * to_bin)
@@ -461,3 +477,13 @@ class TestSamplerLaw:
         table = table[:, table.sum(axis=0) > 0]
         assert table.shape[1] >= 2
         assert stats.chi2_contingency(table).pvalue > 0.001
+
+    # 2048 bins
+    @pytest.mark.parametrize("snr", [-60.0, -20.0, 0.0, math.inf])
+    def test_peak_bin_error_matches_gaussian_reference(self, snr):
+        self.check_peak_bin_error(make_cfg(snr_db=snr, n=8192))
+
+    # 64 bins, each drawn explicitly
+    @pytest.mark.parametrize("snr", [-60.0, -20.0, 0.0])
+    def test_peak_bin_error_matches_gaussian_reference_at_64_bins(self, snr):
+        self.check_peak_bin_error(make_cfg(snr_db=snr, n=256))

@@ -299,17 +299,25 @@ class TestSweeps:
         (lambda: sweep_delta([0.5], tiny_link_cfg(nx=3, s_p=4)), "s_p=4 exceeds grid"),
         (lambda: sweep_snr((-10.0,), (410e3,), 0.5, tiny_link_cfg(t_p=5)), "t_p=5 exceeds nt"),
         (lambda: sweep_delta([0.5], tiny_link_cfg(vds_range=(5.0, 5.0))), "vds_range"),
+        (lambda: sweep_delta([0.5], tiny_link_cfg(vgs_range=(0.5, 10.0))), "exceed v_th"),
+        (lambda: sweep_snr((-10.0,), (410e3,), 0.5, tiny_link_cfg(vgs_range=(0.74, 10.0))),
+         "exceed v_th"),
     ], ids=["unsorted_deltas", "no_deltas", "nan_delta", "delta_no_seeds", "snr_no_seeds",
             "no_snrs", "no_bandwidths", "one_level_pool", "one_level_on_grid", "snr_one_level",
             "one_sample_pool", "snr_one_sample", "block_wider_than_grid",
-            "snr_window_longer_than_nt", "empty_vds_range"])
+            "snr_window_longer_than_nt", "empty_vds_range", "level_below_threshold",
+            "snr_level_at_threshold"])
     def test_sweeps_reject_bad_input_before_any_replicate(self, monkeypatch, sweep, match):
         def no_replicate(args):
             raise AssertionError("a replicate ran before the input was checked")
 
+        channel_calls = []
         monkeypatch.setattr("ajscc.experiments._replicate_task", no_replicate)
+        monkeypatch.setattr("ajscc.experiments.simulate_link_grid",
+                            lambda *args, **kw: channel_calls.append(args))
         with pytest.raises(ValueError, match=match):
             sweep()
+        assert channel_calls == []
 
 
 # 12 x 12 sensors x 10 instants = 1440 symbols: one full 1024-symbol chunk
