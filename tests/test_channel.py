@@ -332,11 +332,13 @@ def edge_currents(cfg):
 class TestPrunedPeakSearch:
     """simulate_link searches candidate bins only; it must equal a full search bit for bit."""
 
-    # 256, 260 and 264 samples give 64, 65 and 66 bins: the order
-    # statistics cover the whole row up to _TOP_NOISE + 1 bins and only the
-    # loudest above; 388, 392 and 396 give 97, 98 and 99 bins, around the
-    # 2 _WINDOW + 1 + _TOP_NOISE + 1 candidate bins
-    @pytest.mark.parametrize("n", [8192, 512, 16, 256, 260, 264, 388, 392, 396])
+    # 64, 68 and 72 samples give 16, 17 and 18 bins: the order statistics
+    # cover the whole row up to _TOP_NOISE + 1 bins and only the loudest
+    # above; 100, 104 and 108 give 25, 26 and 27 bins, around the
+    # 2 _WINDOW + 1 + _TOP_NOISE + 1 candidate bins; 16 samples (4 bins) fit
+    # in one window, and from 256 samples (64 bins) most bins go unsearched
+    @pytest.mark.parametrize("n", [8192, 512, 16, 256, 260, 264, 388, 392, 396,
+                                   64, 68, 72, 100, 104, 108])
     @pytest.mark.parametrize("snr", [-50.0, -20.0, 10.0, math.inf])
     def test_matches_full_row_reference(self, n, snr):
         cfg = make_cfg(snr_db=snr, n=n)
@@ -398,12 +400,18 @@ class TestPrunedPeakSearch:
         assert sum(rows) == 0
 
     def test_fallback_is_rare(self, monkeypatch):
-        # the bound proves nearly every row at the default candidate counts
+        # the default candidate counts are sized so that at most 1e-3 of the
+        # rows fall back, over SNR x block length x K-factor
         rows = self.count_fallback_rows(monkeypatch)
         ids = np.random.default_rng(16).uniform(0.01, 1.0, 2000) * I_MAX
-        cfgs = [make_cfg(snr_db=snr, n=8192) for snr in (-60.0, -20.0, 0.0, math.inf)]
-        simulate_link_grid([ids], cfgs, 7)
-        assert sum(rows) <= 0.01 * ids.size * len(cfgs)
+        links = 0
+        for n in (64, 1024, 8192):
+            for k_db in (6.0, -math.inf, math.inf):
+                cfgs = [make_cfg(snr_db=snr, k_db=k_db, n=n)
+                        for snr in (-60.0, -20.0, -10.0, 0.0, math.inf)]
+                simulate_link_grid([ids], cfgs, 7)
+                links += len(cfgs)
+        assert sum(rows) <= 1e-3 * ids.size * links
 
 
 class TestSamplerLaw:
@@ -420,8 +428,8 @@ class TestSamplerLaw:
         return half, noise.slot > 0, noise.u_rest
 
     # alpha = 0.001; 300 rows x n_bins values (1200 at 4 bins, 614 400 at
-    # 2048); up to _TOP_NOISE + 1 bins every bin is drawn explicitly
-    @pytest.mark.parametrize("n_bins", [4, 64, 65, 2048])
+    # 2048); up to _TOP_NOISE + 1 = 17 bins every bin is drawn explicitly
+    @pytest.mark.parametrize("n_bins", [4, 17, 64, 65, 2048])
     def test_materialised_row_power_is_exponential(self, n_bins):
         half, _, _ = self.unit_power(n_bins, 300, 19)
         assert stats.kstest(half.ravel(), stats.expon.cdf).pvalue > 0.001
@@ -447,8 +455,9 @@ class TestSamplerLaw:
     def test_bound_is_the_order_statistic(self):
         assert self.bound_pvalue(512) > 0.001
 
-    # alpha = 0.001; up to _TOP_NOISE + 1 bins m = n_bins, so Beta(n_bins, 1)
-    @pytest.mark.parametrize("n_bins", [4, 65])
+    # alpha = 0.001; up to _TOP_NOISE + 1 = 17 bins m = n_bins, so
+    # Beta(n_bins, 1); at 65 bins m = 17, so Beta(17, 49)
+    @pytest.mark.parametrize("n_bins", [4, 17, 65])
     def test_bound_is_the_order_statistic_when_every_bin_is_drawn(self, n_bins):
         assert self.bound_pvalue(n_bins) > 0.001
 
@@ -483,7 +492,7 @@ class TestSamplerLaw:
     def test_peak_bin_error_matches_gaussian_reference(self, snr):
         self.check_peak_bin_error(make_cfg(snr_db=snr, n=8192))
 
-    # 64 bins, each drawn explicitly
+    # 64 bins, 17 of them drawn explicitly
     @pytest.mark.parametrize("snr", [-60.0, -20.0, 0.0])
     def test_peak_bin_error_matches_gaussian_reference_at_64_bins(self, snr):
         self.check_peak_bin_error(make_cfg(snr_db=snr, n=256))

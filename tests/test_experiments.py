@@ -326,7 +326,8 @@ GOLDEN_CFG = LinkConfig(nx=12, ny=12, nt=10, s_p=6, t_p=5, n_samples=512, n_seed
 
 
 class TestGoldenSweeps:
-    """Exact sweep results, re-recorded when the noise became keyed by symbol.
+    """Exact sweep results, re-recorded when the noise became keyed by symbol
+    and when the sampler came to draw the 17 loudest noise values per symbol.
 
     Any change to the draws, their order or the float arithmetic of the
     link shows here as a changed digit.
@@ -335,18 +336,18 @@ class TestGoldenSweeps:
     def test_sweep_delta_values(self):
         sw = sweep_delta((0.2, 0.41, 0.9), GOLDEN_CFG)
         assert [(r.mse_gs, r.mse_ds) for r in sw.reports] == [
-            (4.84877219765394, 2.7405303761182704),
-            (4.716691743214888, 2.7309756243568124),
-            (4.0373682362674845, 2.740838233195532),
+            (4.917055984828782, 2.7044254506869754),
+            (4.833966920326713, 2.6920943661035146),
+            (4.108640368358906, 2.685080628877234),
         ]
 
     def test_sweep_snr_values(self):
         sw = sweep_snr((-40.0, -10.0, math.inf), (123.456e3, 410e3), 0.41, GOLDEN_CFG)
         assert [(r.mse_gs, r.mse_ds) for r in sw.reports] == [
-            (5.116248040786869, 2.717192550305663),
-            (5.116248040786869, 2.717192550305663),
-            (0.8766989139017709, 2.3930903185579058),
-            (0.8766989139017709, 2.393090318557906),
+            (5.132725892957525, 2.706704344041097),
+            (5.132725892957525, 2.706704344041097),
+            (0.8557446196962284, 2.4196340346710503),
+            (0.8557446196962284, 2.4196340346710508),
             (0.12661665971482286, 2.339087487701961),
             (0.12661665971482286, 2.3390874877019616),
         ]
@@ -366,17 +367,19 @@ class TestGoldenSweeps:
 class TestGoldenDecodePaths:
     """Exact link-point and noiseless results, recorded before the stream
     decoder moved to arrays (the noisy link points re-recorded when the
-    noise became keyed by symbol); odd stream lengths exercise the tail pair."""
+    noise became keyed by symbol and again when the sampler came to draw the
+    17 loudest noise values per symbol); odd stream lengths exercise the
+    tail pair."""
 
     @pytest.mark.parametrize("nt, perfect, want", [
         (5, True, (0.5166974416319835, 0.24443260474771825)),
-        (5, False, (1.259143346366183, 1.1215806425937755)),
+        (5, False, (1.2805547976579554, 1.0797944695713528)),
         (3, True, (1.7249525230832807, 0.21459973028456786)),
-        (3, False, (1.8843290893280458, 1.9341737832871009)),
+        (3, False, (2.4684117625543704, 1.7570671868543535)),
         (21, True, (0.3592831794293288, 1.8642142461522675)),
-        (21, False, (0.8005502717746598, 1.4136729312426952)),
+        (21, False, (0.8688456944545593, 1.3677853164970848)),
         (20, True, (0.024225027605808663, 1.1807126850971126)),
-        (20, False, (0.7670151614736097, 1.1316135901092088)),
+        (20, False, (0.7398524500622723, 0.9545780376921857)),
     ])
     def test_link_point_values(self, nt, perfect, want):
         cfg = LinkConfig(nx=6, ny=6, nt=nt, s_p=3, t_p=2, n_samples=512,
