@@ -121,8 +121,6 @@ class ChannelConfig:
         """Config whose FM scale maps i_max to ``headroom * bandwidth``."""
         if not i_max > 0:
             raise ValueError(f"i_max must be positive, got {i_max}")
-        if not 0 < bandwidth < math.inf:
-            raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
         return cls(
             bandwidth=float(bandwidth),
             snr_db=float(snr_db),

@@ -56,12 +56,12 @@ RANGE_TOL = 1e-6
 def build_levels(vgs_range: tuple[float, float], delta: float) -> np.ndarray:
     """Uniform level set {lo, lo+delta, ...} up to the largest value <= hi.
 
-    Raises ValueError when the spacing admits fewer than two levels, since
-    the decoder then has nothing to discriminate.
+    Raises ValueError unless the spacing is positive and finite and admits
+    at least two levels, since the decoder needs two to discriminate.
     """
     lo, hi = float(vgs_range[0]), float(vgs_range[1])
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if hi < lo:
         raise ValueError(f"empty vgs_range {vgs_range}")
     n = int(np.floor((hi - lo) / delta * (1.0 + 1e-12) + 1e-12)) + 1

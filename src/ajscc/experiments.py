@@ -30,8 +30,7 @@ import numpy as np
 # simulate_link is not called here; bench/tracing.py wraps it in this namespace
 from .channel import OVERSAMPLE, ChannelConfig, simulate_link, simulate_link_grid  # noqa: F401
 # decode_pairs is not called here; bench/tracing.py wraps it in this namespace
-from .codec import (CodecConfig, _check_levels_on, build_levels, decode_pairs,  # noqa: F401
-                    decode_stream, quantize)
+from .codec import CodecConfig, build_levels, decode_pairs, decode_stream, quantize  # noqa: F401
 from .mosfet import MosfetParams, drain_current
 from .phenomenon import Field, block_means, check_geometry, generate_field
 
@@ -240,7 +239,12 @@ def sweep_lambda(lambdas=DEFAULT_LAMBDA_GRID, base: MosfetParams = MosfetParams(
 
 @dataclass(frozen=True)
 class LinkConfig:
-    """Shared configuration of the channel experiments."""
+    """Shared configuration of the channel experiments.
+
+    Checked when built, so a sweep rejects it before any replicate runs.
+    ``vgs_range[0]`` is the lowest level at every spacing, so it alone is
+    checked against v_th; the channel is checked when :meth:`channel` builds it.
+    """
 
     mosfet: MosfetParams = MosfetParams()
     vgs_range: tuple[float, float] = SOURCE_RANGE
@@ -260,6 +264,19 @@ class LinkConfig:
     n_seeds: int = 10
     seed: int = 42
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        check_geometry(self.nx, self.ny, self.nt, self.s_p, self.t_p)
+        if self.nt < 2:
+            raise ValueError(f"need at least 2 samples to decode, got nt={self.nt}")
+        if self.n_seeds < 1:
+            raise ValueError(f"need at least one replicate, got n_seeds={self.n_seeds}")
+        for name, (lo, hi) in (("vgs_range", self.vgs_range), ("vds_range", self.vds_range)):
+            if not -np.inf < lo < hi < np.inf:
+                raise ValueError(f"{name} must have finite lo < hi, got {(lo, hi)}")
+        if not self.vgs_range[0] > self.mosfet.v_th:
+            raise ValueError(f"levels must all exceed v_th={self.mosfet.v_th} V, "
+                             f"got vgs_range {self.vgs_range}")
 
     @property
     def i_max(self) -> float:
@@ -345,18 +362,11 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     """Replicate-averaged report per (delta, channel) point, delta-major.
 
     Replicates run in a process pool of at most ``cfg.workers`` processes
-    (one per replicate at most) and are reduced in replicate order.  Input
-    that every replicate would reject is rejected first: a replicate count
-    below 1, a block geometry the fields or the pair decoder cannot take,
-    and a spacing with fewer than two levels or one at or below v_th.
+    (one per replicate at most) and are reduced in replicate order.  ``cfg``
+    checked itself when built, so only the spacings are checked up front.
     """
-    if cfg.n_seeds < 1:
-        raise ValueError(f"need at least one replicate, got n_seeds={cfg.n_seeds}")
-    check_geometry(cfg.nx, cfg.ny, cfg.nt, cfg.s_p, cfg.t_p)
-    if cfg.nt < 2:
-        raise ValueError(f"need at least 2 samples to decode, got nt={cfg.nt}")
     for delta in deltas:
-        _check_levels_on(cfg.mosfet, CodecConfig(build_levels(cfg.vgs_range, delta), cfg.vds_range))
+        build_levels(cfg.vgs_range, delta)
     tasks = [(cfg, deltas, chans, rep) for rep in range(cfg.n_seeds)]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:

@@ -44,9 +44,9 @@ class MosfetParams:
     def __post_init__(self) -> None:
         if not self.k_gain > 0:
             raise ValueError(f"k_gain must be positive, got {self.k_gain}")
-        if self.v_th < 0:
+        if not self.v_th >= 0:  # written so that NaN fails too
             raise ValueError(f"v_th must be non-negative, got {self.v_th}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
 
 

@@ -1,4 +1,5 @@
-"""Public API guard: every exported name resolves, and no import is unused."""
+"""Public API guard: every exported name resolves, no import is unused, and no
+module imports another's private names."""
 
 import ast
 import importlib
@@ -70,3 +71,16 @@ def test_no_unused_imports():
         exported = set(getattr(importlib.import_module(f"ajscc.{path.stem}"), "__all__", ()))
         unused |= {(path.stem, name) for name in imported - used - exported}
     assert unused == TRACER_IMPORTS
+
+
+def test_no_private_cross_module_imports():
+    # a rule one module needs from another goes through a public name, so
+    # each check keeps one home
+    private = []
+    for path in sorted(Path(ajscc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "ajscc"):
+                private += [(path.stem, alias.name) for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

@@ -413,6 +413,16 @@ class TestPrunedPeakSearch:
                 links += len(cfgs)
         assert sum(rows) <= 1e-3 * ids.size * links
 
+    def test_fallback_is_rare_at_the_worst_point(self, monkeypatch):
+        # the aggregate above hides a single bad point: at -20 dB, 8192
+        # samples and no fading, the measured worst, 10 000 symbols bound
+        # the share at 1e-3 (a candidate set of 8 loud bins falls back on
+        # about 7e-3 of them)
+        rows = self.count_fallback_rows(monkeypatch)
+        ids = np.random.default_rng(16).uniform(0.01, 1.0, 10_000) * I_MAX
+        simulate_link_grid([ids], [make_cfg(snr_db=-20.0, k_db=math.inf, n=8192)], 7)
+        assert sum(rows) <= 1e-3 * ids.size
+
 
 class TestSamplerLaw:
     """The order-statistics sampler draws the law of i.i.d. complex Gaussian

@@ -217,6 +217,8 @@ class TestSubcommands:
         ("noiseless", ["--noiseless-vds-step", "nan"], "vds_grid extends outside vds_range"),
         ("sweep-lambda", ["--noiseless-vds-step", "nan"], "vds_grid extends outside vds_range"),
         ("sweep-delta", ["--vgs-lo", "0.5"], "levels must all exceed v_th"),
+        ("noiseless", ["--noiseless-vds-count", "1"], "need at least 2 samples to decode"),
+        ("noiseless", ["--v-th", "nan"], "v_th must be non-negative, got nan"),
     ], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
     def test_failing_input_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                    message):
@@ -245,6 +247,11 @@ class TestSubcommands:
         ("sweep-delta", ["--delta", "0.5", "--delta-step", "0"], "sweep_delta.csv"),
         ("sweep-snr", ["--delta-min", "0", "--snr-min", "-10", "--snr-max", "-10",
                        "--bandwidths", "410e3"], "sweep_snr.csv"),
+        ("sweep-delta", ["--delta", "0.5", "--noiseless-levels", "0.5"], "sweep_delta.csv"),
+        ("gen-field", ["--noiseless-vds-count", "0"], "field.csv"),
+        ("noiseless", ["--seeds", "0"], "noiseless.csv"),
+        ("noiseless", ["--nx", "0"], "noiseless.csv"),
+        ("noiseless", ["--vgs-lo", "6", "--vgs-hi", "5"], "noiseless.csv"),
     ])
     def test_values_other_commands_read_do_not_block(self, tmp_path, command, flags, name):
         # name: the artifact the command writes (encode writes none)

@@ -1,5 +1,7 @@
 """Codec tests: level building, quantizer, encoder, slope-matching decoder."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -58,6 +60,9 @@ class TestBuildLevels:
             build_levels((1.0, 5.0), 0.0)
         with pytest.raises(ValueError):
             build_levels((5.0, 1.0), 1.0)
+        for delta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                build_levels((1.0, 5.0), delta)
 
 
 class TestCodecConfig:

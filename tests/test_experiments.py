@@ -320,6 +320,24 @@ class TestSweeps:
         assert channel_calls == []
 
 
+class TestLinkConfig:
+    @pytest.mark.parametrize("kw, match", [
+        (dict(nt=1, t_p=1), "need at least 2 samples to decode"),
+        (dict(n_seeds=0), "need at least one replicate"),
+        (dict(nx=3, s_p=4), "s_p=4 exceeds grid 3x20"),
+        (dict(nx=0), "nx must be >= 1"),
+        (dict(vgs_range=(5.0, 5.0)), "vgs_range must have finite lo < hi"),
+        (dict(vds_range=(10.0, 5.0)), "vds_range must have finite lo < hi"),
+        (dict(vds_range=(5.0, math.inf)), "vds_range must have finite lo < hi"),
+        (dict(vgs_range=(0.74, 10.0)), "levels must all exceed v_th=0.74 V"),
+    ], ids=["one_sample", "no_replicates", "block_wider_than_grid", "empty_grid",
+            "empty_vgs_range", "reversed_vds_range", "unbounded_vds_range",
+            "level_at_threshold"])
+    def test_construction_rejects(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            LinkConfig(**kw)
+
+
 # 12 x 12 sensors x 10 instants = 1440 symbols: one full 1024-symbol chunk
 # and a partial one (the chunking changes no result).
 GOLDEN_CFG = LinkConfig(nx=12, ny=12, nt=10, s_p=6, t_p=5, n_samples=512, n_seeds=2, seed=7)

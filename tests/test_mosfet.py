@@ -67,6 +67,9 @@ class TestDrainCurrent:
             MosfetParams(v_th=-0.1)
         with pytest.raises(ValueError):
             MosfetParams(lam=-0.01)
+        for kw in (dict(v_th=float("nan")), dict(lam=float("nan"))):
+            with pytest.raises(ValueError, match="must be non-negative, got nan"):
+                MosfetParams(**kw)
 
 
 class TestInvertVds:
