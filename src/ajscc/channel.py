@@ -28,10 +28,11 @@ is a pure function of (seed, symbol, bin), evaluated only where it is read
 
 :func:`simulate_link`, and :func:`simulate_link_grid` for many current
 sequences and configs on shared draws (the Monte-Carlo sweeps' axis
-points), evaluate the power only at each symbol's candidate bins: the 9
-within +/- _WINDOW = 4 of the tone and the 17 with explicitly drawn loud
-noise.  A per-row bound proves that no other bin can win; a row without
-that proof takes :func:`demodulate_spectrum` of its
+points), search each distinct (symbol, tone) once, since equal currents at
+one symbol share every draw, and evaluate the power only at each symbol's
+candidate bins: the 9 within +/- _WINDOW = 4 of the tone and the 17 with
+explicitly drawn loud noise.  A per-row bound proves that no other bin
+can win; a row without that proof takes :func:`demodulate_spectrum` of its
 :func:`received_spectrum` row, the one full-row path, so the estimates
 equal a full search's bit for bit.  The two counts set only how often a
 row falls back: at most 1e-3 of the rows at every SNR from -60 dB to +inf,
@@ -121,6 +122,8 @@ class ChannelConfig:
         """Config whose FM scale maps i_max to ``headroom * bandwidth``."""
         if not i_max > 0:
             raise ValueError(f"i_max must be positive, got {i_max}")
+        if not 0 < headroom <= 1:
+            raise ValueError(f"headroom must lie in (0, 1], got {headroom}")
         return cls(
             bandwidth=float(bandwidth),
             snr_db=float(snr_db),
@@ -139,10 +142,11 @@ def _inband_bins(bandwidth: float, sample_rate: float, n: int) -> int:
 def modulate(ids, cfg: ChannelConfig):
     """Tone frequency [Hz] for current ``ids``; must land inside the band."""
     ids = np.asarray(ids, dtype=float)
-    if np.any(ids <= 0):
+    # written so that a NaN current fails too
+    if not np.all(ids > 0):
         raise ValueError("ids must be positive")
     freq = cfg.fm_scale * ids
-    if np.any(freq > cfg.bandwidth * (1.0 + 1e-12)):
+    if not np.all(freq <= cfg.bandwidth * (1.0 + 1e-12)):
         raise ValueError(
             f"frequency {float(np.max(freq)):.6g} Hz exceeds bandwidth "
             f"{cfg.bandwidth:.6g} Hz; fm_scale inconsistent with current range"
@@ -394,18 +398,20 @@ def _noise_draws(seed, n_bins: int, symbols: np.ndarray) -> _Noise:
                   radius * np.cos(angle), radius * np.sin(angle), 2.0 * t)
 
 
-def _unit_noise(noise: _Noise, bins: np.ndarray):
-    """Unit noise planes (real, imaginary), float32, of each symbol at 1-based
-    ``bins`` ((b, k), or (1, k) for the same bins in every row)."""
-    bits = _bits(noise.keys, _FAR, bins)
-    radius = np.sqrt(np.float32(-2.0) * np.log1p(_uniform24(bits, 40) * noise.shrink[:, None]))
+def _unit_noise(noise: _Noise, bins: np.ndarray, rows=None):
+    """Unit noise planes (real, imaginary), float32, of the symbols at ``rows``
+    of ``noise`` (default every row) at 1-based ``bins`` ((len(rows), k), or
+    (1, k) for the same bins in every row)."""
+    rows = np.arange(noise.keys.size) if rows is None else rows
+    bits = _bits(noise.keys[rows], _FAR, bins)
+    radius = np.sqrt(np.float32(-2.0) * np.log1p(_uniform24(bits, 40) * noise.shrink[rows, None]))
     angle = np.float32(2.0 * np.pi) * _uniform24(bits, 0)
     re, im = radius * np.cos(angle), radius * np.sin(angle)
-    slot = np.take_along_axis(noise.slot, np.broadcast_to(bins - 1, re.shape), axis=1)
-    rows, cols = np.nonzero(slot)
-    top = slot[rows, cols] - 1
-    re[rows, cols] = noise.top_re[rows, top]
-    im[rows, cols] = noise.top_im[rows, top]
+    slot = noise.slot[rows[:, None], bins - 1]
+    r, c = np.nonzero(slot)
+    top = slot[r, c] - 1
+    re[r, c] = noise.top_re[rows[r], top]
+    im[r, c] = noise.top_im[rows[r], top]
     return re, im
 
 
@@ -468,13 +474,14 @@ _DEN_SLACK = 16 * float(np.finfo(np.float32).eps)
 _TINY_POWER = 1e-30
 
 
-def _candidate_currents(freqs: np.ndarray, symbols: np.ndarray, seed, gains,
+def _candidate_currents(freqs: np.ndarray, rows: np.ndarray, symbols: np.ndarray, seed, gains,
                         noise: _Noise | None, tone_cfg: ChannelConfig, roots: np.ndarray,
                         cfgs) -> list:
-    """Current estimates of the indexed symbols' tones ``freqs`` for each of
-    ``cfgs`` (``tone_cfg`` at their SNRs), given the symbols' ``gains`` and
-    ``noise`` draws; equal bit for bit to :func:`demodulate_spectrum` of
-    their :func:`received_spectrum` rows.
+    """Current estimates of the tones ``freqs`` of the chunk's rows ``rows``
+    for each of ``cfgs`` (``tone_cfg`` at their SNRs), given the chunk's
+    symbol indices ``symbols`` and their ``gains`` and ``noise`` draws;
+    equal bit for bit to :func:`demodulate_spectrum` of their
+    :func:`received_spectrum` rows.
 
     The power is evaluated exactly at each row's candidate bins: the
     window around its tone and, with noise, the explicitly drawn bins of
@@ -490,14 +497,14 @@ def _candidate_currents(freqs: np.ndarray, symbols: np.ndarray, seed, gains,
     at every bin.
     """
     n_bins = roots.size
-    factors = _tone_factors(freqs, gains, tone_cfg)
+    factors = _tone_factors(freqs, tuple(g[rows] for g in gains), tone_cfg)
     hnum, k0 = factors[2], factors[4]
     bins = np.clip(k0[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 1, n_bins)
     n_window = bins.shape[1]
     if noise is not None:
-        cand_noise = tuple(np.concatenate([near, top], axis=1) for near, top in
-                           zip(_unit_noise(noise, bins), (noise.top_re, noise.top_im)))
-        bins = np.concatenate([bins, noise.bins], axis=1)
+        cand_noise = tuple(np.concatenate([near, top.take(rows, axis=0)], axis=1) for near, top in
+                           zip(_unit_noise(noise, bins, rows), (noise.top_re, noise.top_im)))
+        bins = np.concatenate([bins, noise.bins.take(rows, axis=0)], axis=1)
     tone = _tone_spectrum(factors, tone_cfg, roots, bins)
     # |x - k| / n lies in [(_WINDOW + 1/2) / n, 1/2] for the tone at bin
     # position x and every bin k outside the window, where sin increases
@@ -509,7 +516,7 @@ def _candidate_currents(freqs: np.ndarray, symbols: np.ndarray, seed, gains,
     for cfg in cfgs:
         if _noisy(cfg):
             power = _power(tone, cand_noise, cfg)
-            bound = (float(_noise_scale(cfg)) * np.sqrt(noise.u_rest) + eps) ** 2
+            bound = (float(_noise_scale(cfg)) * np.sqrt(noise.u_rest[rows]) + eps) ** 2
         else:
             power = _power(tone[:, :n_window], None, cfg)
             bound = eps ** 2
@@ -517,12 +524,23 @@ def _candidate_currents(freqs: np.ndarray, symbols: np.ndarray, seed, gains,
         k = np.where(power == best[:, None], bins[:, :power.shape[1]], n_bins + 1).min(axis=1)
         est = _bin_currents(k, cfg)
         proven = whole_row | (best > np.maximum(_SAFETY * bound, _TINY_POWER))
-        rows = np.nonzero(~(proven & np.isfinite(best)))[0]
-        if rows.size:
-            est[rows] = demodulate_spectrum(
-                received_spectrum(freqs[rows], cfg, seed, symbols[rows]), cfg)
+        bad = np.nonzero(~(proven & np.isfinite(best)))[0]
+        if bad.size:
+            est[bad] = demodulate_spectrum(
+                received_spectrum(freqs[bad], cfg, seed, symbols[rows[bad]]), cfg)
         estimates.append(est)
     return estimates
+
+
+def _distinct(ids: np.ndarray):
+    """Row indices and values of each row's distinct values, and each entry's index among them."""
+    order = np.argsort(ids, axis=1)
+    ranked = np.take_along_axis(ids, order, axis=1)
+    new = np.ones(ids.shape, dtype=bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    inverse = np.empty(ids.shape, dtype=np.intp)
+    np.put_along_axis(inverse, order, np.cumsum(new).reshape(ids.shape) - 1, axis=1)
+    return np.nonzero(new)[0], ranked[new], inverse
 
 
 def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np.ndarray:
@@ -533,13 +551,15 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     bit for bit.  The draws of a symbol do not depend on the tone
     frequencies or the SNR, so per chunk the doppler and fading and, per
     bin count (if any config has noise), the explicit unit noise are drawn
-    once.  Per current array and config modulo SNR the tone and the noise
-    are evaluated at each symbol's candidate bins only; per SNR only the
-    noise is rescaled and the peak searched among the candidates, with a
-    per-row proof that no other bin can win and the symbol's
-    :func:`received_spectrum` row as the fallback, at every bin count
-    (:func:`_candidate_currents`).  ``chunk_symbols`` bounds the memory of
-    a chunk and does not change any result.
+    once, and equal currents at one symbol give equal estimates: each
+    distinct (symbol, current) pair of a chunk is searched once, in batches
+    of at most ``chunk_symbols`` pairs.  Per batch and config modulo SNR the
+    tone and the noise are evaluated at each symbol's candidate bins only;
+    per SNR only the noise is rescaled and the peak searched among the
+    candidates, with a per-row proof that no other bin can win and one
+    :func:`received_spectrum` call for the rows without it, at every bin
+    count (:func:`_candidate_currents`).  ``chunk_symbols`` bounds the
+    memory of a chunk and does not change any result.
     """
     ids_list = [np.asarray(ids, dtype=float) for ids in ids_list]
     cfgs = list(cfgs)
@@ -554,27 +574,33 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     for j, cfg in enumerate(cfgs):
         tone_cfg = dataclasses.replace(cfg, snr_db=math.inf)
         groups.setdefault(cfg.n_bins, {}).setdefault(tone_cfg, []).append(j)
-    freqs = {(i, tone_cfg): _check_tones(modulate(ids.ravel(), tone_cfg), tone_cfg)
-             for tones in groups.values() for tone_cfg in tones
-             for i, ids in enumerate(ids_list)}
     roots = {tone_cfg: _bin_roots(tone_cfg) for tones in groups.values() for tone_cfg in tones}
+    flat = [ids.ravel() for ids in ids_list]
+    for tone_cfg in roots:
+        for ids in flat:
+            _check_tones(modulate(ids, tone_cfg), tone_cfg)
 
-    n_sym = ids_list[0].size
+    n_sym = flat[0].size
     out = np.empty((len(ids_list), len(cfgs), n_sym))
     for start in range(0, n_sym, chunk_symbols):
         stop = min(start + chunk_symbols, n_sym)
         symbols = np.arange(start, stop)
+        rows, currents, inverse = _distinct(np.stack([ids[start:stop] for ids in flat], axis=1))
+        est = np.empty((len(cfgs), currents.size))
+        # equal batches of at most chunk_symbols pairs (fewer array sizes, less heap)
+        n_batches = -(-currents.size // chunk_symbols)
+        edges = np.arange(n_batches + 1) * currents.size // n_batches
         gains = _gain_draws(seed, symbols)
         for n_bins, tones in groups.items():
             noise = None
             if any(_noisy(cfgs[j]) for js in tones.values() for j in js):
                 noise = _noise_draws(seed, n_bins, symbols)
             for tone_cfg, js in tones.items():
-                link_cfgs = [cfgs[j] for j in js]
-                for i in range(len(ids_list)):
-                    out[i, js, start:stop] = _candidate_currents(
-                        freqs[i, tone_cfg][start:stop], symbols, seed, gains, noise, tone_cfg,
-                        roots[tone_cfg], link_cfgs)
+                for part in map(slice, edges[:-1], edges[1:]):
+                    est[js, part] = _candidate_currents(
+                        modulate(currents[part], tone_cfg), rows[part], symbols, seed, gains,
+                        noise, tone_cfg, roots[tone_cfg], [cfgs[j] for j in js])
+        out[:, :, start:stop] = est[:, inverse.T].swapaxes(0, 1)
     return out.reshape(len(ids_list), len(cfgs), *shape)
 
 

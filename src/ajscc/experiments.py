@@ -12,9 +12,11 @@ channel realization (common random numbers, which sharpens point-to-point
 comparisons such as the argmin) while replicates stay independent.
 Replicates are the work units: one pipeline pass encodes a replicate's
 fields at every level spacing, draws each symbol's doppler, fading and
-noise once for all its axis points (:func:`ajscc.channel.simulate_link_grid`,
-whose draws are keyed by seed and symbol index), then decodes and scores
-each point; :func:`run_link_point` is its one-point case.  With
+noise once for all its axis points and searches each distinct (symbol,
+current) once, since spacings whose levels coincide give equal currents
+(:func:`ajscc.channel.simulate_link_grid`, whose draws are keyed by seed
+and symbol index), then decodes and scores each point;
+:func:`run_link_point` is its one-point case.  With
 ``workers > 1`` replicates run in a process pool and are reduced in
 replicate order, so results do not depend on scheduling.  The default
 grids are written once, here.

@@ -72,6 +72,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             make_cfg(**kw)
 
+    @pytest.mark.parametrize("headroom", [0.0, -0.5, 1.5, 2.0, math.nan, math.inf])
+    def test_headroom_outside_unit_interval_rejected(self, headroom):
+        # a headroom above 1 puts the top currents' tones outside the band
+        with pytest.raises(ValueError, match="headroom"):
+            ChannelConfig.for_current_range(I_MAX, 410e3, 0.0, headroom=headroom,
+                                            n_samples=4096, doppler_fraction=0.02,
+                                            rician_k_db=6.0)
+
+    def test_full_band_headroom_accepted(self):
+        cfg = ChannelConfig.for_current_range(I_MAX, 410e3, 0.0, headroom=1.0, n_samples=4096,
+                                              doppler_fraction=0.02, rician_k_db=6.0)
+        assert modulate(I_MAX, cfg) == pytest.approx(410e3)
+
     def test_headroom_and_block_length_are_required(self):
         with pytest.raises(TypeError, match="headroom"):
             ChannelConfig.for_current_range(I_MAX, 410e3, 0.0, n_samples=4096)
@@ -97,6 +110,16 @@ class TestModulate:
     def test_out_of_band_rejected(self):
         with pytest.raises(ValueError, match="bandwidth"):
             modulate(10 * I_MAX, IDEAL)
+
+    @pytest.mark.parametrize("bad, match", [(math.nan, "positive"), (math.inf, "bandwidth")])
+    def test_non_finite_current_rejected(self, bad, match):
+        # NaN compares False both ways, so neither check may be written as a
+        # search for failures
+        ids = np.array([bad, 0.5 * I_MAX])
+        with pytest.raises(ValueError, match=match):
+            modulate(ids, IDEAL)
+        with pytest.raises(ValueError, match=match):
+            simulate_link(ids, make_cfg(), 0)
 
 
 class TestTransmitDemodulate:
@@ -422,6 +445,61 @@ class TestPrunedPeakSearch:
         ids = np.random.default_rng(16).uniform(0.01, 1.0, 10_000) * I_MAX
         simulate_link_grid([ids], [make_cfg(snr_db=-20.0, k_db=math.inf, n=8192)], 7)
         assert sum(rows) <= 1e-3 * ids.size
+
+
+class TestRepeatedCurrents:
+    """simulate_link_grid searches each distinct (symbol, current) pair once
+    and copies its estimates to every current array that holds it."""
+
+    @staticmethod
+    def arrays():
+        # an array, an exact copy, a copy with half its symbols changed and a
+        # scaled copy, which repeats no current
+        rng = np.random.default_rng(19)
+        ids = rng.uniform(0.01, 0.9, 300) * I_MAX
+        half = ids.copy()
+        changed = rng.permutation(ids.size)[:ids.size // 2]
+        half[changed] = rng.uniform(0.01, 0.9, changed.size) * I_MAX
+        return [ids, ids.copy(), half, 1.1 * ids]
+
+    # 64 samples give 16 in-band bins, 8192 give 2048
+    @pytest.mark.parametrize("n", [64, 8192])
+    def test_every_entry_equals_its_own_link(self, n):
+        ids_list = self.arrays()
+        cfgs = [make_cfg(snr_db=snr, n=n) for snr in (-20.0, 10.0, math.inf)]
+        want = [[simulate_link(ids, cfg, (2, 9)) for cfg in cfgs] for ids in ids_list]
+        for chunk in (1, 7, 100, 5000):
+            grid = simulate_link_grid(ids_list, cfgs, (2, 9), chunk_symbols=chunk)
+            assert np.array_equal(grid, want), chunk
+
+    def test_forced_fallback_stays_exact(self, monkeypatch):
+        monkeypatch.setattr(channel, "_WINDOW", 0)
+        monkeypatch.setattr(channel, "_TOP_NOISE", 1)
+        rows = TestPrunedPeakSearch.count_fallback_rows(monkeypatch)
+        ids_list = self.arrays()
+        cfgs = [make_cfg(snr_db=snr, n=512) for snr in (-20.0, 10.0, math.inf)]
+        grid = simulate_link_grid(ids_list, cfgs, 4, chunk_symbols=100)
+        assert sum(rows) > 0
+        for i, ids in enumerate(ids_list):
+            for j, cfg in enumerate(cfgs):
+                assert np.array_equal(grid[i, j], full_search_link(ids, cfg, 4)), (i, j)
+
+    def test_repeats_add_no_work(self, monkeypatch):
+        # three copies of one array hand the full-row fallback exactly the
+        # rows that one copy does, in at most one call per (chunk, config)
+        monkeypatch.setattr(channel, "_WINDOW", 0)
+        monkeypatch.setattr(channel, "_TOP_NOISE", 1)
+        rows = TestPrunedPeakSearch.count_fallback_rows(monkeypatch)
+        ids = self.arrays()[0]
+        cfgs = [make_cfg(snr_db=snr, n=512) for snr in (-20.0, 10.0, math.inf)]
+        simulate_link_grid([ids], cfgs, 4, chunk_symbols=100)
+        once = list(rows)
+        rows.clear()
+        simulate_link_grid([ids, ids, ids], cfgs, 4, chunk_symbols=100)
+        assert sum(once) > 0
+        assert sum(rows) == sum(once)
+        n_chunks = -(-ids.size // 100)
+        assert len(rows) <= n_chunks * len(cfgs)
 
 
 class TestSamplerLaw:

@@ -219,6 +219,9 @@ class TestSubcommands:
         ("sweep-delta", ["--vgs-lo", "0.5"], "levels must all exceed v_th"),
         ("noiseless", ["--noiseless-vds-count", "1"], "need at least 2 samples to decode"),
         ("noiseless", ["--v-th", "nan"], "v_th must be non-negative, got nan"),
+        ("sweep-delta", ["--delta", "0.5", "--fm-headroom", "2"],
+         "headroom must lie in (0, 1], got 2.0"),
+        ("sweep-snr", ["--fm-headroom", "0"], "headroom must lie in (0, 1], got 0.0"),
     ], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
     def test_failing_input_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                    message):

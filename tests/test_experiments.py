@@ -319,6 +319,25 @@ class TestSweeps:
             sweep()
         assert channel_calls == []
 
+    @pytest.mark.parametrize("sweep", [
+        lambda cfg: sweep_delta([0.5], cfg),
+        lambda cfg: sweep_snr((-10.0,), (410e3,), 0.5, cfg),
+    ], ids=["delta", "snr"])
+    @pytest.mark.parametrize("headroom", [2.0, 0.0, math.nan])
+    def test_sweeps_reject_fm_headroom_before_any_replicate(self, monkeypatch, sweep, headroom):
+        # a headroom above 1 maps the top currents outside the band, which
+        # the link itself would find only inside a replicate
+        def no_replicate(args):
+            raise AssertionError("a replicate ran before the input was checked")
+
+        channel_calls = []
+        monkeypatch.setattr("ajscc.experiments._replicate_task", no_replicate)
+        monkeypatch.setattr("ajscc.experiments.simulate_link_grid",
+                            lambda *args, **kw: channel_calls.append(args))
+        with pytest.raises(ValueError, match="headroom"):
+            sweep(tiny_link_cfg(fm_headroom=headroom))
+        assert channel_calls == []
+
 
 class TestLinkConfig:
     @pytest.mark.parametrize("kw, match", [
