@@ -13,10 +13,10 @@ signal power / 10^(snr_db/10).
 tone's transform is the closed-form geometric-series kernel, and the FFT of
 white Gaussian noise is again white Gaussian (variance scaled by the block
 length), so each in-band bin carries i.i.d. complex Gaussian noise.  This is
-an exact sampler of the peak statistic of the actual sample blocks, roughly
-two orders of magnitude cheaper than building them.  :func:`transmit_block`
-builds those blocks (rectangular window, FFT length = block length), and
-``simulate_link(..., time_domain=True)`` transforms them as its reference.
+an exact sampler of the peak statistic of the actual sample blocks
+(rectangular window, FFT length = block length), roughly two orders of
+magnitude cheaper than building them.  The package builds no blocks: the
+test suite builds them as the reference the sampler is checked against.
 
 Only the noise the peak search reads is drawn.  Per symbol, the power u of
 a bin's unit noise has u/2 ~ Exp(1) and a uniform phase; at every bin
@@ -58,7 +58,6 @@ __all__ = [
     "OVERSAMPLE",
     "ChannelConfig",
     "modulate",
-    "transmit_block",
     "received_spectrum",
     "demodulate_spectrum",
     "simulate_link",
@@ -97,8 +96,9 @@ class ChannelConfig:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         if not self.fm_scale > 0:
             raise ValueError(f"fm_scale must be positive, got {self.fm_scale}")
-        if self.doppler_fraction < 0:
-            raise ValueError("doppler_fraction must be non-negative")
+        # a shift of the whole tone frequency or more can reach 0 Hz
+        if not 0 <= self.doppler_fraction < 1:
+            raise ValueError(f"doppler_fraction must lie in [0, 1), got {self.doppler_fraction}")
         nyquist_needed = 2.0 * self.bandwidth * (1.0 + self.doppler_fraction)
         if self.sample_rate < nyquist_needed:
             raise ValueError(
@@ -174,11 +174,6 @@ def _noisy(cfg: ChannelConfig) -> bool:
     return _noise_variance(cfg) > 0
 
 
-def _draw_gains(rng, b: int):
-    """Unit per-symbol draws in stream order: doppler d ~ U(-1, 1), fading z_re, z_im ~ N(0, 1)."""
-    return rng.uniform(-1.0, 1.0, b), rng.standard_normal(b), rng.standard_normal(b)
-
-
 def _symbol_gains(freqs: np.ndarray, draws, cfg: ChannelConfig):
     """Doppler-shifted frequencies and fading gains from the unit draws."""
     d, z_re, z_im = draws
@@ -193,21 +188,6 @@ def _check_tones(freqs, cfg: ChannelConfig) -> np.ndarray:
     if np.any(freqs <= 0) or np.any(freqs >= cfg.sample_rate / 2):
         raise ValueError("tone frequency must lie in (0, sample_rate/2)")
     return freqs
-
-
-def transmit_block(freqs, cfg: ChannelConfig, rng) -> np.ndarray:
-    """Received sample blocks, one row per tone frequency."""
-    freqs = _check_tones(freqs, cfg)
-    n = cfg.n_samples
-    f_eff, h = _symbol_gains(freqs, _draw_gains(rng, freqs.size), cfg)
-    t = np.arange(n) / cfg.sample_rate
-    blocks = h[:, None] * np.exp(2j * np.pi * np.outer(f_eff, t))
-    var = _noise_variance(cfg)
-    if var > 0:
-        scale = math.sqrt(var / 2.0)
-        blocks += scale * rng.standard_normal((freqs.size, n))
-        blocks += 1j * scale * rng.standard_normal((freqs.size, n))
-    return blocks
 
 
 def _tone_kernel_exact(omega: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
@@ -421,9 +401,9 @@ def received_spectrum(freqs, cfg: ChannelConfig, seed, symbols=None) -> np.ndarr
     Row r is symbol ``symbols[r]`` (default r) of a link run under
     ``seed``: the same draws :func:`simulate_link` makes for that symbol,
     materialised at every bin.  This is the link's one full-row path: the
-    pruned search of :func:`simulate_link_grid` falls back to it, and it is
-    statistically identical to ``fft(transmit_block(...))`` restricted to
-    the searched bins.
+    pruned search of :func:`simulate_link_grid` falls back to it.  It is
+    statistically identical to the FFT of the received sample blocks at the
+    searched bins, which the test suite builds as its time-domain reference.
     """
     freqs = _check_tones(freqs, cfg)
     symbols = np.arange(freqs.size) if symbols is None else np.atleast_1d(symbols)
@@ -561,6 +541,8 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     count (:func:`_candidate_currents`).  ``chunk_symbols`` bounds the
     memory of a chunk and does not change any result.
     """
+    if not isinstance(chunk_symbols, (int, np.integer)) or chunk_symbols < 1:
+        raise ValueError(f"chunk_symbols = {chunk_symbols!r} must be an integer >= 1")
     ids_list = [np.asarray(ids, dtype=float) for ids in ids_list]
     cfgs = list(cfgs)
     if not ids_list or not cfgs:
@@ -604,27 +586,12 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     return out.reshape(len(ids_list), len(cfgs), *shape)
 
 
-def simulate_link(ids, cfg: ChannelConfig, seed, *, chunk_symbols: int = 1024,
-                  time_domain: bool = False) -> np.ndarray:
+def simulate_link(ids, cfg: ChannelConfig, seed, *, chunk_symbols: int = 1024) -> np.ndarray:
     """Pass a current sequence through the link, one symbol each.
 
-    Every draw of the spectrum path is a pure function of ``seed`` (an int
-    or a tuple of ints) and the symbol's index, so results are reproducible
-    and do not depend on ``chunk_symbols``, which only bounds the memory of
-    a chunk, or on any outer parallelisation.  The spectrum path is the
-    one-point case of :func:`simulate_link_grid`; ``time_domain=True``
-    instead builds and transforms the sample blocks, as the physical
-    reference for that sampler, with one RNG stream per chunk of
-    ``chunk_symbols`` symbols derived from (seed, chunk index).
+    The one-point case of :func:`simulate_link_grid`.  Every draw is a pure
+    function of ``seed`` (an int or a tuple of ints) and the symbol's index,
+    so results are reproducible and do not depend on ``chunk_symbols``, which
+    only bounds the memory of a chunk, or on any outer parallelisation.
     """
-    if not time_domain:
-        return simulate_link_grid([ids], [cfg], seed, chunk_symbols=chunk_symbols)[0, 0]
-    ids = np.asarray(ids, dtype=float)
-    freqs = modulate(ids.ravel(), cfg)
-    out = np.empty(freqs.size)
-    for ci, start in enumerate(range(0, freqs.size, chunk_symbols)):
-        stop = min(start + chunk_symbols, freqs.size)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(ci,)))
-        spectrum = np.fft.fft(transmit_block(freqs[start:stop], cfg, rng), axis=1)
-        out[start:stop] = demodulate_spectrum(spectrum[:, 1:cfg.n_bins + 1], cfg)
-    return out.reshape(ids.shape)
+    return simulate_link_grid([ids], [cfg], seed, chunk_symbols=chunk_symbols)[0, 0]

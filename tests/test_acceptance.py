@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from ajscc.channel import modulate, simulate_link, transmit_block
+from ajscc.channel import modulate, received_spectrum, simulate_link
 from ajscc.cli import main
 from ajscc.codec import CodecConfig, build_levels, quantize
 from ajscc.experiments import (
@@ -38,6 +38,7 @@ from ajscc.experiments import (
 )
 from ajscc.mosfet import MosfetParams, curve_slope, drain_current, invert_vds
 from ajscc.phenomenon import generate_field
+from time_domain import transmit_block
 
 P = MosfetParams()
 
@@ -231,6 +232,20 @@ class TestCriterion5OracleSuite:
         measured = 10 * np.log10(1.0 / p_inband)
         _check("criterion-5 snr-calibration", abs(measured + 20.0) <= 0.5,
                f"configured -20 dB, measured {measured:.3f} dB over 1000 symbols")
+
+    def test_configured_vs_empirical_snr_of_received_spectrum(self):
+        # the library's own sampler: its noise is the row at the configured
+        # SNR minus the noise-free row of the same seed and symbols, and an
+        # FFT bin of white noise carries n_samples times its per-sample power
+        for snr_db in (-20.0, 0.0):
+            cfg = self._ideal_channel(snr_db)
+            freqs = np.full(1000, modulate(0.5 * LinkConfig().i_max, cfg))
+            noise = (received_spectrum(freqs, cfg, 54)
+                     - received_spectrum(freqs, self._ideal_channel(math.inf), 54))
+            p_sample = np.mean(np.abs(noise.astype(complex)) ** 2) / cfg.n_samples
+            measured = 10 * np.log10(1.0 / (p_sample * cfg.bandwidth / cfg.sample_rate))
+            _check("criterion-5 spectrum-snr-calibration", abs(measured - snr_db) <= 0.5,
+                   f"configured {snr_db:g} dB, measured {measured:.3f} dB over 1000 symbols")
 
     def test_seed_determinism_byte_identical_csv(self, tmp_path):
         args = ["--nx", "4", "--ny", "4", "--nt", "4", "--s-p", "2", "--t-p", "2",

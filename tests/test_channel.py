@@ -16,9 +16,9 @@ from ajscc.channel import (
     received_spectrum,
     simulate_link,
     simulate_link_grid,
-    transmit_block,
 )
 from ajscc.mosfet import MosfetParams, drain_current
+from time_domain import draw_gains, time_domain_link, transmit_block
 
 I_MAX = drain_current(MosfetParams(), 10.0, 10.0)
 
@@ -45,6 +45,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="sample_rate"):
             ChannelConfig(bandwidth=410e3, snr_db=0.0, fm_scale=1e8,
                           sample_rate=500e3, n_samples=4096)
+
+    @pytest.mark.parametrize("doppler", [1.0, 1.5])
+    def test_doppler_fraction_of_one_or_more_rejected(self, doppler):
+        # a shift of the whole tone frequency can reach 0 Hz; the sample rate
+        # meets Nyquist with the doppler margin, so only this check fires
+        with pytest.raises(ValueError, match=r"doppler_fraction must lie in \[0, 1\)"):
+            ChannelConfig(bandwidth=100e3, snr_db=0.0, fm_scale=1e8, sample_rate=1e6,
+                          n_samples=4096, doppler_fraction=doppler)
 
     def test_block_length_must_be_integral(self):
         with pytest.raises(ValueError, match="integer"):
@@ -134,7 +142,7 @@ class TestTransmitDemodulate:
 
     def test_peak_recovery_within_one_bin(self):
         ids = np.array([2e-4, 1e-3, 7e-3])
-        out = simulate_link(ids, IDEAL, seed=1, time_domain=True)
+        out = time_domain_link(ids, IDEAL, seed=1)
         bin_current = IDEAL.sample_rate / IDEAL.n_samples / IDEAL.fm_scale
         np.testing.assert_allclose(out, ids, atol=bin_current)
 
@@ -148,7 +156,7 @@ class TestTransmitDemodulate:
     def test_doppler_spreads_peak_within_fraction(self):
         cfg = make_cfg(snr_db=60.0, doppler=0.02, k_db=math.inf)
         ids = np.full(200, 100e3 / cfg.fm_scale)
-        peaks = simulate_link(ids, cfg, seed=3, time_domain=True) * cfg.fm_scale
+        peaks = time_domain_link(ids, cfg, seed=3) * cfg.fm_scale
         bin_hz = cfg.sample_rate / cfg.n_samples
         assert peaks.min() >= 98e3 - bin_hz and peaks.max() <= 102e3 + bin_hz
         assert peaks.std() > 0  # the shift really is drawn per symbol
@@ -163,7 +171,7 @@ class TestTransmitDemodulate:
     def test_pure_noise_gives_inband_current(self):
         # at -60 dB the peak is the noise's; it is still searched in band only
         cfg = make_cfg(snr_db=-60.0)
-        out = simulate_link(np.full(16, 0.5 * I_MAX), cfg, seed=4, time_domain=True)
+        out = time_domain_link(np.full(16, 0.5 * I_MAX), cfg, seed=4)
         assert np.all(out > 0) and np.all(out <= cfg.bandwidth / cfg.fm_scale)
 
     def test_frequency_bounds_enforced(self):
@@ -237,7 +245,7 @@ class TestFastPath:
         cfg = make_cfg(snr_db=-20.0, n=1024)
         ids = np.random.default_rng(10).uniform(0.2, 0.9, 1500) * I_MAX
         fast = simulate_link(ids, cfg, seed=21)
-        slow = simulate_link(ids, cfg, seed=21, time_domain=True)
+        slow = time_domain_link(ids, cfg, seed=21)
         gross_fast = np.abs(fast / ids - 1) > 0.06
         gross_slow = np.abs(slow / ids - 1) > 0.06
         assert abs(gross_fast.mean() - gross_slow.mean()) < 0.05
@@ -295,9 +303,15 @@ class TestDeterminism:
         for snr in (-20.0, math.inf):
             cfg = make_cfg(snr_db=snr, n=512)
             want = simulate_link(ids, cfg, (4, 2))
-            for chunk in (1, 7, 100, 5000):
+            for chunk in (1, 7, 100, 5000, np.int64(64)):
                 assert np.array_equal(simulate_link(ids, cfg, (4, 2), chunk_symbols=chunk),
                                       want), (snr, chunk)
+
+    @pytest.mark.parametrize("chunk", [-3, 0, 2.5])
+    def test_chunk_size_must_be_a_positive_integer(self, chunk):
+        # a negative size runs no chunk and would return the output unfilled
+        with pytest.raises(ValueError, match="chunk_symbols"):
+            simulate_link(np.full(5, 0.5 * I_MAX), make_cfg(n=512), 1, chunk_symbols=chunk)
 
     def test_received_spectrum_rows_are_keyed_by_symbol(self):
         # a row depends on its symbol index only, not on the rows around it
@@ -335,8 +349,7 @@ def gaussian_link(ids, cfg, seed, chunk_symbols=1024):
     for ci, start in enumerate(range(0, freqs.size, chunk_symbols)):
         stop = min(start + chunk_symbols, freqs.size)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
-        factors = channel._tone_factors(freqs[start:stop],
-                                        channel._draw_gains(rng, stop - start), cfg)
+        factors = channel._tone_factors(freqs[start:stop], draw_gains(rng, stop - start), cfg)
         full_row = np.arange(1, roots.size + 1)[None, :]
         spectrum = channel._tone_spectrum(factors, cfg, roots, full_row)
         if not math.isinf(cfg.snr_db):

@@ -222,6 +222,8 @@ class TestSubcommands:
         ("sweep-delta", ["--delta", "0.5", "--fm-headroom", "2"],
          "headroom must lie in (0, 1], got 2.0"),
         ("sweep-snr", ["--fm-headroom", "0"], "headroom must lie in (0, 1], got 0.0"),
+        ("sweep-delta", ["--delta", "0.5", "--doppler-fraction", "1"],
+         "doppler_fraction must lie in [0, 1), got 1.0"),
     ], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
     def test_failing_input_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                    message):
