@@ -29,10 +29,12 @@ is a pure function of (seed, symbol, bin), evaluated only where it is read
 :func:`simulate_link`, and :func:`simulate_link_grid` for many current
 sequences and configs on shared draws (the Monte-Carlo sweeps' axis
 points), search each distinct (symbol, tone) once, since equal currents at
-one symbol share every draw, and evaluate the power only at each symbol's
+one symbol share every draw, and configs whose complex64 tone factors
+match bit for bit (bandwidths whose sample rate and FM scale scale with
+them) share that search.  They evaluate the power only at each symbol's
 candidate bins: the 9 within +/- _WINDOW = 4 of the tone and the 17 with
 explicitly drawn loud noise.  A per-row bound proves that no other bin
-can win; a row without that proof takes :func:`demodulate_spectrum` of its
+can win; a row without that proof takes the peak of its
 :func:`received_spectrum` row, the one full-row path, so the estimates
 equal a full search's bit for bit.  The two counts set only how often a
 row falls back: at most 1e-3 of the rows at every SNR from -60 dB to +inf,
@@ -113,7 +115,7 @@ class ChannelConfig:
     @property
     def n_bins(self) -> int:
         """Number of searched in-band FFT bins (bin 1 .. n_bins)."""
-        return _inband_bins(self.bandwidth, self.sample_rate, self.n_samples)
+        return int(math.floor(self.bandwidth * self.n_samples / self.sample_rate * (1.0 + 1e-12)))
 
     @classmethod
     def for_current_range(cls, i_max: float, bandwidth: float, snr_db: float, *,
@@ -133,10 +135,6 @@ class ChannelConfig:
             doppler_fraction=doppler_fraction,
             rician_k_db=rician_k_db,
         )
-
-
-def _inband_bins(bandwidth: float, sample_rate: float, n: int) -> int:
-    return int(math.floor(bandwidth * n / sample_rate * (1.0 + 1e-12)))
 
 
 def modulate(ids, cfg: ChannelConfig):
@@ -190,15 +188,6 @@ def _check_tones(freqs, cfg: ChannelConfig) -> np.ndarray:
     return freqs
 
 
-def _tone_kernel_exact(omega: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-    """Float64 geometric-series transform of a unit tone at bins ``k``."""
-    phi = omega - 2.0 * np.pi * k / n
-    num = 1.0 - np.exp(1j * omega * n)
-    den = 1.0 - np.exp(1j * phi)
-    on_bin = np.abs(phi) < 1e-9
-    return np.where(on_bin, n + 0.0j, num / np.where(on_bin, 1.0, den))
-
-
 def _bin_roots(cfg: ChannelConfig) -> np.ndarray:
     """Kernel roots exp(-2 pi i k / n) of the in-band bins k = 1..n_bins, complex64."""
     k = np.arange(1, cfg.n_bins + 1)
@@ -206,35 +195,37 @@ def _bin_roots(cfg: ChannelConfig) -> np.ndarray:
 
 
 def _tone_factors(freqs: np.ndarray, draws, cfg: ChannelConfig):
-    """Per-symbol factors of the faded tone kernel: (h, omega, hnum, z, k0).
+    """Per-symbol factors of the faded tone kernel: (hnum, z, k0, exact).
 
-    h is the fading gain, omega the Doppler-shifted angular frequency per
-    sample, hnum = h (1 - e^{i omega n}) and z = e^{i omega} are the complex64
-    numerator and ratio of the kernel, and k0 is the bin nearest the tone.
+    For the fading gain h and the Doppler-shifted angular frequency omega
+    per sample, hnum = h (1 - e^{i omega n}) and z = e^{i omega} are the
+    complex64 numerator and ratio of the kernel, k0 is the bin nearest the
+    tone and exact the complex64 kernel there, computed in float64 since
+    the denominator loses precision near the tone.  At one block length and
+    bin count, equal factors give an equal spectrum.
     """
     n = cfg.n_samples
     f_eff, h = _symbol_gains(freqs, draws, cfg)
     omega = 2.0 * np.pi * f_eff / cfg.sample_rate
-    hnum = (h * (1.0 - np.exp(1j * omega * n))).astype(np.complex64)
+    num = 1.0 - np.exp(1j * omega * n)
     z = np.exp(1j * omega).astype(np.complex64)
-    k0 = np.rint(omega * n / (2.0 * np.pi)).astype(int)
-    return h, omega, hnum, z, k0
+    k0 = np.rint(omega * n / (2.0 * np.pi)).astype(np.int64)
+    phi = omega - 2.0 * np.pi * k0.astype(float) / n
+    on_bin = np.abs(phi) < 1e-9
+    exact = h * np.where(on_bin, n + 0.0j, num / np.where(on_bin, 1.0, 1.0 - np.exp(1j * phi)))
+    return (h * num).astype(np.complex64), z, k0, exact.astype(np.complex64)
 
 
-def _tone_spectrum(factors, cfg: ChannelConfig, roots: np.ndarray, bins: np.ndarray) -> np.ndarray:
+def _tone_spectrum(factors, roots: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """Noise-free spectrum of the faded tones at 1-based in-band ``bins``, complex64.
 
     Row r holds bins ``bins[r]``; one index row, such as the full row
-    ``np.arange(1, n_bins + 1)[None, :]``, serves every symbol.  The bin
-    nearest each tone is recomputed in float64 since the kernel denominator
-    loses precision there.
+    ``np.arange(1, n_bins + 1)[None, :]``, serves every symbol.
     """
-    h, omega, hnum, z, k0 = factors
+    hnum, z, k0, exact = factors
     spectrum = hnum[:, None] / (1.0 - z[:, None] * roots[bins - 1])
     rows, cols = np.nonzero(bins == k0[:, None])
-    if rows.size:
-        exact = h[rows] * _tone_kernel_exact(omega[rows], k0[rows].astype(float), cfg.n_samples)
-        spectrum[rows, cols] = exact.astype(np.complex64)
+    spectrum[rows, cols] = exact[rows]
     return spectrum
 
 
@@ -411,7 +402,7 @@ def received_spectrum(freqs, cfg: ChannelConfig, seed, symbols=None) -> np.ndarr
         raise ValueError("need one symbol index per tone")
     bins = np.arange(1, cfg.n_bins + 1)[None, :]
     factors = _tone_factors(freqs, _gain_draws(seed, symbols), cfg)
-    spectrum = _tone_spectrum(factors, cfg, _bin_roots(cfg), bins)
+    spectrum = _tone_spectrum(factors, _bin_roots(cfg), bins)
     if _noisy(cfg):
         re, im = _unit_noise(_noise_draws(seed, cfg.n_bins, symbols), bins)
         spectrum.real += _noise_scale(cfg) * re
@@ -424,16 +415,21 @@ def _bin_currents(k: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     return k * (cfg.sample_rate / cfg.n_samples) / cfg.fm_scale
 
 
+def _peak_bins(spectrum: np.ndarray) -> np.ndarray:
+    """1-based peak bin of each in-band spectrum row (bins 1..n_bins)."""
+    return 1 + np.argmax(spectrum.real ** 2 + spectrum.imag ** 2, axis=1)
+
+
 def demodulate_spectrum(spectrum: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     """Current estimates from the peak bin of each in-band spectrum row (bins 1..n_bins)."""
-    return _bin_currents(1 + np.argmax(spectrum.real ** 2 + spectrum.imag ** 2, axis=1), cfg)
+    return _bin_currents(_peak_bins(spectrum), cfg)
 
 
-def _power(tone: np.ndarray, noise, cfg: ChannelConfig) -> np.ndarray:
-    """Float32 power of ``tone`` plus the unit ``noise`` planes at cfg's SNR."""
-    if not _noisy(cfg):
+def _power(tone: np.ndarray, noise, scale) -> np.ndarray:
+    """Float32 power of ``tone`` plus the unit ``noise`` planes times ``scale`` (None: no noise)."""
+    if scale is None:
         return tone.real ** 2 + tone.imag ** 2
-    re, im = (_noise_scale(cfg) * plane for plane in noise)
+    re, im = (scale * plane for plane in noise)
     re += tone.real
     im += tone.imag
     re **= 2
@@ -454,13 +450,12 @@ _DEN_SLACK = 16 * float(np.finfo(np.float32).eps)
 _TINY_POWER = 1e-30
 
 
-def _candidate_currents(freqs: np.ndarray, rows: np.ndarray, symbols: np.ndarray, seed, gains,
-                        noise: _Noise | None, tone_cfg: ChannelConfig, roots: np.ndarray,
-                        cfgs) -> list:
-    """Current estimates of the tones ``freqs`` of the chunk's rows ``rows``
-    for each of ``cfgs`` (``tone_cfg`` at their SNRs), given the chunk's
-    symbol indices ``symbols`` and their ``gains`` and ``noise`` draws;
-    equal bit for bit to :func:`demodulate_spectrum` of their
+def _candidate_bins(freqs: np.ndarray, factors, rows: np.ndarray, symbols: np.ndarray, seed,
+                    noise: _Noise | None, roots: np.ndarray, keyed: dict) -> dict:
+    """1-based peak bins of the tones ``freqs``, with their ``factors``, of
+    the chunk's rows ``rows`` per noise key of ``keyed`` (key: a config of
+    this tone at that key), given the chunk's symbol indices ``symbols`` and
+    their ``noise``; equal bit for bit to the peak bins of their
     :func:`received_spectrum` rows.
 
     The power is evaluated exactly at each row's candidate bins: the
@@ -473,42 +468,78 @@ def _candidate_currents(freqs: np.ndarray, rows: np.ndarray, symbols: np.ndarray
     ``scale * sqrt(u_rest)``.  A row whose best candidate beats
     ``(scale * sqrt(u_rest) + eps)^2`` by the margin has its peak among the
     candidates (ties go to the lowest bin, as with ``np.argmax``); any other
-    row's estimate is that reference, its received spectrum row materialised
-    at every bin.
+    row's peak is that of its received spectrum row, materialised at every
+    bin.
     """
     n_bins = roots.size
-    factors = _tone_factors(freqs, tuple(g[rows] for g in gains), tone_cfg)
-    hnum, k0 = factors[2], factors[4]
+    n = next(iter(keyed.values())).n_samples
+    hnum, k0 = factors[0], factors[2]
     bins = np.clip(k0[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 1, n_bins)
     n_window = bins.shape[1]
-    if noise is not None:
+    if any(key is not None for key in keyed):
         cand_noise = tuple(np.concatenate([near, top.take(rows, axis=0)], axis=1) for near, top in
                            zip(_unit_noise(noise, bins, rows), (noise.top_re, noise.top_im)))
         bins = np.concatenate([bins, noise.bins.take(rows, axis=0)], axis=1)
-    tone = _tone_spectrum(factors, tone_cfg, roots, bins)
+        root_u = np.sqrt(noise.u_rest[rows])
+    tone = _tone_spectrum(factors, roots, bins)
     # |x - k| / n lies in [(_WINDOW + 1/2) / n, 1/2] for the tone at bin
     # position x and every bin k outside the window, where sin increases
-    den = 2.0 * math.sin(math.pi * (_WINDOW + 0.5) / tone_cfg.n_samples) - _DEN_SLACK
-    eps = np.abs(hnum.astype(complex)) / den
+    eps = np.abs(hnum.astype(complex)) / (2.0 * math.sin(math.pi * (_WINDOW + 0.5) / n)
+                                          - _DEN_SLACK)
     # a row whose window holds every in-band bin needs no bound
     whole_row = (k0 - _WINDOW <= 1) & (k0 + _WINDOW >= n_bins)
-    estimates = []
-    for cfg in cfgs:
-        if _noisy(cfg):
-            power = _power(tone, cand_noise, cfg)
-            bound = (float(_noise_scale(cfg)) * np.sqrt(noise.u_rest[rows]) + eps) ** 2
-        else:
-            power = _power(tone[:, :n_window], None, cfg)
+    peaks = {}
+    for key, cfg in keyed.items():
+        if key is None:
+            power = _power(tone[:, :n_window], None, None)
             bound = eps ** 2
+        else:
+            power = _power(tone, cand_noise, key)
+            bound = (float(key) * root_u + eps) ** 2
         best = power.max(axis=1)
         k = np.where(power == best[:, None], bins[:, :power.shape[1]], n_bins + 1).min(axis=1)
-        est = _bin_currents(k, cfg)
         proven = whole_row | (best > np.maximum(_SAFETY * bound, _TINY_POWER))
         bad = np.nonzero(~(proven & np.isfinite(best)))[0]
         if bad.size:
-            est[bad] = demodulate_spectrum(
-                received_spectrum(freqs[bad], cfg, seed, symbols[rows[bad]]), cfg)
-        estimates.append(est)
+            k[bad] = _peak_bins(received_spectrum(freqs[bad], cfg, seed, symbols[rows[bad]]))
+        peaks[key] = k
+    return peaks
+
+
+def _candidate_currents(currents: np.ndarray, rows: np.ndarray, symbols: np.ndarray, seed, gains,
+                        noise: _Noise | None, tones: list, roots: dict) -> list:
+    """Current estimates of ``currents`` at the chunk's rows ``rows`` for the
+    configs of ``tones``, (tone config, its configs) pairs of one bin count,
+    flattened; equal bit for bit to :func:`demodulate_spectrum` of their
+    :func:`received_spectrum` rows.  Each block length's first tone config
+    is searched on every row (:func:`_candidate_bins`); since every draw is
+    shared, a later one reuses its peak bins at equal noise keys and is
+    searched only on the rows where its tone factors differ bit for bit.
+    """
+    gains = tuple(g[rows] for g in gains)
+    estimates, refs = [], {}
+    for tone_cfg, cfgs in tones:
+        freqs = modulate(currents, tone_cfg)
+        factors = _tone_factors(freqs, gains, tone_cfg)
+        keys = [_noise_scale(cfg) if _noisy(cfg) else None for cfg in cfgs]
+        keyed = dict(zip(keys, cfgs))
+        first, shared = refs.setdefault(tone_cfg.n_samples, (factors, {}))
+        peaks = {key: shared[key].copy() for key in keyed if key in shared}
+        if peaks:
+            redo = np.nonzero(~np.all([a.view(np.uint64) == b.view(np.uint64)
+                                       for a, b in zip(factors, first)], axis=0))[0]
+            if redo.size:
+                for key, k in _candidate_bins(freqs[redo], tuple(f[redo] for f in factors),
+                                              rows[redo], symbols, seed, noise, roots[tone_cfg],
+                                              {key: keyed[key] for key in peaks}).items():
+                    peaks[key][redo] = k
+        if len(peaks) < len(keyed):
+            peaks.update(_candidate_bins(freqs, factors, rows, symbols, seed, noise,
+                                         roots[tone_cfg], {key: cfg for key, cfg in keyed.items()
+                                                           if key not in peaks}))
+        if first is factors:
+            shared.update(peaks)
+        estimates += [_bin_currents(peaks[key], cfg) for key, cfg in zip(keys, cfgs)]
     return estimates
 
 
@@ -533,13 +564,16 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     bin count (if any config has noise), the explicit unit noise are drawn
     once, and equal currents at one symbol give equal estimates: each
     distinct (symbol, current) pair of a chunk is searched once, in batches
-    of at most ``chunk_symbols`` pairs.  Per batch and config modulo SNR the
-    tone and the noise are evaluated at each symbol's candidate bins only;
+    of at most ``chunk_symbols`` pairs.  Configs of one block length and bin
+    count share one search per batch (:func:`_candidate_currents`): the
+    tone and the noise are evaluated at each symbol's candidate bins only,
     per SNR only the noise is rescaled and the peak searched among the
     candidates, with a per-row proof that no other bin can win and one
-    :func:`received_spectrum` call for the rows without it, at every bin
-    count (:func:`_candidate_currents`).  ``chunk_symbols`` bounds the
-    memory of a chunk and does not change any result.
+    :func:`received_spectrum` call for the rows without it.  Another tone
+    config, such as another bandwidth of the SNR sweep (whose sample rate
+    and FM scale scale with it), is searched only on the rows where its
+    complex64 tone factors differ.  ``chunk_symbols`` bounds the memory of
+    a chunk and does not change any result.
     """
     if not isinstance(chunk_symbols, (int, np.integer)) or chunk_symbols < 1:
         raise ValueError(f"chunk_symbols = {chunk_symbols!r} must be an integer >= 1")
@@ -551,7 +585,7 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     if any(ids.shape != shape for ids in ids_list):
         raise ValueError("current arrays must share one shape")
     # bin count -> {config with its SNR set to inf: indices of the configs
-    # that differ from it only in SNR}; such configs share a tone spectrum
+    # differing from it only in SNR}; tone configs of one block length share a search
     groups: dict[int, dict[ChannelConfig, list[int]]] = {}
     for j, cfg in enumerate(cfgs):
         tone_cfg = dataclasses.replace(cfg, snr_db=math.inf)
@@ -577,11 +611,11 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
             noise = None
             if any(_noisy(cfgs[j]) for js in tones.values() for j in js):
                 noise = _noise_draws(seed, n_bins, symbols)
-            for tone_cfg, js in tones.items():
-                for part in map(slice, edges[:-1], edges[1:]):
-                    est[js, part] = _candidate_currents(
-                        modulate(currents[part], tone_cfg), rows[part], symbols, seed, gains,
-                        noise, tone_cfg, roots[tone_cfg], [cfgs[j] for j in js])
+            search = [(tone_cfg, [cfgs[j] for j in js]) for tone_cfg, js in tones.items()]
+            js = [j for group in tones.values() for j in group]
+            for part in map(slice, edges[:-1], edges[1:]):
+                est[js, part] = _candidate_currents(currents[part], rows[part], symbols, seed,
+                                                    gains, noise, search, roots)
         out[:, :, start:stop] = est[:, inverse.T].swapaxes(0, 1)
     return out.reshape(len(ids_list), len(cfgs), *shape)
 

@@ -1,5 +1,6 @@
 """Link tests: FM map, impairments, FFT-peak recovery, fast-path equivalence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -351,7 +352,7 @@ def gaussian_link(ids, cfg, seed, chunk_symbols=1024):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
         factors = channel._tone_factors(freqs[start:stop], draw_gains(rng, stop - start), cfg)
         full_row = np.arange(1, roots.size + 1)[None, :]
-        spectrum = channel._tone_spectrum(factors, cfg, roots, full_row)
+        spectrum = channel._tone_spectrum(factors, roots, full_row)
         if not math.isinf(cfg.snr_db):
             w = rng.standard_normal((stop - start, 2 * roots.size), dtype=np.float32)
             spectrum.real += scale * w[:, :roots.size]
@@ -513,6 +514,97 @@ class TestRepeatedCurrents:
         assert sum(rows) == sum(once)
         n_chunks = -(-ids.size // 100)
         assert len(rows) <= n_chunks * len(cfgs)
+
+
+class TestBandwidthFanOut:
+    """simulate_link_grid searches configs of one block length and bin count
+    once and searches another tone config only on the rows where its
+    complex64 tone factors differ from the first's."""
+
+    BANDWIDTHS = (50e3, 200e3, 410e3, 500e3)
+    SNRS = (-20.0, 10.0, math.inf)
+
+    @staticmethod
+    def perturb(monkeypatch, bandwidth):
+        """Scale hnum tenfold at ``bandwidth`` on the symbols whose doppler
+        draw exceeds 0.8, everywhere the link computes tone factors."""
+        tone_factors = channel._tone_factors
+
+        def perturbed(freqs, draws, cfg):
+            hnum, z, k0, exact = tone_factors(freqs, draws, cfg)
+            if cfg.bandwidth == bandwidth:
+                hnum = np.where(draws[0] > 0.8, 10 * hnum, hnum)
+            return hnum, z, k0, exact
+
+        monkeypatch.setattr(channel, "_tone_factors", perturbed)
+
+    @staticmethod
+    def mismatched(ids, cfgs, seed):
+        """Count the (symbol, tone config) pairs whose tone factors differ bit
+        for bit from the first tone config's."""
+        gains = channel._gain_draws(seed, np.arange(ids.size))
+        tones = dict.fromkeys(dataclasses.replace(cfg, snr_db=math.inf) for cfg in cfgs)
+        first, *rest = [channel._tone_factors(modulate(ids, t), gains, t) for t in tones]
+        return sum(int(np.sum(~np.all([a.view(np.uint64) == b.view(np.uint64)
+                                       for a, b in zip(factors, first)], axis=0)))
+                   for factors in rest)
+
+    # 64 samples give 16 in-band bins, 8192 give 2048, at every bandwidth
+    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("n", [64, 8192])
+    def test_every_config_equals_its_own_link(self, monkeypatch, n, perturbed):
+        ids = np.random.default_rng(20).uniform(0.01, 0.9, 300) * I_MAX
+        cfgs = [make_cfg(snr_db=snr, bandwidth=bw, n=n)
+                for snr in self.SNRS for bw in self.BANDWIDTHS]
+        plain = [simulate_link(ids, cfg, (2, 9)) for cfg in cfgs]
+        if perturbed:
+            self.perturb(monkeypatch, 410e3)
+            assert self.mismatched(ids, cfgs, (2, 9)) > 0
+        want = [simulate_link(ids, cfg, (2, 9)) for cfg in cfgs]
+        # the perturbation moves peaks, so a shared search that missed it fails
+        assert np.array_equal(want, plain) != perturbed
+        for chunk in (1, 7, 100, 5000):
+            grid = simulate_link_grid([ids], cfgs, (2, 9), chunk_symbols=chunk)
+            assert np.array_equal(grid[0], want), chunk
+
+    @pytest.mark.parametrize("variants", [
+        # 128 bins each, at block lengths 512, 1024 and 640: other kernel roots
+        [dict(n_samples=512), dict(n_samples=1024, oversample=8.0),
+         dict(n_samples=640, oversample=5.0)],
+        [dict(doppler_fraction=0.02), dict(doppler_fraction=0.0), dict(doppler_fraction=0.01)],
+        [dict(rician_k_db=6.0), dict(rician_k_db=math.inf), dict(rician_k_db=-math.inf)],
+    ])
+    def test_configs_of_one_bin_count_stay_exact(self, variants):
+        ids = np.random.default_rng(21).uniform(0.01, 0.9, 400) * I_MAX
+        base = dict(n_samples=512, doppler_fraction=0.02, rician_k_db=6.0)
+        cfgs = [ChannelConfig.for_current_range(I_MAX, 410e3, snr, headroom=0.8,
+                                                **{**base, **variant})
+                for variant in variants for snr in (-10.0, math.inf)]
+        assert len({cfg.n_bins for cfg in cfgs}) == 1
+        grid = simulate_link_grid([ids], cfgs, 5, chunk_symbols=150)
+        for j, cfg in enumerate(cfgs):
+            assert np.array_equal(grid[0, j], simulate_link(ids, cfg, 5)), cfg
+
+    @pytest.mark.parametrize("perturbed", [False, True])
+    def test_extra_bandwidths_add_no_fallback_work(self, monkeypatch, perturbed):
+        # four bandwidths hand the full-row fallback the rows of one bandwidth
+        # plus at most the mismatched rows at each SNR, not four times the rows
+        monkeypatch.setattr(channel, "_WINDOW", 0)
+        monkeypatch.setattr(channel, "_TOP_NOISE", 1)
+        if perturbed:
+            self.perturb(monkeypatch, 410e3)
+        rows = TestPrunedPeakSearch.count_fallback_rows(monkeypatch)
+        ids = np.random.default_rng(22).uniform(0.01, 0.9, 300) * I_MAX
+        cfgs = [make_cfg(snr_db=snr, bandwidth=bw, n=512)
+                for snr in self.SNRS for bw in self.BANDWIDTHS]
+        simulate_link_grid([ids], cfgs[::len(self.BANDWIDTHS)], 4, chunk_symbols=100)
+        once = sum(rows)
+        rows.clear()
+        simulate_link_grid([ids], cfgs, 4, chunk_symbols=100)
+        differ = self.mismatched(ids, cfgs, 4)
+        assert once > 0
+        assert differ > 0 if perturbed else differ < 0.01 * ids.size
+        assert once <= sum(rows) <= once + len(self.SNRS) * differ
 
 
 class TestSamplerLaw:
