@@ -519,7 +519,7 @@ def _candidate_currents(currents: np.ndarray, rows: np.ndarray, symbols: np.ndar
     gains = tuple(g[rows] for g in gains)
     estimates, refs = [], {}
     for tone_cfg, cfgs in tones:
-        freqs = modulate(currents, tone_cfg)
+        freqs = tone_cfg.fm_scale * currents  # modulate, checked by simulate_link_grid
         factors = _tone_factors(freqs, gains, tone_cfg)
         keys = [_noise_scale(cfg) if _noisy(cfg) else None for cfg in cfgs]
         keyed = dict(zip(keys, cfgs))

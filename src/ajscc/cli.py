@@ -14,6 +14,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -36,6 +37,8 @@ class ConfigError(ValueError):
 
 
 _LINK = LinkConfig()  # the library defaults, the one source of RunConfig's scalar defaults
+# LinkConfig fields set by differently named keys
+_LINK_KEYS = {"n_seeds": "seeds", "vgs_range": "vgs_lo/vgs_hi", "vds_range": "vds_lo/vds_hi"}
 
 
 @dataclass
@@ -116,18 +119,26 @@ class RunConfig:
         return _parse_float_list("bandwidths", self.bandwidths)
 
     def link(self) -> LinkConfig:
-        return LinkConfig(
-            mosfet=self.mosfet(),
-            vgs_range=(self.vgs_lo, self.vgs_hi),
-            vds_range=(self.vds_lo, self.vds_hi),
-            nx=self.nx, ny=self.ny, nt=self.nt, s_p=self.s_p, t_p=self.t_p,
-            bandwidth=self.bandwidth, snr_db=self.snr_db,
-            doppler_fraction=self.doppler_fraction, rician_k_db=self.rician_k_db,
-            n_samples=self.n_samples, oversample=self.oversample,
-            fm_headroom=self.fm_headroom,
-            n_seeds=self.seeds, seed=self.seed,
-            workers=self.workers if self.workers > 0 else (os.cpu_count() or 1),
-        )
+        """The library config of the link sweeps; its checks are reported by key."""
+        try:
+            return LinkConfig(
+                mosfet=self.mosfet(),
+                vgs_range=(self.vgs_lo, self.vgs_hi),
+                vds_range=(self.vds_lo, self.vds_hi),
+                nx=self.nx, ny=self.ny, nt=self.nt, s_p=self.s_p, t_p=self.t_p,
+                bandwidth=self.bandwidth, snr_db=self.snr_db,
+                doppler_fraction=self.doppler_fraction, rician_k_db=self.rician_k_db,
+                n_samples=self.n_samples, oversample=self.oversample,
+                fm_headroom=self.fm_headroom,
+                n_seeds=self.seeds, seed=self.seed,
+                workers=self.workers if self.workers > 0 else (os.cpu_count() or 1),
+            )
+        except ValueError as exc:
+            # the keys of the LinkConfig fields the library's message names
+            keys = [_LINK_KEYS.get(f.name, f.name) for f in dataclasses.fields(LinkConfig)
+                    if re.search(rf"\b{f.name}\b", str(exc))]
+            raise ConfigError(f"invalid value for '{'/'.join(keys)}': {exc}" if keys
+                              else str(exc)) from None
 
     def echo(self) -> str:
         items = dataclasses.asdict(self)

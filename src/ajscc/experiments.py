@@ -24,7 +24,6 @@ grids are written once, here.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -158,13 +157,15 @@ def mse_averaged(truth_gs: Field, est_gs: np.ndarray, truth_ds: Field,
     if (truth_gs.s_p, truth_gs.t_p) != (truth_ds.s_p, truth_ds.t_p):
         raise ValueError("the two fields must share block geometry")
 
-    def one(truth: Field, est: np.ndarray) -> float:
-        bm_est = block_means(np.asarray(est, dtype=float), truth.s_p, truth.t_p)
-        bm_truth = block_means(truth.values, truth.s_p, truth.t_p)
-        return float(np.mean((bm_est - bm_truth) ** 2))
+    means = [block_means(f.values, f.s_p, f.t_p) for f in (truth_gs, truth_ds)]
+    return _block_mse(means, truth_gs, est_gs, est_ds, **params_echo)
 
-    return MseReport.from_pair(one(truth_gs, est_gs), one(truth_ds, est_ds),
-                               truth_gs.n_blocks, **params_echo)
+
+def _block_mse(truth_means, truth: Field, est_gs, est_ds, **params_echo) -> MseReport:
+    """:func:`mse_averaged` given both fields' block means (``truth`` has their geometry)."""
+    gs, ds = (float(np.mean((block_means(np.asarray(est, dtype=float), truth.s_p, truth.t_p)
+                             - bm) ** 2)) for est, bm in zip((est_gs, est_ds), truth_means))
+    return MseReport.from_pair(gs, ds, truth.n_blocks, **params_echo)
 
 
 def run_noiseless(p: MosfetParams, levels=NOISELESS_LEVELS, vds_grid=None,
@@ -333,6 +334,7 @@ def _link_points(cfg: LinkConfig, field_gs: Field, field_ds: Field, deltas,
         ids_hat = simulate_link_grid(streams, chans, link_seed)
     lo, hi = cfg.vds_range
     shape = field_gs.values.shape
+    truth_means = [block_means(f.values, f.s_p, f.t_p) for f in (field_gs, field_ds)]
     reports = []
     for i, (delta, codec) in enumerate(zip(deltas, codecs)):
         for j, chan in enumerate(chans):
@@ -341,8 +343,8 @@ def _link_points(cfg: LinkConfig, field_gs: Field, field_ds: Field, deltas,
             echo = {"delta": float(delta), "lam": cfg.mosfet.lam}
             if chan is not None:
                 echo.update(snr_db=chan.snr_db, bandwidth=chan.bandwidth)
-            reports.append(mse_averaged(field_gs, est_gs.reshape(shape), field_ds,
-                                        est_ds.reshape(shape), **echo))
+            reports.append(_block_mse(truth_means, field_gs, est_gs.reshape(shape),
+                                      est_ds.reshape(shape), **echo))
     return reports
 
 
@@ -364,14 +366,18 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     """Replicate-averaged report per (delta, channel) point, delta-major.
 
     Replicates run in a process pool of at most ``cfg.workers`` processes
-    (one per replicate at most) and are reduced in replicate order.  ``cfg``
-    checked itself when built, so only the spacings are checked up front.
+    (one per replicate at most; none for one replicate) and are reduced in
+    replicate order.  ``cfg`` checked itself when built, so only the
+    spacings are checked up front.
     """
     for delta in deltas:
         build_levels(cfg.vgs_range, delta)
     tasks = [(cfg, deltas, chans, rep) for rep in range(cfg.n_seeds)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(tasks))) as pool:
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        # imported here: multiprocessing costs every import of the package some 15 ms
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_rep = list(pool.map(_replicate_task, tasks))
     else:
         per_rep = [_replicate_task(t) for t in tasks]

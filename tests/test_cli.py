@@ -198,6 +198,18 @@ class TestSubcommands:
         assert f"error: invalid value for '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
+    # checked by the library, reported by the key that sets the value
+    @pytest.mark.parametrize("flags, key, message", [
+        (["--seeds", "0"], "seeds", "need at least one replicate"),
+        (["--vgs-lo", "6", "--vgs-hi", "5"], "vgs_lo/vgs_hi", "must have finite lo < hi"),
+    ])
+    def test_library_checks_name_the_key(self, tmp_path, capsys, flags, key, message):
+        out = tmp_path / "out"
+        assert main(["sweep-delta", "--outdir", str(out), *FAST_LINK, *flags]) == 1
+        err = capsys.readouterr().err
+        assert f"error: invalid value for '{key}': " in err and message in err
+        assert not out.exists()
+
     # rejected by the library, before any artifact is written; the output
     # directory is made only when an artifact is written
     @pytest.mark.parametrize("command, flags, message", [

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ajscc import codec
 from ajscc.codec import (
+    RANGE_TOL,
     CodecConfig,
     build_levels,
     decode_pairs,
@@ -182,6 +184,12 @@ class TestDecodePair:
         assert v1[0] == v2[1] and v2[0] == v1[1]
         assert ok[0] == ok[1]
 
+    @pytest.mark.parametrize("i1, i2", [(np.ones((2, 3)), np.ones((2, 3))),
+                                        (np.ones(3), np.ones(2)), (1e-3, [1e-3, 2e-3])])
+    def test_pairs_must_be_1d_of_one_length(self, i1, i2):
+        with pytest.raises(ValueError, match="1-d arrays of one length"):
+            decode_pairs(P, REF_CFG, i1, i2)
+
     def test_flat_curves_rejected(self):
         # lam = 0 is a valid device, but its curves carry no slope to match
         flat = MosfetParams(lam=0.0)
@@ -208,6 +216,78 @@ class TestDecodePair:
                                     drain_current(P, lvl, 10.0))
         assert g == pytest.approx(lvl + 0.41)
         assert ok
+
+
+def pair_zoo(p, cfg, rng, n=16):
+    """Current pairs of every kind the decoder meets: on one curve (inside
+    and at the ends of the vds range), equal, nearly equal, out of range,
+    non-positive or non-finite, and near-ties of two levels' scores."""
+    base = 0.5 * p.k_gain * (cfg.levels - p.v_th) ** 2
+    lo, hi = cfg.vds_range
+    level = rng.integers(0, base.size, n)
+    vds = np.concatenate([rng.uniform(max(lo - 1.0, 0.0), hi + 1.0, (2, n - 4)),
+                          np.array([[lo, lo - RANGE_TOL, hi, hi + RANGE_TOL]] * 2)], axis=1)
+    curve = base[level] * (1.0 + p.lam * vds)
+    top = base[-1] * (1.0 + p.lam * (hi + 1.0))
+    tie = rng.integers(0, base.size - 1, n)
+    mid = (base[tie] + base[tie + 1]) / 2.0
+    half = mid * rng.uniform(1e-4, 0.1, n)
+    nearly = curve[0] * (1.0 + rng.integers(-4, 5, n) * 2.0 ** -52)
+    i1 = np.concatenate([curve[0], curve[0], curve[0], rng.uniform(0.0, 2.0 * top, n),
+                         -rng.uniform(0.0, top, n), np.zeros(2), [np.nan, np.inf], mid - half])
+    i2 = np.concatenate([curve[1], curve[0], nearly, rng.uniform(0.0, 2.0 * top, n), curve[1],
+                         [0.0, top], [top, top], mid + half])
+    return i1, i2
+
+
+class TestCandidateSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 101), uniform=st.booleans(), lo=st.floats(0.8, 5.0),
+           spacing=st.floats(0.01, 1.0), lam=st.floats(1e-3, 0.2), vds_lo=st.floats(0.0, 8.0),
+           vds_span=st.floats(0.1, 8.0), seed=st.integers(0, 2 ** 32 - 1),
+           range_check=st.booleans())
+    def test_equals_the_full_computation(self, n, uniform, lo, spacing, lam, vds_lo, vds_span,
+                                         seed, range_check):
+        rng = np.random.default_rng(seed)
+        steps = np.full(n - 1, spacing) if uniform else spacing * rng.exponential(size=n - 1)
+        levels = lo + np.concatenate([[0.0], np.cumsum(steps)])
+        assume(np.all(np.diff(levels) > 0))
+        p = MosfetParams(lam=lam)
+        cfg = CodecConfig(levels, (vds_lo, vds_lo + vds_span))
+        i1, i2 = pair_zoo(p, cfg, rng)
+        got = decode_pairs(p, cfg, i1, i2, range_check=range_check)
+        want = codec._decode_full(p, cfg, i1, i2, range_check)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+    @staticmethod
+    def full_rows(monkeypatch):
+        """The (ids1, ids2) of each call of the full computation, as they are made."""
+        calls = []
+        full = codec._decode_full
+
+        def recording(p, cfg, ids1, ids2, range_check):
+            calls.append((ids1, ids2))
+            return full(p, cfg, ids1, ids2, range_check)
+        monkeypatch.setattr(codec, "_decode_full", recording)
+        return calls
+
+    @pytest.mark.parametrize("range_check", [True, False])
+    def test_forced_fallback_changes_nothing(self, monkeypatch, range_check):
+        cfg = CodecConfig(build_levels((5.0, 10.0), 0.2), (5.0, 10.0))
+        i1, i2 = pair_zoo(P, cfg, np.random.default_rng(7), n=200)
+        want = decode_pairs(P, cfg, i1, i2, range_check=range_check)
+        calls = self.full_rows(monkeypatch)
+        monkeypatch.setattr(codec, "_MAX_CANCEL", 0.0)  # proves no pair of unequal currents
+        got = decode_pairs(P, cfg, i1, i2, range_check=range_check)
+        (full1, full2), = calls
+        # every unequal pair takes the full computation, and most equal ones
+        # keep their closed form
+        assert np.count_nonzero(full1 != full2) == np.count_nonzero(i1 != i2)
+        assert np.count_nonzero(full1 == full2) < np.count_nonzero(i1 == i2) / 2
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 def _alias_free(levels, lam, vds_range):

@@ -1,10 +1,17 @@
 """Experiment-layer tests: block MSE, noiseless studies, link pipeline."""
 
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ajscc
+from ajscc import codec
 from ajscc.codec import CodecConfig, build_levels, decode_pairs, quantize
 from ajscc.experiments import (
     LinkConfig,
@@ -203,6 +210,26 @@ class TestLinkPipeline:
         assert rpt.mse_gs >= 0 and rpt.mse_ds >= 0
 
 
+class TestDecodeFallback:
+    @pytest.mark.parametrize("snr_db", [-20.0, None], ids=["minus_20_db", "perfect_link"])
+    def test_no_link_point_pair_takes_the_full_decode(self, monkeypatch, snr_db):
+        # link estimates are whole FFT bins apart, and perfect-link pairs are
+        # equal or clean curve pairs, so the candidate search proves each one
+        rows = []
+        full = codec._decode_full
+
+        def counting(p, cfg, ids1, ids2, range_check):
+            rows.append(ids1.size)
+            return full(p, cfg, ids1, ids2, range_check)
+        monkeypatch.setattr(codec, "_decode_full", counting)
+        cfg = LinkConfig(nx=6, ny=6, nt=10, s_p=3, t_p=5, n_samples=512, snr_db=-20.0)
+        gs, ds = cfg.fields(0)
+        for delta in (0.05, 0.41, 1.25):
+            chan = None if snr_db is None else cfg.channel(snr_db=snr_db)
+            run_link_point(cfg, gs, ds, delta, chan, (cfg.seed, 0))
+        assert sum(rows) == 0
+
+
 class TestPerfectLinkFloor:
     def test_knee_config_pairs_are_degenerate_and_vds_is_worse_than_the_midpoint(self):
         # The knee test's config at 0.41 V spacing on a perfect link.  Both
@@ -253,6 +280,21 @@ class TestSweeps:
         a = sweep_snr((-30.0, -10.0), (50e3, 410e3), 0.5, tiny_link_cfg(n_seeds=3, workers=1))
         b = sweep_snr((-30.0, -10.0), (50e3, 410e3), 0.5, tiny_link_cfg(n_seeds=3, workers=2))
         assert a == b
+
+    def test_one_replicate_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kw):
+            raise AssertionError("a process pool was started for one replicate")
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", no_pool)
+        pooled = sweep_delta((0.4, 0.8), tiny_link_cfg(n_seeds=1, workers=2))
+        assert pooled == sweep_delta((0.4, 0.8), tiny_link_cfg(n_seeds=1, workers=1))
+
+    def test_importing_the_cli_leaves_multiprocessing_out(self):
+        code = "import sys, ajscc.cli; print('multiprocessing' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(ajscc.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
 
     def test_sweep_points_are_link_points(self):
         # each point of a replicate is the one-point pipeline run at the
