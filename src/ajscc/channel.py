@@ -34,17 +34,17 @@ match bit for bit (bandwidths whose sample rate and FM scale scale with
 them) share that search.  They evaluate the power only at each symbol's
 candidate bins: the 9 within +/- _WINDOW = 4 of the tone and the 17 with
 explicitly drawn loud noise.  A per-row bound proves that no other bin
-can win; a row without that proof takes the peak of its
-:func:`received_spectrum` row, the one full-row path, so the estimates
-equal a full search's bit for bit.  The two counts set only how often a
-row falls back: at most 1e-3 of the rows at every SNR from -60 dB to +inf,
+can win; a row without that proof is searched over every bin of its
+chunk's draws, so the estimates equal the peaks of the full-row reference
+:func:`received_spectrum` bit for bit.  The two counts set only how often
+a row falls back: at most 1e-3 of the rows at every SNR from -60 dB to +inf,
 block length from 16 to 8192 samples and K-factor of 6 dB or +/- inf.
 
 Every draw (doppler, fading and noise) is keyed by the seed and the
 symbol's index, the noise also by the bin count, so the results do not
 depend on the chunking or on how the work is split.  None of them depends
 on the tone frequencies or the SNR: noise is drawn at unit power and
-scaled per config.
+scaled per config.  A chunk's draws are made once, for all its searches.
 """
 
 from __future__ import annotations
@@ -224,8 +224,7 @@ def _tone_spectrum(factors, roots: np.ndarray, bins: np.ndarray) -> np.ndarray:
     """
     hnum, z, k0, exact = factors
     spectrum = hnum[:, None] / (1.0 - z[:, None] * roots[bins - 1])
-    rows, cols = np.nonzero(bins == k0[:, None])
-    spectrum[rows, cols] = exact[rows]
+    np.copyto(spectrum, exact[:, None], where=bins == k0[:, None])
     return spectrum
 
 
@@ -245,6 +244,7 @@ _FAR, _SUBSET, _LEVEL, _PHASE, _GAMMA_TOP, _GAMMA_REST = range(6)
 # Loudest unit-noise values drawn explicitly per symbol: _TOP_NOISE above
 # the (_TOP_NOISE + 1)-th, which bounds every other bin
 _TOP_NOISE = 16
+_BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -309,34 +309,42 @@ def _gamma(keys: np.ndarray, shape: float, stream: int) -> np.ndarray:
     return out
 
 
+def _member(plane: np.ndarray, rows, bins) -> np.ndarray:
+    """Nonzero where 0-based ``bins`` of ``rows`` are set in the packed ``plane``."""
+    return plane.reshape(-1)[rows * plane.shape[1] + (bins >> 3)] & _BIT[bins & 7]
+
+
 def _subset(keys: np.ndarray, n: int, m: int):
-    """A uniform m-subset of the 0-based bins 0..n-1 per key (Floyd's algorithm),
-    (len(keys), m), and its (len(keys), n) int8 slot plane: 1 + each bin's
-    column in the subset, 0 if none."""
+    """A uniform m-subset of the 0-based bins 0..n-1 per key (Floyd's algorithm:
+    Bentley and Floyd, "A sample of brilliance", CACM 30(9), 1987),
+    (len(keys), m), and its membership plane: (len(keys), ceil(n / 8))
+    uint8, bin j at bit j & 7 of byte j >> 3 (``np.unpackbits`` order
+    "little"), drawn once per chunk and bin count."""
     picks = (_uniform(keys, _SUBSET, np.arange(m)) * np.arange(n - m + 1, n + 1)).astype(np.intp)
     rows = np.arange(keys.size)
-    slot = np.zeros((keys.size, n), dtype=np.int8)
+    plane = np.zeros((keys.size, -(-n // 8)), dtype=np.uint8)
     out = np.empty((keys.size, m), dtype=np.intp)
     for k in range(m):  # picks[:, k] is uniform on 0..n-m+k
-        pick = np.where(slot[rows, picks[:, k]], n - m + k, picks[:, k])
-        slot[rows, pick] = k + 1
+        pick = np.where(_member(plane, rows, picks[:, k]), n - m + k, picks[:, k])
+        plane.reshape(-1)[rows * plane.shape[1] + (pick >> 3)] |= _BIT[pick & 7]
         out[:, k] = pick
-    return out, slot
+    return out, plane
 
 
 class _Noise(NamedTuple):
     """Unit noise of a chunk of symbols at one bin count, drawn lazily.
 
-    ``bins`` (1-based) hold explicitly drawn values ``top_re``/``top_im``
-    and ``slot`` maps each bin to 1 + its column in them (0 if none).  Every
-    other bin's unit power is below ``u_rest``; it is generated on demand
-    from ``keys`` with u/2 ~ Exp(1) truncated to [0, u_rest / 2), which is
-    ``-log1p(U * shrink)`` for a uniform U.
+    ``bins`` (1-based) hold explicitly drawn values ``top_re``/``top_im``,
+    marked one bit per bin in ``plane``; a read bin set there finds its
+    column among its row's ``bins``.  Every other bin's unit power is below
+    ``u_rest``; it is generated on demand from ``keys`` with u/2 ~ Exp(1)
+    truncated to [0, u_rest / 2), which is ``-log1p(U * shrink)`` for a
+    uniform U.
     """
 
     keys: np.ndarray     # (b,) uint64
     shrink: np.ndarray   # (b,) float32, expm1(-u_rest / 2)
-    slot: np.ndarray     # (b, n_bins) int8
+    plane: np.ndarray    # (b, ceil(n_bins / 8)) uint8
     bins: np.ndarray     # (b, m)
     top_re: np.ndarray   # (b, m) float32
     top_im: np.ndarray   # (b, m) float32
@@ -358,14 +366,14 @@ def _noise_draws(seed, n_bins: int, symbols: np.ndarray) -> _Noise:
     """
     keys = _symbol_keys(seed, n_bins, symbols)
     m = min(_TOP_NOISE + 1, n_bins)
-    bins, slot = _subset(keys, n_bins, m)
+    bins, plane = _subset(keys, n_bins, m)
     t = np.log1p(_gamma(keys, n_bins - m + 1.0, _GAMMA_REST) / _gamma(keys, float(m), _GAMMA_TOP))
     level = t[:, None] - np.log1p(-_uniform(keys, _LEVEL, np.arange(m)))
     # Floyd's order is not uniform: draw the member that holds t
     level[np.arange(keys.size), (_uniform(keys, _LEVEL, [m])[:, 0] * m).astype(np.intp)] = t
     angle = np.float32(2.0 * np.pi) * _uniform24(_bits(keys, _PHASE, np.arange(m)), 0)
     radius = np.sqrt(2.0 * level).astype(np.float32)
-    return _Noise(keys, np.expm1(-t).astype(np.float32), slot, bins + 1,
+    return _Noise(keys, np.expm1(-t).astype(np.float32), plane, bins + 1,
                   radius * np.cos(angle), radius * np.sin(angle), 2.0 * t)
 
 
@@ -378,9 +386,9 @@ def _unit_noise(noise: _Noise, bins: np.ndarray, rows=None):
     radius = np.sqrt(np.float32(-2.0) * np.log1p(_uniform24(bits, 40) * noise.shrink[rows, None]))
     angle = np.float32(2.0 * np.pi) * _uniform24(bits, 0)
     re, im = radius * np.cos(angle), radius * np.sin(angle)
-    slot = noise.slot[rows[:, None], bins - 1]
-    r, c = np.nonzero(slot)
-    top = slot[r, c] - 1
+    r, c = np.nonzero(_member(noise.plane, rows[:, None], bins - 1))
+    hit = np.broadcast_to(bins, re.shape)[r, c]
+    top = np.argmax(noise.bins[rows[r]] == hit[:, None], axis=1)
     re[r, c] = noise.top_re[rows[r], top]
     im[r, c] = noise.top_im[rows[r], top]
     return re, im
@@ -391,10 +399,11 @@ def received_spectrum(freqs, cfg: ChannelConfig, seed, symbols=None) -> np.ndarr
 
     Row r is symbol ``symbols[r]`` (default r) of a link run under
     ``seed``: the same draws :func:`simulate_link` makes for that symbol,
-    materialised at every bin.  This is the link's one full-row path: the
-    pruned search of :func:`simulate_link_grid` falls back to it.  It is
-    statistically identical to the FFT of the received sample blocks at the
-    searched bins, which the test suite builds as its time-domain reference.
+    materialised at every bin.  This is the link's full-row reference: the
+    pruned search of :func:`simulate_link_grid` equals its peaks bit for
+    bit, without calling it.  It is statistically identical to the FFT of
+    the received sample blocks at the searched bins, which the test suite
+    builds as its time-domain reference.
     """
     freqs = _check_tones(freqs, cfg)
     symbols = np.arange(freqs.size) if symbols is None else np.atleast_1d(symbols)
@@ -415,14 +424,9 @@ def _bin_currents(k: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     return k * (cfg.sample_rate / cfg.n_samples) / cfg.fm_scale
 
 
-def _peak_bins(spectrum: np.ndarray) -> np.ndarray:
-    """1-based peak bin of each in-band spectrum row (bins 1..n_bins)."""
-    return 1 + np.argmax(spectrum.real ** 2 + spectrum.imag ** 2, axis=1)
-
-
 def demodulate_spectrum(spectrum: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     """Current estimates from the peak bin of each in-band spectrum row (bins 1..n_bins)."""
-    return _bin_currents(_peak_bins(spectrum), cfg)
+    return _bin_currents(1 + np.argmax(spectrum.real ** 2 + spectrum.imag ** 2, axis=1), cfg)
 
 
 def _power(tone: np.ndarray, noise, scale) -> np.ndarray:
@@ -448,15 +452,26 @@ _SAFETY = 1.01
 _DEN_SLACK = 16 * float(np.finfo(np.float32).eps)
 # Smallest peak power the relative margin covers (float32 underflow below)
 _TINY_POWER = 1e-30
+# Most distinct (symbol, current) rows searched at once; 2048 measured 8 % slower
+_BATCH_ROWS = 1024
 
 
-def _candidate_bins(freqs: np.ndarray, factors, rows: np.ndarray, symbols: np.ndarray, seed,
-                    noise: _Noise | None, roots: np.ndarray, keyed: dict) -> dict:
-    """1-based peak bins of the tones ``freqs``, with their ``factors``, of
-    the chunk's rows ``rows`` per noise key of ``keyed`` (key: a config of
-    this tone at that key), given the chunk's symbol indices ``symbols`` and
-    their ``noise``; equal bit for bit to the peak bins of their
-    :func:`received_spectrum` rows.
+def _full_row_peaks(factors, rows: np.ndarray, noise: _Noise | None, roots: np.ndarray,
+                    key) -> np.ndarray:
+    """1-based peak bins of the :func:`received_spectrum` rows of the tones with
+    ``factors`` at the chunk's rows ``rows``: every bin read from the chunk's
+    ``noise`` (not drawn again) scaled by ``key`` (None: no noise)."""
+    full_row = np.arange(1, roots.size + 1)[None, :]
+    planes = None if key is None else _unit_noise(noise, full_row, rows)
+    return 1 + np.argmax(_power(_tone_spectrum(factors, roots, full_row), planes, key), axis=1)
+
+
+def _candidate_bins(factors, rows: np.ndarray, noise: _Noise | None, roots: np.ndarray,
+                    n: int, keys) -> dict:
+    """1-based peak bins of the tones with ``factors`` at a batch ``rows`` of
+    the chunk's rows and block length ``n`` per noise key of ``keys`` (None:
+    no noise), given the chunk's ``noise``; equal bit for bit to the peak
+    bins of their :func:`received_spectrum` rows.
 
     The power is evaluated exactly at each row's candidate bins: the
     window around its tone and, with noise, the explicitly drawn bins of
@@ -468,15 +483,14 @@ def _candidate_bins(freqs: np.ndarray, factors, rows: np.ndarray, symbols: np.nd
     ``scale * sqrt(u_rest)``.  A row whose best candidate beats
     ``(scale * sqrt(u_rest) + eps)^2`` by the margin has its peak among the
     candidates (ties go to the lowest bin, as with ``np.argmax``); any other
-    row's peak is that of its received spectrum row, materialised at every
-    bin.
+    row is searched over every bin from the same factors and noise
+    (:func:`_full_row_peaks`).
     """
     n_bins = roots.size
-    n = next(iter(keyed.values())).n_samples
     hnum, k0 = factors[0], factors[2]
     bins = np.clip(k0[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 1, n_bins)
     n_window = bins.shape[1]
-    if any(key is not None for key in keyed):
+    if any(key is not None for key in keys):
         cand_noise = tuple(np.concatenate([near, top.take(rows, axis=0)], axis=1) for near, top in
                            zip(_unit_noise(noise, bins, rows), (noise.top_re, noise.top_im)))
         bins = np.concatenate([bins, noise.bins.take(rows, axis=0)], axis=1)
@@ -489,7 +503,7 @@ def _candidate_bins(freqs: np.ndarray, factors, rows: np.ndarray, symbols: np.nd
     # a row whose window holds every in-band bin needs no bound
     whole_row = (k0 - _WINDOW <= 1) & (k0 + _WINDOW >= n_bins)
     peaks = {}
-    for key, cfg in keyed.items():
+    for key in keys:
         if key is None:
             power = _power(tone[:, :n_window], None, None)
             bound = eps ** 2
@@ -501,13 +515,13 @@ def _candidate_bins(freqs: np.ndarray, factors, rows: np.ndarray, symbols: np.nd
         proven = whole_row | (best > np.maximum(_SAFETY * bound, _TINY_POWER))
         bad = np.nonzero(~(proven & np.isfinite(best)))[0]
         if bad.size:
-            k[bad] = _peak_bins(received_spectrum(freqs[bad], cfg, seed, symbols[rows[bad]]))
+            k[bad] = _full_row_peaks(tuple(f[bad] for f in factors), rows[bad], noise, roots, key)
         peaks[key] = k
     return peaks
 
 
-def _candidate_currents(currents: np.ndarray, rows: np.ndarray, symbols: np.ndarray, seed, gains,
-                        noise: _Noise | None, tones: list, roots: dict) -> list:
+def _candidate_currents(currents: np.ndarray, rows: np.ndarray, gains, noise: _Noise | None,
+                        tones: list, roots: dict) -> list:
     """Current estimates of ``currents`` at the chunk's rows ``rows`` for the
     configs of ``tones``, (tone config, its configs) pairs of one bin count,
     flattened; equal bit for bit to :func:`demodulate_spectrum` of their
@@ -522,21 +536,18 @@ def _candidate_currents(currents: np.ndarray, rows: np.ndarray, symbols: np.ndar
         freqs = tone_cfg.fm_scale * currents  # modulate, checked by simulate_link_grid
         factors = _tone_factors(freqs, gains, tone_cfg)
         keys = [_noise_scale(cfg) if _noisy(cfg) else None for cfg in cfgs]
-        keyed = dict(zip(keys, cfgs))
+        search = (noise, roots[tone_cfg], tone_cfg.n_samples)
         first, shared = refs.setdefault(tone_cfg.n_samples, (factors, {}))
-        peaks = {key: shared[key].copy() for key in keyed if key in shared}
+        peaks = {key: shared[key].copy() for key in keys if key in shared}
         if peaks:
             redo = np.nonzero(~np.all([a.view(np.uint64) == b.view(np.uint64)
                                        for a, b in zip(factors, first)], axis=0))[0]
             if redo.size:
-                for key, k in _candidate_bins(freqs[redo], tuple(f[redo] for f in factors),
-                                              rows[redo], symbols, seed, noise, roots[tone_cfg],
-                                              {key: keyed[key] for key in peaks}).items():
+                for key, k in _candidate_bins(tuple(f[redo] for f in factors), rows[redo],
+                                              *search, list(peaks)).items():
                     peaks[key][redo] = k
-        if len(peaks) < len(keyed):
-            peaks.update(_candidate_bins(freqs, factors, rows, symbols, seed, noise,
-                                         roots[tone_cfg], {key: cfg for key, cfg in keyed.items()
-                                                           if key not in peaks}))
+        if todo := [key for key in dict.fromkeys(keys) if key not in peaks]:
+            peaks.update(_candidate_bins(factors, rows, *search, todo))
         if first is factors:
             shared.update(peaks)
         estimates += [_bin_currents(peaks[key], cfg) for key, cfg in zip(keys, cfgs)]
@@ -554,7 +565,7 @@ def _distinct(ids: np.ndarray):
     return np.nonzero(new)[0], ranked[new], inverse
 
 
-def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np.ndarray:
+def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np.ndarray:
     """Pass every current array through every link config on shared draws.
 
     Returns an array of shape ``(len(ids_list), len(cfgs), *ids.shape)``
@@ -564,16 +575,17 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
     bin count (if any config has noise), the explicit unit noise are drawn
     once, and equal currents at one symbol give equal estimates: each
     distinct (symbol, current) pair of a chunk is searched once, in batches
-    of at most ``chunk_symbols`` pairs.  Configs of one block length and bin
-    count share one search per batch (:func:`_candidate_currents`): the
+    of at most _BATCH_ROWS = 1024 pairs.  Configs of one block length and
+    bin count share one search per batch (:func:`_candidate_currents`): the
     tone and the noise are evaluated at each symbol's candidate bins only,
     per SNR only the noise is rescaled and the peak searched among the
-    candidates, with a per-row proof that no other bin can win and one
-    :func:`received_spectrum` call for the rows without it.  Another tone
-    config, such as another bandwidth of the SNR sweep (whose sample rate
-    and FM scale scale with it), is searched only on the rows where its
-    complex64 tone factors differ.  ``chunk_symbols`` bounds the memory of
-    a chunk and does not change any result.
+    candidates, with a per-row proof that no other bin can win; the rows
+    without it are searched over every bin of the chunk's draws.  Another
+    tone config, such as another bandwidth of the SNR sweep (whose sample
+    rate and FM scale scale with it), is searched only on the rows where its
+    complex64 tone factors differ.  ``chunk_symbols`` bounds the symbols
+    whose draws are held at once (the explicit-bin plane takes one bit per
+    bin) and does not change any result.
     """
     if not isinstance(chunk_symbols, (int, np.integer)) or chunk_symbols < 1:
         raise ValueError(f"chunk_symbols = {chunk_symbols!r} must be an integer >= 1")
@@ -603,8 +615,8 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
         symbols = np.arange(start, stop)
         rows, currents, inverse = _distinct(np.stack([ids[start:stop] for ids in flat], axis=1))
         est = np.empty((len(cfgs), currents.size))
-        # equal batches of at most chunk_symbols pairs (fewer array sizes, less heap)
-        n_batches = -(-currents.size // chunk_symbols)
+        # equal batches of at most _BATCH_ROWS pairs (fewer array sizes, less heap)
+        n_batches = -(-currents.size // _BATCH_ROWS)
         edges = np.arange(n_batches + 1) * currents.size // n_batches
         gains = _gain_draws(seed, symbols)
         for n_bins, tones in groups.items():
@@ -614,18 +626,18 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 1024) -> np
             search = [(tone_cfg, [cfgs[j] for j in js]) for tone_cfg, js in tones.items()]
             js = [j for group in tones.values() for j in group]
             for part in map(slice, edges[:-1], edges[1:]):
-                est[js, part] = _candidate_currents(currents[part], rows[part], symbols, seed,
-                                                    gains, noise, search, roots)
+                est[js, part] = _candidate_currents(currents[part], rows[part], gains, noise,
+                                                    search, roots)
         out[:, :, start:stop] = est[:, inverse.T].swapaxes(0, 1)
     return out.reshape(len(ids_list), len(cfgs), *shape)
 
 
-def simulate_link(ids, cfg: ChannelConfig, seed, *, chunk_symbols: int = 1024) -> np.ndarray:
+def simulate_link(ids, cfg: ChannelConfig, seed, *, chunk_symbols: int = 2048) -> np.ndarray:
     """Pass a current sequence through the link, one symbol each.
 
     The one-point case of :func:`simulate_link_grid`.  Every draw is a pure
     function of ``seed`` (an int or a tuple of ints) and the symbol's index,
     so results are reproducible and do not depend on ``chunk_symbols``, which
-    only bounds the memory of a chunk, or on any outer parallelisation.
+    only bounds the symbols whose draws are held at once, or on parallelism.
     """
     return simulate_link_grid([ids], [cfg], seed, chunk_symbols=chunk_symbols)[0, 0]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,10 @@ from ajscc.channel import (
     simulate_link,
     simulate_link_grid,
 )
+from ajscc.codec import build_levels, quantize
+from ajscc.experiments import LinkConfig
 from ajscc.mosfet import MosfetParams, drain_current
+import slot_plane
 from time_domain import draw_gains, time_domain_link, transmit_block
 
 I_MAX = drain_current(MosfetParams(), 10.0, 10.0)
@@ -404,15 +408,15 @@ class TestPrunedPeakSearch:
 
     @staticmethod
     def count_fallback_rows(monkeypatch):
-        """Count the rows that the pruned search hands to the full-row reference."""
+        """Count the rows that the pruned search searches over every bin."""
         rows = []
-        full_rows = channel.received_spectrum
+        full_row_peaks = channel._full_row_peaks
 
-        def counting(freqs, cfg, seed, symbols=None):
-            rows.append(np.size(freqs))
-            return full_rows(freqs, cfg, seed, symbols)
+        def counting(factors, chunk_rows, *args):
+            rows.append(np.size(chunk_rows))
+            return full_row_peaks(factors, chunk_rows, *args)
 
-        monkeypatch.setattr(channel, "received_spectrum", counting)
+        monkeypatch.setattr(channel, "_full_row_peaks", counting)
         return rows
 
     def test_forced_fallback_stays_exact(self, monkeypatch):
@@ -435,6 +439,33 @@ class TestPrunedPeakSearch:
         cfgs = [make_cfg(snr_db=snr, n=16) for snr in (-20.0, 10.0, math.inf)]
         simulate_link_grid([ids], cfgs, 8)
         assert sum(rows) == 0
+
+    def test_fallback_reads_the_chunk_draws(self, monkeypatch):
+        # with most rows falling back, a sweep still draws each chunk's gains
+        # once and its noise once per bin count: the full-row search reads
+        # the chunk's own draws and draws nothing
+        monkeypatch.setattr(channel, "_WINDOW", 0)
+        monkeypatch.setattr(channel, "_TOP_NOISE", 1)
+        rows = self.count_fallback_rows(monkeypatch)
+        gain_draws, noise_draws = channel._gain_draws, channel._noise_draws
+        gains, noise = [], []
+
+        def counting_gains(seed, symbols):
+            gains.append(symbols[0])
+            return gain_draws(seed, symbols)
+
+        def counting_noise(seed, n_bins, symbols):
+            noise.append((symbols[0], n_bins))
+            return noise_draws(seed, n_bins, symbols)
+
+        monkeypatch.setattr(channel, "_gain_draws", counting_gains)
+        monkeypatch.setattr(channel, "_noise_draws", counting_noise)
+        ids = np.random.default_rng(15).uniform(0.01, 1.0, 700) * I_MAX
+        cfgs = [make_cfg(snr_db=snr, n=n) for n in (256, 512) for snr in (-20.0, 10.0, math.inf)]
+        simulate_link_grid([ids, 1.1 * ids], cfgs, 6, chunk_symbols=300)
+        assert sum(rows) > 0
+        assert gains == [0, 300, 600]
+        assert sorted(noise) == [(start, n_bins) for start in (0, 300, 600) for n_bins in (64, 128)]
 
     def test_fallback_is_rare(self, monkeypatch):
         # the default candidate counts are sized so that at most 1e-3 of the
@@ -618,7 +649,9 @@ class TestSamplerLaw:
         noise = channel._noise_draws(seed, n_bins, np.arange(rows))
         re, im = channel._unit_noise(noise, np.arange(1, n_bins + 1)[None, :])
         half = (re.astype(float) ** 2 + im.astype(float) ** 2) / 2
-        return half, noise.slot > 0, noise.u_rest
+        explicit = np.zeros((rows, n_bins), dtype=bool)
+        np.put_along_axis(explicit, noise.bins - 1, True, axis=1)
+        return half, explicit, noise.u_rest
 
     # alpha = 0.001; 300 rows x n_bins values (1200 at 4 bins, 614 400 at
     # 2048); up to _TOP_NOISE + 1 = 17 bins every bin is drawn explicitly
@@ -689,3 +722,68 @@ class TestSamplerLaw:
     @pytest.mark.parametrize("snr", [-60.0, -20.0, 0.0])
     def test_peak_bin_error_matches_gaussian_reference_at_64_bins(self, snr):
         self.check_peak_bin_error(make_cfg(snr_db=snr, n=256))
+
+
+class TestPackedPlane:
+    """The bit-packed explicit-bin plane gives the sampler of the int8 slot
+    plane it replaced (tests/slot_plane.py) exactly, in an eighth of the
+    memory."""
+
+    N_BINS = [1, 4, 16, 17, 18, 64, 65, 100, 2048]
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_bins=st.sampled_from(N_BINS), b=st.integers(1, 40), m=st.integers(1, 40),
+           start=st.integers(0, 10**6), seed=st.integers(0, 2**32 - 1))
+    def test_subset_matches_slot_plane_reference(self, n_bins, b, m, start, seed):
+        m = min(m, n_bins)
+        keys = channel._symbol_keys(seed, n_bins, np.arange(start, start + b))
+        bins, plane = channel._subset(keys, n_bins, m)
+        assert np.array_equal(bins, slot_plane.subset(keys, n_bins, m)[0])
+        # the set bits, padding included, are exactly each row's subset
+        explicit = np.zeros((b, 8 * plane.shape[1]), dtype=np.uint8)
+        np.put_along_axis(explicit, bins, 1, axis=1)
+        assert np.array_equal(np.unpackbits(plane, axis=1, bitorder="little"), explicit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_bins=st.sampled_from(N_BINS), b=st.integers(1, 40), start=st.integers(0, 10**6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_unit_noise_matches_slot_plane_reference(self, n_bins, b, start, seed):
+        noise = channel._noise_draws(seed, n_bins, np.arange(start, start + b))
+        full_row = np.arange(1, n_bins + 1)[None, :]
+        for got, want in zip(channel._unit_noise(noise, full_row),
+                             slot_plane.unit_noise(noise, n_bins, full_row)):
+            assert np.array_equal(got, want)
+        # scattered, repeated rows in any order; each reads one explicit bin
+        # and random others, as the candidate search does
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, b, rng.integers(1, 30))
+        bins = rng.integers(1, n_bins + 1, (rows.size, 9))
+        bins[:, 4] = noise.bins[rows, rng.integers(0, noise.bins.shape[1], rows.size)]
+        for got, want in zip(channel._unit_noise(noise, bins, rows),
+                             slot_plane.unit_noise(noise, n_bins, bins, rows)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_bins", [1, 8, 17, 2048, 2049])
+    def test_plane_holds_one_bit_per_bin(self, n_bins):
+        noise = channel._noise_draws(4, n_bins, np.arange(2048))
+        assert noise.plane.dtype == np.uint8
+        assert noise.plane.nbytes == 2048 * -(-n_bins // 8)
+
+    def test_default_chunk_memory(self):
+        # the criterion-3 shape: 10 spacings of 8000 symbols at 2048 bins and
+        # -20 dB; 2048-symbol chunks may hold no more than 1024-symbol chunks
+        # with a (b, n_bins) int8 plane did: a traced peak of 4.42 MB
+        cfg = LinkConfig()
+        gs, ds = cfg.fields(0)
+        streams = [drain_current(cfg.mosfet, quantize(gs.values, build_levels(cfg.vgs_range, d)),
+                                 ds.values)
+                   for d in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 1.0, 1.25)]
+        chan = cfg.channel()
+        assert (streams[0].size, chan.n_bins, chan.snr_db) == (8000, 2048, -20.0)
+        tracemalloc.start()
+        try:
+            simulate_link_grid(streams, [chan], (cfg.seed, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.42e6
