@@ -5,45 +5,36 @@ drives the transistor with (level, second reading), transmitting only the
 resulting current.  Decoding takes two consecutive received currents that
 are assumed to lie on one output curve and recovers the level by slope
 matching: the slope implied by the currents themselves, lam * (i1 + i2) / 2,
-is compared with the two-point slope each candidate level would produce.
-Candidates are tried in ascending score order and the first whose implied
-drain voltages both fall inside the transmitter's known vds interval wins;
-picking anything but the score-minimal candidate is flagged as a
-correction.
+is compared with each level's curve slope.  Candidates are tried in
+ascending score order and the first whose implied drain voltages both fall
+inside the transmitter's known vds interval wins; picking anything but the
+score-minimal candidate is flagged as a correction.
 
 A stream of currents is decoded in non-overlapping consecutive pairs
 (0,1), (2,3), ...; an odd trailing sample is decoded through the extra
 pair (n-2, n-1).  :func:`decode_stream` does this for a whole array of
 streams in one :func:`decode_pairs` call and returns per-sample arrays.
 
-Candidate search.  Only a few levels can win a pair.  With base_L the
-current of level L at vds = 0, the implied vds is v = (i / base_L - 1) / lam,
-and in exact arithmetic level L scores lam * |base_L - m|, m = (i1 + i2) / 2.
-:func:`decode_pairs` evaluates the full computation's float formulas at a
-few levels per pair and proves that no other level scores as low:
+Candidate search.  Each curve is a straight line in vds, so the two-point
+slope (i2 - i1) / (v2 - v1) of the pair's implied drain voltages on a level
+is its curve slope (:func:`curve_slope`) in exact arithmetic.  Scoring the
+curve slope spares the cancellation of v2 - v1: currents a few ulps apart
+decode like any other pair, not by rounding noise.  The slope never falls
+with the level and IEEE subtraction is monotone, so the float score falls,
+then rises along the levels, which gives a closed form:
 
-* The in-range levels form one run [A, B]: base never falls with the
-  level, and IEEE division and subtraction are monotone, so the float v
-  falls with the level and rises with the current.  A and B are estimated by searchsorted
-  and confirmed in float at A - 1, A, B and B + 1.
-* The two levels whose bases bracket m are scored, and the two next to m
-  inside [A, B]; the lower level wins a tie, as in the stable sort.
-* A pick is proven if its float score is below lam * gap * (1 - 8u) - err,
-  u = 2^-53, gap the distance from m to the nearest unscored base (inside
-  [A, B] for the in-range pick), err = 1.1 lam u ((t + 3) max(base) + 6 m)
-  and t = (3 (i1 + i2) + 4 max(base)) / |i2 - i1|.  With every operation
-  exact up to a factor 1 + e, |e| <= u, the float v2 - v1 is off by a
-  relative R <= u t (1 + u)^2, the slope by (R + 3u) / ((1 - R)(1 - u)),
-  lam m by 2u + u^2, and rounding m and gap costs lam u m, so every
-  unscored level scores at least lam * gap * (1 - 2u) - err in float,
-  above the threshold after its own rounding.  This needs R <= 2^-10 and
-  no underflow or overflow, so only pairs with t <= 2^43 and currents,
-  bases and lam in [2^-100, 2^100] are proven.
-* Equal currents score inf at every level, so the pick is A if the pair
-  has an in-range level and level 0 otherwise: a closed form.
+* The pick is the better of the two levels whose slopes bracket the pair's
+  (one searchsorted); the lower level wins a tie, as in the stable sort.
+* The in-range levels form one run [A, B], as the float implied vds
+  v = (i / base_L - 1) / lam falls with the level and rises with the
+  current; A and B are estimated by searchsorted and confirmed in float.
+  The in-range pick is the pick clipped to [A, B].
+* Equal currents score inf at every level: level 0, or A in range.
 
-Other pairs, such as non-positive or nearly equal currents, take the full
-computation, which stays as the reference.
+The full computation scores every level and stays as the reference.  It
+decodes the pairs whose run ends the estimate misses, those with a
+non-positive or non-finite current, and those whose pick's score the next
+lower level ties (levels a few ulps apart), which the stable sort would take.
 
 Caveat on fine level spacing: two consecutive currents constrain the curve
 only up to the family of levels whose implied vds stays in range.  If
@@ -65,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mosfet import MosfetParams, drain_current
+from .mosfet import MosfetParams, curve_slope, drain_current
 
 __all__ = [
     "RANGE_TOL",
@@ -80,12 +71,6 @@ __all__ = [
 # Tolerance on the vds_range boundaries so exact-endpoint decodes stay
 # in range under floating-point round-off.
 RANGE_TOL = 1e-6
-
-# Unit roundoff of float64, and the limits inside which the candidate
-# search's error bound holds (module docstring)
-_U = 2.0 ** -53
-_TINY = 2.0 ** -100
-_MAX_CANCEL = 2.0 ** 43
 
 
 def build_levels(vgs_range: tuple[float, float], delta: float) -> np.ndarray:
@@ -151,13 +136,16 @@ def _check_levels_on(p: MosfetParams, cfg: CodecConfig) -> None:
 def encode(p: MosfetParams, cfg: CodecConfig, vgs_raw, vds):
     """Encoded drain current for raw inputs (vgs_raw, vds).
 
-    vds must lie inside cfg.vds_range; vgs_raw is snapped to the level set.
+    vds must lie inside cfg.vds_range; vgs_raw is snapped to the level set,
+    so +-inf take the end levels.  NaN fails both checks.
     """
     _check_levels_on(p, cfg)
-    vds = np.asarray(vds, dtype=float)
+    vgs_raw, vds = np.asarray(vgs_raw, dtype=float), np.asarray(vds, dtype=float)
     lo, hi = cfg.vds_range
-    if np.any(vds < lo - RANGE_TOL) or np.any(vds > hi + RANGE_TOL):
+    if not np.all((vds >= lo - RANGE_TOL) & (vds <= hi + RANGE_TOL)):
         raise ValueError(f"vds outside configured range {cfg.vds_range}")
+    if not np.all(vgs_raw >= -np.inf):
+        raise ValueError("vgs_raw must not be NaN")
     return drain_current(p, quantize(vgs_raw, cfg.levels), vds)
 
 
@@ -167,15 +155,13 @@ def decode_pairs(p: MosfetParams, cfg: CodecConfig, ids1, ids2, range_check: boo
     Takes the pairs' first and second currents as equal-length 1-d arrays
     (or scalars) and returns (vgs_hat, vds_hat_1, vds_hat_2, corrected,
     in_range) arrays of that length.  Degenerate pairs (ids1 == ids2)
-    leave the two-point slope undefined; their candidate order falls back to
-    ascending levels so the range check alone selects the lowest level in
-    range.  Non-positive currents are tolerated: their implied vds is far
-    out of range and the pair resolves through the fallback path.  Needs
-    lam > 0: with flat saturation curves there is no slope to match.
+    leave no slope to score, so the range check alone selects the lowest
+    level in range.  Non-positive currents are tolerated: their implied vds
+    is far out of range.  Needs lam > 0: flat curves have no slope to match.
 
-    The results are bit for bit those of scoring every level and stably
-    sorting the scores (:func:`_decode_full`), which decodes the pairs the
-    candidate search (module docstring) cannot prove.
+    The closed form (module docstring) gives bit for bit the result of
+    scoring every level by its curve slope and stably sorting the scores
+    (:func:`_decode_full`), which decodes the pairs it does not cover.
     """
     _check_levels_on(p, cfg)
     if not p.lam > 0:
@@ -187,48 +173,28 @@ def decode_pairs(p: MosfetParams, cfg: CodecConfig, ids1, ids2, range_check: boo
 
     lam, levels, n = p.lam, cfg.levels, cfg.levels.size
     base = 0.5 * p.k_gain * (levels - p.v_th) ** 2  # current at vds = 0, per level
+    slope = np.concatenate(([np.nan], curve_slope(p, levels)))  # slope[L + 1] of level L
     rlo, rhi = cfg.vds_range[0] - RANGE_TOL, cfg.vds_range[1] + RANGE_TOL
-    imin, imax, total = np.minimum(ids1, ids2), np.maximum(ids1, ids2), ids1 + ids2
-    m = total / 2.0
+    imin, imax = np.minimum(ids1, ids2), np.maximum(ids1, ids2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # estimates of the in-range run [a, b] and of the level j of the mean current
-        a, j = np.searchsorted(base, imax / (1.0 + lam * rhi)), np.searchsorted(base, m)
+        c = lam * (ids1 + ids2) / 2.0
+
+        def score(L):  # NaN below level 0, so it ties nothing
+            return np.abs(slope.take(L + 1) - c)
+        # levels j - 1 and j bracket c; equal currents take level 0
+        j = np.minimum(np.searchsorted(slope[1:], c), n - 1)
+        g = np.where(ids1 == ids2, 0, np.where(score(j) < score(j - 1), j, np.maximum(j - 1, 0)))
+        # the in-range run [a, b], confirmed in float; base 0 and inf pin its ends
+        a = np.searchsorted(base, imax / (1.0 + lam * rhi))
         b = np.searchsorted(base, imin / (1.0 + lam * rlo), "right") - 1
-        # scored: [g_lo, g_hi] next to m and [r_lo, r_hi] next to m inside [a, b]; each
-        # gap bounds |base[L] - m| from below over the levels L outside its window
-        g_lo, g_hi = np.maximum(j - 1, 0), np.minimum(j, n - 1)
-        r_lo, r_hi = np.minimum(np.maximum(j - 1, a), b), np.minimum(np.maximum(j, a), b)
-        bp = np.concatenate(([-np.inf], base, [np.inf]))  # bp[L + 1] = base[L]
-        gap = np.minimum(m - bp.take(np.array([g_lo, np.where(r_lo > a, r_lo, 0)])),
-                         bp.take(np.array([g_hi + 2, np.where(r_hi < b, r_hi + 2, -1)])) - m)
-        at = base.take(np.array([g_lo, g_hi, r_lo, r_hi]))
-        v1, v2 = (ids1 / at - 1.0) / lam, (ids2 / at - 1.0) / lam
-        score = np.abs((ids2 - ids1) / (v2 - v1) - lam * total / 2.0)  # NaN fails the proof
-        t = (3.0 * total + 4.0 * base[-1]) / np.abs(ids2 - ids1)
-        err = 1.1 * lam * _U * ((t + 3.0) * base[-1] + 6.0 * m)
-        g_ok, r_ok = np.minimum(score[0::2], score[1::2]) < lam * (1.0 - 8 * _U) * gap - err
-        # a and b confirmed in float; base 0 below level 0 and inf above the last pin the ends
         bz = np.concatenate(([0.0], base, [np.inf])).take(np.array([a, a + 1, b + 1, b + 2]))
         vz = (np.array([imax, imin])[:, None] / bz.reshape(2, 2, -1) - 1.0) / lam
         run_ok = (vz[0, 0] > rhi) & (vz[0, 1] <= rhi) & (vz[1, 0] >= rlo) & (vz[1, 1] < rlo)
-        safe = (_TINY <= min(lam, base[0]) and max(lam, base[-1]) <= 1.0 / _TINY) \
-            & (imin >= _TINY) & (imax <= 1.0 / _TINY) & (t <= _MAX_CANCEL)
-        # ties go to the lower level, as in the stable sort; equal currents score inf
-        # at every level, so they take level 0, or a in range
-        equal = ids1 == ids2
-        g = np.where(equal, 0, np.where(score[1] < score[0], g_hi, g_lo))
-        r = np.where(equal, a, np.where(score[3] < score[2], r_hi, r_lo))
-        g_ok, r_ok = equal | safe & g_ok, equal | safe & r_ok
-        any_ok = a <= b
-        g_in = any_ok & (a <= g) & (g <= b)
-        if range_check:
-            sel, corrected, in_range = np.where(any_ok, r, g), any_ok & ~g_in, any_ok
-            proven = g_ok & (r_ok | ~any_ok)
-        else:
-            sel, corrected, in_range = g, np.zeros(ids1.shape, dtype=bool), g_in
-            proven = g_ok
-        proven &= run_ok & (imin > 0)
-
+        r = np.where(a <= b, np.minimum(np.maximum(g, a), b), g)  # the in-range pick
+        sel = r if range_check else g
+        corrected, in_range = sel != g, (a <= b) & (sel == r)
+        proven = run_ok & (imin > 0) & np.isfinite(c) \
+            & (score(g - 1) != score(g)) & (score(sel - 1) != score(sel))
         bs = base.take(sel)
         out = [levels.take(sel), (ids1 / bs - 1.0) / lam, (ids2 / bs - 1.0) / lam,
                corrected, in_range]
@@ -242,20 +208,16 @@ def decode_pairs(p: MosfetParams, cfg: CodecConfig, ids1, ids2, range_check: boo
 def _decode_full(p: MosfetParams, cfg: CodecConfig, ids1: np.ndarray, ids2: np.ndarray,
                  range_check: bool):
     """:func:`decode_pairs` of 1-d current arrays by scoring every level: the
-    reference, and the path of the pairs the candidate search cannot prove."""
+    reference, and the path of the pairs the closed form does not cover."""
     levels = cfg.levels
     base = 0.5 * p.k_gain * (levels - p.v_th) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         v1 = (ids1[:, None] / base - 1.0) / p.lam
         v2 = (ids2[:, None] / base - 1.0) / p.lam
-        slope1 = p.lam * (ids1 + ids2) / 2.0
-        slope2 = (ids2 - ids1)[:, None] / (v2 - v1)
-        score = np.abs(slope2 - slope1[:, None])
+        score = np.abs(curve_slope(p, levels) - (p.lam * (ids1 + ids2) / 2.0)[:, None])
     degenerate = (ids2 == ids1)[:, None] | ~np.isfinite(score)
     score = np.where(degenerate, np.inf, score)
-
-    # Stable sort: equal scores (and the all-inf degenerate case) keep
-    # ascending level order, so ties break toward the lower level.
+    # stable sort: ties (and the all-inf degenerate case) go to the lower level
     order = np.argsort(score, axis=1, kind="stable")
 
     rlo, rhi = cfg.vds_range

@@ -76,6 +76,12 @@ class TestSubcommands:
         assert main(["encode", "--vgs", "1.0", "--vds", "5.0"]) == 0
         assert capsys.readouterr().out.strip() == "6.2082e-06"
 
+    @pytest.mark.parametrize("vgs, vds", [("nan", "7"), ("3", "nan")])
+    def test_encode_rejects_nan(self, capsys, vgs, vds):
+        assert main(["encode", "--vgs", vgs, "--vds", vds]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+
     def test_decode_round_trip(self, capsys):
         assert main(["decode", "--ids1", "4.6907e-4", "--ids2", "4.7053e-4"]) == 0
         out = capsys.readouterr().out

@@ -17,7 +17,9 @@ from ajscc.codec import (
     encode,
     quantize,
 )
-from ajscc.mosfet import MosfetParams, drain_current
+from ajscc.experiments import LinkConfig, run_link_point, run_noiseless
+from ajscc.mosfet import MosfetParams, curve_slope, drain_current
+import two_point
 
 P = MosfetParams()
 REF_LEVELS = np.arange(1.0, 6.0)
@@ -118,6 +120,18 @@ class TestEncode:
         with pytest.raises(ValueError, match="v_th"):
             encode(P, cfg, 0.6, 5.0)
 
+    def test_nan_inputs_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            encode(P, REF_CFG, math.nan, 7.0)
+        with pytest.raises(ValueError, match="NaN"):
+            encode(P, REF_CFG, [3.0, math.nan], 7.0)
+        with pytest.raises(ValueError, match="range"):
+            encode(P, REF_CFG, 3.0, math.nan)
+
+    def test_infinite_vgs_takes_the_end_levels(self):
+        assert encode(P, REF_CFG, math.inf, 7.0) == drain_current(P, 5.0, 7.0)
+        assert encode(P, REF_CFG, -math.inf, 7.0) == drain_current(P, 1.0, 7.0)
+
 
 class TestDecodePair:
     def test_round_trip_reference(self):
@@ -172,7 +186,7 @@ class TestDecodePair:
         assert v1 == pytest.approx(7.0, rel=1e-9)
 
     def test_garbage_currents_do_not_crash(self):
-        i1, i2 = (1e-9, 1e-30, 0.0, -1e-6), (2e-2, 1e-30, 1e-3, 1e-6)
+        i1, i2 = (1e-9, 1e-30, 0.0, -1e-6, 1e308), (2e-2, 1e-30, 1e-3, 1e-6, 1.7e308)
         *_, ok = decode_pairs(P, REF_CFG, i1, i2)
         assert not np.any(ok)
 
@@ -240,6 +254,11 @@ def pair_zoo(p, cfg, rng, n=16):
     return i1, i2
 
 
+def pair_set(i1, i2):
+    """The pairs as a set; float.hex keeps NaN pairs equal to themselves."""
+    return set(zip(map(float.hex, i1.tolist()), map(float.hex, i2.tolist())))
+
+
 class TestCandidateSearch:
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(2, 101), uniform=st.booleans(), lo=st.floats(0.8, 5.0),
@@ -274,20 +293,103 @@ class TestCandidateSearch:
         return calls
 
     @pytest.mark.parametrize("range_check", [True, False])
-    def test_forced_fallback_changes_nothing(self, monkeypatch, range_check):
+    def test_fallback_takes_exactly_the_uncovered_pairs(self, monkeypatch, range_check):
         cfg = CodecConfig(build_levels((5.0, 10.0), 0.2), (5.0, 10.0))
         i1, i2 = pair_zoo(P, cfg, np.random.default_rng(7), n=200)
-        want = decode_pairs(P, cfg, i1, i2, range_check=range_check)
+        # pair_zoo's first draws: the levels and drain voltages of its 200 curve pairs
+        replay = np.random.default_rng(7)
+        replay.integers(0, cfg.levels.size, 200)
+        vds = replay.uniform(4.0, 11.0, (2, 196))
+        inside = np.all((vds > 5.0) & (vds < 10.0), axis=0)
         calls = self.full_rows(monkeypatch)
-        monkeypatch.setattr(codec, "_MAX_CANCEL", 0.0)  # proves no pair of unequal currents
         got = decode_pairs(P, cfg, i1, i2, range_check=range_check)
-        (full1, full2), = calls
-        # every unequal pair takes the full computation, and most equal ones
-        # keep their closed form
-        assert np.count_nonzero(full1 != full2) == np.count_nonzero(i1 != i2)
-        assert np.count_nonzero(full1 == full2) < np.count_nonzero(i1 == i2) / 2
-        for g, w in zip(got, want):
+        full = pair_set(*calls[0])
+        bad = ~(np.minimum(i1, i2) > 0) | ~np.isfinite(i1 + i2)
+        assert bad.sum() > 10 and pair_set(i1[bad], i2[bad]) <= full
+        assert inside.sum() > 100 and not pair_set(i1[:196][inside], i2[:196][inside]) & full
+        for g, w in zip(got, codec._decode_full(P, cfg, i1, i2, range_check)):
             np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("range_check", [True, False])
+    def test_tied_neighbour_falls_back(self, monkeypatch, range_check):
+        # levels one or two ulps apart share a curve slope, and with it the
+        # float score, so the stable sort's lower level must come from the full
+        # computation
+        levels = [2.0, 3.0]
+        for k in (1, 2, 1, 2):
+            levels.append(levels[-1])
+            for _ in range(k):
+                levels[-1] = np.nextafter(levels[-1], np.inf)
+        cfg = CodecConfig(np.append(levels, 4.0), (5.0, 10.0))
+        i1, i2 = pair_zoo(P, cfg, np.random.default_rng(11), n=400)
+        calls = self.full_rows(monkeypatch)
+        got = decode_pairs(P, cfg, i1, i2, range_check=range_check)
+        # some pairs fall back because their pick, the lowest of tied levels,
+        # has the next level up on the same slope
+        level = np.searchsorted(cfg.levels, codec._decode_full(P, cfg, *calls[0], range_check)[0])
+        slope = np.append(curve_slope(P, cfg.levels), np.nan)
+        assert np.any(slope[level] == slope[level + 1])
+        for g, w in zip(got, codec._decode_full(P, cfg, i1, i2, range_check)):
+            np.testing.assert_array_equal(g, w)
+
+
+class TestTwoPointReference:
+    """The decoder scores each level by its curve slope; the two-point slope
+    between the pair's implied drain voltages (tests/two_point.py) is the
+    same in exact arithmetic and decodes every pair of these inputs alike."""
+
+    @staticmethod
+    def link_pairs(monkeypatch):
+        """(p, cfg, ids1, ids2) of every decode of small link points and the noiseless grid."""
+        calls = []
+        pairs = codec.decode_pairs
+
+        def recording(p, cfg, ids1, ids2, range_check=True):
+            calls.append((p, cfg, ids1, ids2))
+            return pairs(p, cfg, ids1, ids2, range_check)
+        monkeypatch.setattr(codec, "decode_pairs", recording)
+        cfg = LinkConfig(nx=6, ny=6, nt=10, s_p=3, t_p=5, n_samples=512)
+        gs, ds = cfg.fields(0)
+        for delta in (0.05, 0.41, 1.25):
+            for snr_db in (None, -20.0, math.inf):
+                chan = None if snr_db is None else cfg.channel(snr_db=snr_db)
+                run_link_point(cfg, gs, ds, delta, chan, (cfg.seed, 0))
+        run_noiseless(P)
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("range_check", [True, False])
+    def test_link_and_noiseless_pairs(self, monkeypatch, range_check):
+        calls = self.link_pairs(monkeypatch)
+        assert len(calls) == 11
+        for p, cfg, i1, i2 in calls:
+            got = decode_pairs(p, cfg, i1, i2, range_check=range_check)
+            for g, w in zip(got, two_point.decode_full(p, cfg, i1, i2, range_check)):
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("range_check", [True, False])
+    @pytest.mark.parametrize("delta", [0.2, 1.0])
+    def test_random_pairs(self, range_check, delta):
+        rng = np.random.default_rng(19)
+        cfg = CodecConfig(build_levels((1.0, 5.0), delta), (5.0, 10.0))
+        top = drain_current(P, cfg.levels[-1], 11.0)
+        i1 = rng.uniform(0.0, top, 100_000)
+        i2 = i1 * (1.0 + rng.choice([-1.0, 1.0], i1.size) * 10.0 ** rng.uniform(-6, 0, i1.size))
+        assert np.all(np.abs(i2 - i1) >= 1e-6 * np.maximum(i1, i2))
+        got = decode_pairs(P, cfg, i1, i2, range_check=range_check)
+        for g, w in zip(got, two_point.decode_full(P, cfg, i1, i2, range_check)):
+            np.testing.assert_array_equal(g, w)
+
+    def test_currents_ulps_apart_decode_alike(self):
+        # the two-point slope of currents k ulps apart is rounding noise; the
+        # curve slope decodes them by their mean whatever k is, to the level
+        # sent except the documented 9.8 V alias of level 4 onto level 5
+        level, vds = (a.ravel() for a in np.meshgrid(REF_LEVELS, np.linspace(5.5, 9.8, 6),
+                                                     indexing="ij"))
+        i = drain_current(P, level, vds)
+        for k in (1, 2, 4):
+            g, *_ = decode_pairs(P, REF_CFG, i, i * (1.0 + k * 2.0 ** -52), range_check=False)
+            assert (level[g != level].tolist(), vds[g != level].tolist()) == ([4.0], [9.8])
 
 
 def _alias_free(levels, lam, vds_range):
