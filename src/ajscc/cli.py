@@ -12,6 +12,7 @@ The subcommands are the keys of :data:`COMMANDS`.
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -131,7 +132,7 @@ class RunConfig:
                 n_samples=self.n_samples, oversample=self.oversample,
                 fm_headroom=self.fm_headroom,
                 n_seeds=self.seeds, seed=self.seed,
-                workers=self.workers if self.workers > 0 else (os.cpu_count() or 1),
+                workers=self.workers if self.workers > 0 else _usable_cpus(),
             )
         except ValueError as exc:
             # the keys of the LinkConfig fields the library's message names
@@ -144,6 +145,13 @@ class RunConfig:
         items = dataclasses.asdict(self)
         items.pop("outdir")  # does not affect results; keeps reruns byte-identical
         return " ".join(f"{k}={items[k]}" for k in sorted(items))
+
+
+def _usable_cpus() -> int:
+    """Processors this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_float_list(key: str, text: str) -> list[float]:
@@ -384,6 +392,7 @@ def dispatch(command: str, cfg: RunConfig, **extra) -> int:
     return handler(cfg, **extra)
 
 
+@functools.cache  # once per process: building it is most of an in-process call's overhead
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="key = value config file")

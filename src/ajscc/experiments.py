@@ -15,16 +15,17 @@ fields at every level spacing, draws each symbol's doppler, fading and
 noise once for all its axis points and searches each distinct (symbol,
 current) once, since spacings whose levels coincide give equal currents
 (:func:`ajscc.channel.simulate_link_grid`, whose draws are keyed by seed
-and symbol index), then decodes and scores each point;
-:func:`run_link_point` is its one-point case.  With
-``workers > 1`` replicates run in a process pool and are reduced in
+and symbol index), then decodes and scores each bit-identical estimate
+array of a spacing once; :func:`run_link_point` is its one-point case.
+With ``workers > 1`` the replicates are dealt into shares, one computed by
+the caller and each other by a process of its own, and are reduced in
 replicate order, so results do not depend on scheduling.  The default
 grids are written once, here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -316,7 +317,8 @@ def _link_points(cfg: LinkConfig, field_gs: Field, field_ds: Field, deltas,
     ``chans=None`` models a perfect link (currents delivered unchanged).
     Every point uses ``link_seed``: common random numbers across axis
     points stabilise the reported argmin.  Decoding pairs consecutive
-    samples of each sensor's time-ordered stream.
+    samples of each sensor's time-ordered stream; a spacing's bit-identical
+    estimate arrays are decoded and scored once.
 
     Drain-voltage estimates are range-informed before averaging: the
     receiver knows the transmitter's vds interval, so in-range decodes are
@@ -337,14 +339,20 @@ def _link_points(cfg: LinkConfig, field_gs: Field, field_ds: Field, deltas,
     truth_means = [block_means(f.values, f.s_p, f.t_p) for f in (field_gs, field_ds)]
     reports = []
     for i, (delta, codec) in enumerate(zip(deltas, codecs)):
+        scored = []  # (estimates, report) of this spacing's channels so far
         for j, chan in enumerate(chans):
-            est_gs, vds_hat, _, ok = decode_stream(cfg.mosfet, codec, ids_hat[i][j])
-            est_ds = np.where(ok, np.clip(vds_hat, lo, hi), 0.5 * (lo + hi))
             echo = {"delta": float(delta), "lam": cfg.mosfet.lam}
             if chan is not None:
                 echo.update(snr_db=chan.snr_db, bandwidth=chan.bandwidth)
-            reports.append(_block_mse(truth_means, field_gs, est_gs.reshape(shape),
-                                      est_ds.reshape(shape), **echo))
+            ids = ids_hat[i][j]
+            report = next((r for seen, r in scored if np.array_equal(seen, ids)), None)
+            if report is None:
+                est_gs, vds_hat, _, ok = decode_stream(cfg.mosfet, codec, ids)
+                est_ds = np.where(ok, np.clip(vds_hat, lo, hi), 0.5 * (lo + hi))
+                report = _block_mse(truth_means, field_gs, est_gs.reshape(shape),
+                                    est_ds.reshape(shape))
+                scored.append((ids, report))
+            reports.append(replace(report, params_echo=echo))
     return reports
 
 
@@ -362,25 +370,55 @@ def _replicate_task(args) -> list[MseReport]:
     return _link_points(cfg, *cfg.fields(rep), deltas, chans, (cfg.seed, rep))
 
 
+def _share_task(share, conn, caller_end) -> None:
+    """Send the reports of a share of replicates, or the exception that stopped it."""
+    caller_end.close()  # then a send to a caller that died fails instead of blocking
+    try:
+        conn.send([_replicate_task(t) for t in share])
+    except Exception as exc:
+        conn.send(exc)
+
+
 def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     """Replicate-averaged report per (delta, channel) point, delta-major.
 
-    Replicates run in a process pool of at most ``cfg.workers`` processes
-    (one per replicate at most; none for one replicate) and are reduced in
-    replicate order.  ``cfg`` checked itself when built, so only the
-    spacings are checked up front.
+    The replicates are dealt round-robin into ``min(cfg.workers, n_seeds)``
+    shares.  The caller computes the first share; each other share runs in a
+    process started for this sweep, which sends back its reports or its
+    exception through a pipe.  So at most ``cfg.workers`` processes compute
+    at once, and none is started for one worker or one replicate.  ``cfg``
+    checked itself when built, so only the spacings are checked up front.
     """
     for delta in deltas:
         build_levels(cfg.vgs_range, delta)
     tasks = [(cfg, deltas, chans, rep) for rep in range(cfg.n_seeds)]
-    workers = min(cfg.workers, len(tasks))
-    if workers > 1:
-        # imported here: multiprocessing costs every import of the package some 15 ms
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(pool.map(_replicate_task, tasks))
-    else:
-        per_rep = [_replicate_task(t) for t in tasks]
+    workers = max(1, min(cfg.workers, len(tasks)))
+    children = []  # (process, receiving end of its pipe) per share after the first
+    try:
+        if workers > 1:
+            import multiprocessing  # here: it costs every import of the package some 15 ms
+
+            for w in range(1, workers):
+                recv, send = multiprocessing.Pipe(duplex=False)
+                proc = multiprocessing.Process(target=_share_task,
+                                               args=(tasks[w::workers], send, recv))
+                proc.start()
+                send.close()  # the child holds the only send end, so its death ends recv
+                children.append((proc, recv))
+        per_share = [[_replicate_task(t) for t in tasks[::workers]]]
+        for _, recv in children:  # received before any join: a share can outgrow the pipe
+            per_share.append(recv.recv())
+            if isinstance(per_share[-1], Exception):
+                raise per_share[-1]
+    except BaseException:
+        for proc, _ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv in children:
+            proc.join()
+            recv.close()
+    per_rep = [per_share[rep % workers][rep // workers] for rep in range(len(tasks))]
     return tuple(MseReport.from_pair(np.mean([r.mse_gs for r in reps]),
                                      np.mean([r.mse_ds for r in reps]),
                                      reps[0].n_blocks, **reps[0].params_echo)
@@ -412,7 +450,8 @@ def sweep_snr(snrs=DEFAULT_SNR_GRID, bandwidths=DEFAULT_BANDWIDTHS,
     1e-15).  The link therefore searches one bandwidth per block length and
     bin count and re-searches another only on the symbols whose complex64
     tone factors differ from it (about 1 in 10 000 on the default grid), so
-    every point equals its own link bit for bit.
+    every point equals its own link bit for bit.  Points with bit-identical
+    link outputs (50 and 200 kHz, a factor 4 apart) are decoded and scored once.
     """
     snrs = [float(s) for s in snrs]
     bandwidths = [float(b) for b in bandwidths]

@@ -34,6 +34,16 @@ class TestParseConfig:
         link = RunConfig().link()
         assert dataclasses.replace(link, workers=LinkConfig().workers) == LinkConfig()
 
+    def test_zero_workers_counts_the_usable_processors(self, monkeypatch):
+        # a CPU mask (taskset, a cgroup cpuset) may allow fewer than the host has
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+        cfg = RunConfig(workers=0)
+        assert cfg.link().workers == 2
+        assert "workers=0" in cfg.echo().split()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cfg.link().workers == 64
+
     def test_config_file_and_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\nsnr_db = -30\nseed = 9\n")

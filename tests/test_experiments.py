@@ -1,17 +1,17 @@
 """Experiment-layer tests: block MSE, noiseless studies, link pipeline."""
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ajscc
-from ajscc import codec
+from ajscc import codec, experiments
 from ajscc.codec import CodecConfig, build_levels, decode_pairs, quantize
 from ajscc.experiments import (
     LinkConfig,
@@ -281,13 +281,81 @@ class TestSweeps:
         b = sweep_snr((-30.0, -10.0), (50e3, 410e3), 0.5, tiny_link_cfg(n_seeds=3, workers=2))
         assert a == b
 
-    def test_one_replicate_starts_no_pool(self, monkeypatch):
-        def no_pool(*args, **kw):
-            raise AssertionError("a process pool was started for one replicate")
+    @pytest.mark.parametrize("n_seeds, workers", [(1, 2), (3, 1), (2, 2), (2, 3), (3, 3)])
+    def test_caller_computes_one_share(self, monkeypatch, n_seeds, workers):
+        real, starts = multiprocessing.Process.start, []
 
-        monkeypatch.setattr(ProcessPoolExecutor, "__init__", no_pool)
-        pooled = sweep_delta((0.4, 0.8), tiny_link_cfg(n_seeds=1, workers=2))
-        assert pooled == sweep_delta((0.4, 0.8), tiny_link_cfg(n_seeds=1, workers=1))
+        def counting(proc):
+            starts.append(proc)
+            real(proc)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", counting)
+        sw = sweep_delta((0.4, 0.8), tiny_link_cfg(n_seeds=n_seeds, workers=workers))
+        assert len(starts) == min(workers, n_seeds) - 1
+        assert multiprocessing.active_children() == []
+        assert sw == sweep_delta((0.4, 0.8), tiny_link_cfg(n_seeds=n_seeds, workers=1))
+
+    def test_uneven_shares_do_not_change_results(self):
+        cfg = tiny_link_cfg(n_seeds=5, workers=3)
+        one = tiny_link_cfg(n_seeds=5, workers=1)
+        assert sweep_delta((0.4, 0.8), cfg) == sweep_delta((0.4, 0.8), one)
+        snr_args = ((-30.0, -10.0), (50e3, 410e3), 0.5)
+        assert sweep_snr(*snr_args, cfg) == sweep_snr(*snr_args, one)
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the failing replicate is patched in, which only a fork inherits")
+    def test_a_childs_exception_reaches_the_caller(self, monkeypatch):
+        real = experiments._replicate_task
+
+        def fail_odd(args):
+            if args[3] % 2:
+                raise KeyError(f"replicate {args[3]} failed")
+            return real(args)
+
+        monkeypatch.setattr(experiments, "_replicate_task", fail_odd)
+        with pytest.raises(KeyError, match="replicate 1 failed"):
+            sweep_delta((0.4, 0.8), tiny_link_cfg(n_seeds=2, workers=2))
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_caller_share_leaves_no_process(self, monkeypatch):
+        real = experiments._replicate_task
+
+        def fail_first(args):
+            if args[3] == 0:
+                raise KeyError("replicate 0 failed")
+            return real(args)
+
+        monkeypatch.setattr(experiments, "_replicate_task", fail_first)
+        with pytest.raises(KeyError, match="replicate 0 failed"):
+            sweep_delta((0.4, 0.8), tiny_link_cfg(n_seeds=3, workers=3))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("caller_fails", [False, True])
+    def test_a_share_larger_than_the_pipe_buffer_completes(self, tmp_path, caller_fails):
+        # each replicate sends about 200 kB, more than a pipe buffers, so a
+        # caller that joined a child before receiving its share would wait for ever
+        script = tmp_path / "big_share.py"
+        script.write_text(
+            "from ajscc import experiments\n"
+            "def big(args):\n"
+            f"    if {caller_fails} and args[3] == 0:\n"
+            "        raise KeyError('caller share failed')\n"
+            "    return [experiments.MseReport.from_pair(1.0, 2.0, 1, pad='x' * 200_000)]\n"
+            "experiments._replicate_task = big\n"
+            "if __name__ == '__main__':\n"
+            "    cfg = experiments.LinkConfig(nx=4, ny=4, nt=4, s_p=2, t_p=2, n_seeds=4,\n"
+            "                                 workers=2)\n"
+            "    try:\n"
+            "        print(experiments.sweep_delta([0.5], cfg).reports[0].mse_sum)\n"
+            "    except KeyError as exc:\n"
+            "        print(exc)\n"
+            "    import multiprocessing\n"
+            "    print(multiprocessing.active_children())\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(ajscc.__file__).parents[1])}
+        out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                             env=env, timeout=60, check=True)
+        want = "'caller share failed'" if caller_fails else "1.5"
+        assert out.stdout.split("\n")[:2] == [want, "[]"]
 
     def test_importing_the_cli_leaves_multiprocessing_out(self):
         code = "import sys, ajscc.cli; print('multiprocessing' in sys.modules)"
@@ -301,11 +369,28 @@ class TestSweeps:
         # replicate's link seed
         cfg = tiny_link_cfg(n_seeds=1)
         gs, ds = cfg.fields(0)
-        sw = sweep_snr((-30.0, -10.0), (50e3, 410e3), 0.5, cfg)
+        sw = sweep_snr((-30.0, -10.0), (50e3, 200e3, 410e3), 0.5, cfg)
         for (snr, bw), r in zip(sw.points, sw.reports):
             chan = cfg.channel(bandwidth=bw, snr_db=snr)
             one = run_link_point(cfg, gs, ds, 0.5, chan, link_seed=(cfg.seed, 0))
             assert (r.mse_gs, r.mse_ds) == (one.mse_gs, one.mse_ds)
+            assert r.params_echo == one.params_echo
+
+    def test_equal_link_outputs_decode_once(self, monkeypatch):
+        # 200 kHz is exactly 4 x 50 kHz, so the two links give bit-identical
+        # estimates and each SNR's pair of points is decoded and scored once
+        real, calls = experiments.decode_stream, []
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(experiments, "decode_stream", counting)
+        sw = sweep_snr((-30.0, -10.0), (50e3, 200e3), 0.5, tiny_link_cfg(n_seeds=1))
+        assert len(calls) == 2
+        for r50, r200 in zip(sw.reports[::2], sw.reports[1::2]):
+            assert (r50.mse_gs, r50.mse_ds) == (r200.mse_gs, r200.mse_ds)
+            assert (r50.params_echo["bandwidth"], r200.params_echo["bandwidth"]) == (50e3, 200e3)
 
     def test_sweep_delta_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
