@@ -217,14 +217,15 @@ def _tone_factors(freqs: np.ndarray, draws, cfg: ChannelConfig):
 
 
 def _tone_spectrum(factors, roots: np.ndarray, bins: np.ndarray) -> np.ndarray:
-    """Noise-free spectrum of the faded tones at 1-based in-band ``bins``, complex64.
+    """Noise-free spectrum of the faded tones at 1-based in-band ``bins``, complex64,
+    candidates x symbols.
 
-    Row r holds bins ``bins[r]``; one index row, such as the full row
-    ``np.arange(1, n_bins + 1)[None, :]``, serves every symbol.
+    Column r holds symbol r at bins ``bins[:, r]``; one index column, such as
+    the full row ``np.arange(1, n_bins + 1)[:, None]``, serves every symbol.
     """
     hnum, z, k0, exact = factors
-    spectrum = hnum[:, None] / (1.0 - z[:, None] * roots[bins - 1])
-    np.copyto(spectrum, exact[:, None], where=bins == k0[:, None])
+    spectrum = hnum / (1.0 - z * roots[bins - 1])
+    np.copyto(spectrum, exact, where=bins == k0)
     return spectrum
 
 
@@ -263,10 +264,11 @@ def _symbol_keys(seed, tag: int, symbols: np.ndarray) -> np.ndarray:
     return _mix(base + _GOLDEN * (symbols.astype(np.uint64) + np.uint64(1)))
 
 
-def _bits(keys: np.ndarray, stream: int, index) -> np.ndarray:
-    """64 random bits per (symbol, index); ``index`` is (k,) or (len(keys), k)."""
+def _bits(keys: np.ndarray, stream: int, index, axis: int = 1) -> np.ndarray:
+    """64 random bits per (symbol, index), the index along ``axis``: ``index``
+    is (k,) or (len(keys), k) at axis 1, (k, 1) or (k, len(keys)) at axis 0."""
     counters = (np.uint64(stream) << np.uint64(32)) + np.asarray(index, dtype=np.uint64)
-    return _mix(keys[:, None] + _GOLDEN * counters)
+    return _mix((keys[:, None] if axis else keys) + _GOLDEN * counters)
 
 
 def _uniform(keys: np.ndarray, stream: int, index) -> np.ndarray:
@@ -280,12 +282,13 @@ def _uniform24(bits: np.ndarray, shift: int) -> np.ndarray:
     return word.astype(np.int32).astype(np.float32) * np.float32(2.0 ** -24)
 
 
-def _gain_draws(seed, symbols: np.ndarray):
-    """Unit draws of the indexed symbols: doppler d ~ U(-1, 1), fading z_re, z_im ~ N(0, 1)."""
+def _gain_draws(seed, symbols: np.ndarray) -> np.ndarray:
+    """Unit draws of the indexed symbols, (3, len(symbols)): doppler d ~ U(-1, 1),
+    fading z_re, z_im ~ N(0, 1)."""
     u = _uniform(_symbol_keys(seed, 0, symbols), 0, np.arange(3))
     radius = np.sqrt(-2.0 * np.log1p(-u[:, 1]))
     angle = 2.0 * np.pi * u[:, 2]
-    return 2.0 * u[:, 0] - 1.0, radius * np.cos(angle), radius * np.sin(angle)
+    return np.array([2.0 * u[:, 0] - 1.0, radius * np.cos(angle), radius * np.sin(angle)])
 
 
 def _gamma(keys: np.ndarray, shape: float, stream: int) -> np.ndarray:
@@ -310,8 +313,8 @@ def _gamma(keys: np.ndarray, shape: float, stream: int) -> np.ndarray:
 
 
 def _member(plane: np.ndarray, rows, bins) -> np.ndarray:
-    """Nonzero where 0-based ``bins`` of ``rows`` are set in the packed ``plane``."""
-    return plane.reshape(-1)[rows * plane.shape[1] + (bins >> 3)] & _BIT[bins & 7]
+    """True where 0-based ``bins`` of ``rows`` are set in the packed ``plane``."""
+    return (plane.reshape(-1)[rows * plane.shape[1] + (bins >> 3)] & _BIT[bins & 7]) != 0
 
 
 def _subset(keys: np.ndarray, n: int, m: int):
@@ -335,20 +338,25 @@ class _Noise(NamedTuple):
     """Unit noise of a chunk of symbols at one bin count, drawn lazily.
 
     ``bins`` (1-based) hold explicitly drawn values ``top_re``/``top_im``,
-    marked one bit per bin in ``plane``; a read bin set there finds its
-    column among its row's ``bins``.  Every other bin's unit power is below
-    ``u_rest``; it is generated on demand from ``keys`` with u/2 ~ Exp(1)
-    truncated to [0, u_rest / 2), which is ``-log1p(U * shrink)`` for a
-    uniform U.
+    marked one bit per bin in row ``plane_rows`` of the chunk's ``plane``; a
+    read bin set there finds its column among its row's ``bins``.  Every
+    other bin's unit power is below ``u_rest``; it is generated on demand
+    from ``keys`` with u/2 ~ Exp(1) truncated to [0, u_rest / 2), which is
+    ``-log1p(U * shrink)`` for a uniform U.
     """
 
     keys: np.ndarray     # (b,) uint64
     shrink: np.ndarray   # (b,) float32, expm1(-u_rest / 2)
-    plane: np.ndarray    # (b, ceil(n_bins / 8)) uint8
+    plane: np.ndarray    # (chunk, ceil(n_bins / 8)) uint8
     bins: np.ndarray     # (b, m)
     top_re: np.ndarray   # (b, m) float32
     top_im: np.ndarray   # (b, m) float32
     u_rest: np.ndarray   # (b,) float64
+    plane_rows: np.ndarray  # (b,)
+
+    def take(self, rows) -> "_Noise":
+        """The noise of the symbols at ``rows``; the plane is shared, not copied."""
+        return _Noise(*(a if a is self.plane else a.take(rows, axis=0) for a in self))
 
 
 def _noise_draws(seed, n_bins: int, symbols: np.ndarray) -> _Noise:
@@ -374,23 +382,24 @@ def _noise_draws(seed, n_bins: int, symbols: np.ndarray) -> _Noise:
     angle = np.float32(2.0 * np.pi) * _uniform24(_bits(keys, _PHASE, np.arange(m)), 0)
     radius = np.sqrt(2.0 * level).astype(np.float32)
     return _Noise(keys, np.expm1(-t).astype(np.float32), plane, bins + 1,
-                  radius * np.cos(angle), radius * np.sin(angle), 2.0 * t)
+                  radius * np.cos(angle), radius * np.sin(angle), 2.0 * t, np.arange(keys.size))
 
 
 def _unit_noise(noise: _Noise, bins: np.ndarray, rows=None):
-    """Unit noise planes (real, imaginary), float32, of the symbols at ``rows``
-    of ``noise`` (default every row) at 1-based ``bins`` ((len(rows), k), or
-    (1, k) for the same bins in every row)."""
-    rows = np.arange(noise.keys.size) if rows is None else rows
-    bits = _bits(noise.keys[rows], _FAR, bins)
-    radius = np.sqrt(np.float32(-2.0) * np.log1p(_uniform24(bits, 40) * noise.shrink[rows, None]))
+    """Unit noise planes (real, imaginary), float32, candidates x symbols, of
+    the symbols at ``rows`` of ``noise`` (default every row) at 1-based
+    ``bins`` ((k, len(rows)), or (k, 1) for the same bins in every row)."""
+    noise = noise if rows is None else noise.take(rows)
+    bits = _bits(noise.keys, _FAR, bins, axis=0)
+    radius = np.sqrt(np.float32(-2.0) * np.log1p(_uniform24(bits, 40) * noise.shrink))
     angle = np.float32(2.0 * np.pi) * _uniform24(bits, 0)
     re, im = radius * np.cos(angle), radius * np.sin(angle)
-    r, c = np.nonzero(_member(noise.plane, rows[:, None], bins - 1))
-    hit = np.broadcast_to(bins, re.shape)[r, c]
-    top = np.argmax(noise.bins[rows[r]] == hit[:, None], axis=1)
-    re[r, c] = noise.top_re[rows[r], top]
-    im[r, c] = noise.top_im[rows[r], top]
+    explicit = _member(noise.plane, noise.plane_rows, bins - 1)
+    c, r = np.unravel_index(np.flatnonzero(explicit), re.shape)  # 2-d np.nonzero is far slower
+    hit = np.broadcast_to(bins, re.shape)[c, r]
+    top = np.argmax(noise.bins[r] == hit[:, None], axis=1)
+    re[c, r] = noise.top_re[r, top]
+    im[c, r] = noise.top_im[r, top]
     return re, im
 
 
@@ -409,14 +418,14 @@ def received_spectrum(freqs, cfg: ChannelConfig, seed, symbols=None) -> np.ndarr
     symbols = np.arange(freqs.size) if symbols is None else np.atleast_1d(symbols)
     if symbols.shape != freqs.shape:
         raise ValueError("need one symbol index per tone")
-    bins = np.arange(1, cfg.n_bins + 1)[None, :]
+    bins = np.arange(1, cfg.n_bins + 1)[:, None]
     factors = _tone_factors(freqs, _gain_draws(seed, symbols), cfg)
     spectrum = _tone_spectrum(factors, _bin_roots(cfg), bins)
     if _noisy(cfg):
         re, im = _unit_noise(_noise_draws(seed, cfg.n_bins, symbols), bins)
         spectrum.real += _noise_scale(cfg) * re
         spectrum.imag += _noise_scale(cfg) * im
-    return spectrum
+    return spectrum.T
 
 
 def _bin_currents(k: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
@@ -452,30 +461,31 @@ _SAFETY = 1.01
 _DEN_SLACK = 16 * float(np.finfo(np.float32).eps)
 # Smallest peak power the relative margin covers (float32 underflow below)
 _TINY_POWER = 1e-30
-# Most distinct (symbol, current) rows searched at once; 2048 measured 8 % slower
+# Most distinct (symbol, current) rows searched at once; 512 and 2048 measured 9 and 14 % slower
 _BATCH_ROWS = 1024
 
 
 def _full_row_peaks(factors, rows: np.ndarray, noise: _Noise | None, roots: np.ndarray,
                     key) -> np.ndarray:
     """1-based peak bins of the :func:`received_spectrum` rows of the tones with
-    ``factors`` at the chunk's rows ``rows``: every bin read from the chunk's
-    ``noise`` (not drawn again) scaled by ``key`` (None: no noise)."""
-    full_row = np.arange(1, roots.size + 1)[None, :]
+    ``factors`` at the rows ``rows`` of ``noise``: every bin read from those
+    draws (not drawn again) scaled by ``key`` (None: no noise)."""
+    full_row = np.arange(1, roots.size + 1)[:, None]
     planes = None if key is None else _unit_noise(noise, full_row, rows)
-    return 1 + np.argmax(_power(_tone_spectrum(factors, roots, full_row), planes, key), axis=1)
+    return 1 + np.argmax(_power(_tone_spectrum(factors, roots, full_row), planes, key), axis=0)
 
 
-def _candidate_bins(factors, rows: np.ndarray, noise: _Noise | None, roots: np.ndarray,
-                    n: int, keys) -> dict:
-    """1-based peak bins of the tones with ``factors`` at a batch ``rows`` of
-    the chunk's rows and block length ``n`` per noise key of ``keys`` (None:
-    no noise), given the chunk's ``noise``; equal bit for bit to the peak
-    bins of their :func:`received_spectrum` rows.
+def _candidate_bins(factors, noise: _Noise | None, roots: np.ndarray, n: int, keys) -> dict:
+    """1-based peak bins of the tones with ``factors``, one per row of their
+    symbols' unit ``noise``, at block length ``n`` per noise key of ``keys``
+    (None: no noise); equal bit for bit to the peak bins of their
+    :func:`received_spectrum` rows.
 
     The power is evaluated exactly at each row's candidate bins: the
     window around its tone and, with noise, the explicitly drawn bins of
-    ``noise``.  A row whose window holds every in-band bin has no other
+    ``noise``.  Every candidate array is candidates x rows, so each row's
+    max and lowest-bin tie-break reduce over axis 0 along contiguous
+    memory.  A row whose window holds every in-band bin has no other
     bin.  Otherwise a bin outside the window lies at least _WINDOW + 1/2
     bins from the tone, so its tone amplitude is at most
     ``eps = |hnum| / (2 sin(pi (_WINDOW + 1/2) / n) - _DEN_SLACK)``; a bin
@@ -488,13 +498,13 @@ def _candidate_bins(factors, rows: np.ndarray, noise: _Noise | None, roots: np.n
     """
     n_bins = roots.size
     hnum, k0 = factors[0], factors[2]
-    bins = np.clip(k0[:, None] + np.arange(-_WINDOW, _WINDOW + 1), 1, n_bins)
-    n_window = bins.shape[1]
+    bins = np.clip(k0 + np.arange(-_WINDOW, _WINDOW + 1)[:, None], 1, n_bins)
+    n_window = bins.shape[0]
     if any(key is not None for key in keys):
-        cand_noise = tuple(np.concatenate([near, top.take(rows, axis=0)], axis=1) for near, top in
-                           zip(_unit_noise(noise, bins, rows), (noise.top_re, noise.top_im)))
-        bins = np.concatenate([bins, noise.bins.take(rows, axis=0)], axis=1)
-        root_u = np.sqrt(noise.u_rest[rows])
+        cand_noise = tuple(np.concatenate([near, top.T]) for near, top in
+                           zip(_unit_noise(noise, bins), (noise.top_re, noise.top_im)))
+        bins = np.concatenate([bins, noise.bins.T])
+        root_u = np.sqrt(noise.u_rest)
     tone = _tone_spectrum(factors, roots, bins)
     # |x - k| / n lies in [(_WINDOW + 1/2) / n, 1/2] for the tone at bin
     # position x and every bin k outside the window, where sin increases
@@ -505,49 +515,52 @@ def _candidate_bins(factors, rows: np.ndarray, noise: _Noise | None, roots: np.n
     peaks = {}
     for key in keys:
         if key is None:
-            power = _power(tone[:, :n_window], None, None)
+            power = _power(tone[:n_window], None, None)
             bound = eps ** 2
         else:
             power = _power(tone, cand_noise, key)
             bound = (float(key) * root_u + eps) ** 2
-        best = power.max(axis=1)
-        k = np.where(power == best[:, None], bins[:, :power.shape[1]], n_bins + 1).min(axis=1)
+        best = power.max(axis=0)
+        k = np.where(power == best, bins[:power.shape[0]], n_bins + 1).min(axis=0)
         proven = whole_row | (best > np.maximum(_SAFETY * bound, _TINY_POWER))
         bad = np.nonzero(~(proven & np.isfinite(best)))[0]
         if bad.size:
-            k[bad] = _full_row_peaks(tuple(f[bad] for f in factors), rows[bad], noise, roots, key)
+            k[bad] = _full_row_peaks(tuple(f[bad] for f in factors), bad, noise, roots, key)
         peaks[key] = k
     return peaks
 
 
-def _candidate_currents(currents: np.ndarray, rows: np.ndarray, gains, noise: _Noise | None,
-                        tones: list, roots: dict) -> list:
+def _candidate_currents(currents: np.ndarray, rows: np.ndarray, gains: np.ndarray,
+                        noise: _Noise | None, tones: list, roots: dict) -> list:
     """Current estimates of ``currents`` at the chunk's rows ``rows`` for the
     configs of ``tones``, (tone config, its configs) pairs of one bin count,
     flattened; equal bit for bit to :func:`demodulate_spectrum` of their
-    :func:`received_spectrum` rows.  Each block length's first tone config
-    is searched on every row (:func:`_candidate_bins`); since every draw is
-    shared, a later one reuses its peak bins at equal noise keys and is
-    searched only on the rows where its tone factors differ bit for bit.
+    :func:`received_spectrum` rows, with the rows' draws gathered once.  Each
+    block length's first tone config is searched on every row
+    (:func:`_candidate_bins`); since every draw is shared, a later one reuses
+    its peak bins at equal noise keys and is searched only on the rows where
+    its tone factors differ bit for bit.
     """
-    gains = tuple(g[rows] for g in gains)
+    gains = gains.take(rows, axis=1)
+    noise = None if noise is None else noise.take(rows)
     estimates, refs = [], {}
     for tone_cfg, cfgs in tones:
         freqs = tone_cfg.fm_scale * currents  # modulate, checked by simulate_link_grid
         factors = _tone_factors(freqs, gains, tone_cfg)
         keys = [_noise_scale(cfg) if _noisy(cfg) else None for cfg in cfgs]
-        search = (noise, roots[tone_cfg], tone_cfg.n_samples)
+        search = (roots[tone_cfg], tone_cfg.n_samples)
         first, shared = refs.setdefault(tone_cfg.n_samples, (factors, {}))
         peaks = {key: shared[key].copy() for key in keys if key in shared}
         if peaks:
             redo = np.nonzero(~np.all([a.view(np.uint64) == b.view(np.uint64)
                                        for a, b in zip(factors, first)], axis=0))[0]
             if redo.size:
-                for key, k in _candidate_bins(tuple(f[redo] for f in factors), rows[redo],
+                for key, k in _candidate_bins(tuple(f[redo] for f in factors),
+                                              None if noise is None else noise.take(redo),
                                               *search, list(peaks)).items():
                     peaks[key][redo] = k
         if todo := [key for key in dict.fromkeys(keys) if key not in peaks]:
-            peaks.update(_candidate_bins(factors, rows, *search, todo))
+            peaks.update(_candidate_bins(factors, noise, *search, todo))
         if first is factors:
             shared.update(peaks)
         estimates += [_bin_currents(peaks[key], cfg) for key, cfg in zip(keys, cfgs)]
@@ -555,14 +568,16 @@ def _candidate_currents(currents: np.ndarray, rows: np.ndarray, gains, noise: _N
 
 
 def _distinct(ids: np.ndarray):
-    """Row indices and values of each row's distinct values, and each entry's index among them."""
-    order = np.argsort(ids, axis=1)
-    ranked = np.take_along_axis(ids, order, axis=1)
-    new = np.ones(ids.shape, dtype=bool)
-    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    inverse = np.empty(ids.shape, dtype=np.intp)
-    np.put_along_axis(inverse, order, np.cumsum(new).reshape(ids.shape) - 1, axis=1)
-    return np.nonzero(new)[0], ranked[new], inverse
+    """Column indices and values of each column's distinct values of ``ids``
+    (arrays x symbols), and each entry's index among them."""
+    n, width = ids.shape
+    first = np.repeat(np.arange(n)[:, None], width, axis=1)  # each entry's first equal array
+    for a in range(n - 2, -1, -1):  # a lower equal array is written last
+        np.copyto(first[a + 1:], a, where=ids[a + 1:] == ids[a])
+    own = first == np.arange(n)[:, None]
+    flat = np.flatnonzero(own)
+    index = np.cumsum(own) - 1
+    return flat % width, ids.ravel()[flat], index[first * width + np.arange(width)]
 
 
 def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np.ndarray:
@@ -613,7 +628,7 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
     for start in range(0, n_sym, chunk_symbols):
         stop = min(start + chunk_symbols, n_sym)
         symbols = np.arange(start, stop)
-        rows, currents, inverse = _distinct(np.stack([ids[start:stop] for ids in flat], axis=1))
+        rows, currents, inverse = _distinct(np.stack([ids[start:stop] for ids in flat]))
         est = np.empty((len(cfgs), currents.size))
         # equal batches of at most _BATCH_ROWS pairs (fewer array sizes, less heap)
         n_batches = -(-currents.size // _BATCH_ROWS)
@@ -628,7 +643,7 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
             for part in map(slice, edges[:-1], edges[1:]):
                 est[js, part] = _candidate_currents(currents[part], rows[part], gains, noise,
                                                     search, roots)
-        out[:, :, start:stop] = est[:, inverse.T].swapaxes(0, 1)
+        out[:, :, start:stop] = est[:, inverse].swapaxes(0, 1)
     return out.reshape(len(ids_list), len(cfgs), *shape)
 
 

@@ -356,7 +356,7 @@ def gaussian_link(ids, cfg, seed, chunk_symbols=1024):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
         factors = channel._tone_factors(freqs[start:stop], draw_gains(rng, stop - start), cfg)
         full_row = np.arange(1, roots.size + 1)[None, :]
-        spectrum = channel._tone_spectrum(factors, roots, full_row)
+        spectrum = channel._tone_spectrum(factors, roots, full_row.T).T
         if not math.isinf(cfg.snr_db):
             w = rng.standard_normal((stop - start, 2 * roots.size), dtype=np.float32)
             spectrum.real += scale * w[:, :roots.size]
@@ -546,6 +546,53 @@ class TestRepeatedCurrents:
         n_chunks = -(-ids.size // 100)
         assert len(rows) <= n_chunks * len(cfgs)
 
+    # the search lays a batch out candidates x rows and reduces per row, so
+    # how the distinct rows are split into batches and ordered changes nothing
+    @pytest.mark.parametrize("forced", [False, True])
+    @pytest.mark.parametrize("batch_rows", [1, 7, 1024])
+    def test_batches_and_array_order_do_not_change_results(self, monkeypatch, batch_rows,
+                                                           forced):
+        if forced:
+            monkeypatch.setattr(channel, "_WINDOW", 0)
+            monkeypatch.setattr(channel, "_TOP_NOISE", 1)
+        ids_list = self.arrays()
+        cfgs = [make_cfg(snr_db=snr, bandwidth=bw, n=n) for n in (64, 512)
+                for bw in (50e3, 410e3) for snr in (-20.0, 10.0, math.inf)]
+        want = [[simulate_link(ids, cfg, (3, 5)) for cfg in cfgs] for ids in ids_list]
+        monkeypatch.setattr(channel, "_BATCH_ROWS", batch_rows)
+        assert np.array_equal(simulate_link_grid(ids_list, cfgs, (3, 5)), want)
+        order = [2, 0, 3, 1]
+        grid = simulate_link_grid([ids_list[i] for i in order], cfgs, (3, 5))
+        assert np.array_equal(grid, [want[i] for i in order])
+
+
+class TestDistinct:
+    """_distinct gives each symbol's distinct currents, as np.unique does per symbol."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_arrays=st.integers(1, 8), n_sym=st.integers(1, 30), n_values=st.integers(1, 6),
+           repeat=st.booleans(), equal_column=st.booleans(), distinct_column=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_symbol_unique(self, n_arrays, n_sym, n_values, repeat, equal_column,
+                                       distinct_column, seed):
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(1, n_values + 1, (n_arrays, n_sym)) * 0.1
+        if repeat:  # one array repeats another
+            ids[rng.integers(n_arrays)] = ids[rng.integers(n_arrays)]
+        if equal_column:
+            ids[:, 0] = ids[0, 0]
+        if distinct_column:
+            ids[:, -1] = np.arange(1, n_arrays + 1) * 0.7
+        rows, values, inverse = channel._distinct(ids)
+        assert inverse.shape == ids.shape
+        for s in range(n_sym):
+            want, want_inverse = np.unique(ids[:, s], return_inverse=True)
+            assert np.array_equal(np.sort(values[rows == s]), want)
+            assert np.array_equal(values[inverse[:, s]], ids[:, s])
+            assert np.all(rows[inverse[:, s]] == s)
+            # equal entries, and only those, share an index
+            assert len(set(zip(want_inverse.tolist(), inverse[:, s].tolist()))) == want.size
+
 
 class TestBandwidthFanOut:
     """simulate_link_grid searches configs of one block length and bin count
@@ -647,7 +694,7 @@ class TestSamplerLaw:
     def unit_power(n_bins, rows, seed):
         """u/2 of materialised rows and whether each bin was drawn explicitly."""
         noise = channel._noise_draws(seed, n_bins, np.arange(rows))
-        re, im = channel._unit_noise(noise, np.arange(1, n_bins + 1)[None, :])
+        re, im = (p.T for p in channel._unit_noise(noise, np.arange(1, n_bins + 1)[:, None]))
         half = (re.astype(float) ** 2 + im.astype(float) ** 2) / 2
         explicit = np.zeros((rows, n_bins), dtype=bool)
         np.put_along_axis(explicit, noise.bins - 1, True, axis=1)
@@ -750,18 +797,18 @@ class TestPackedPlane:
     def test_unit_noise_matches_slot_plane_reference(self, n_bins, b, start, seed):
         noise = channel._noise_draws(seed, n_bins, np.arange(start, start + b))
         full_row = np.arange(1, n_bins + 1)[None, :]
-        for got, want in zip(channel._unit_noise(noise, full_row),
+        for got, want in zip(channel._unit_noise(noise, full_row.T),
                              slot_plane.unit_noise(noise, n_bins, full_row)):
-            assert np.array_equal(got, want)
+            assert np.array_equal(got.T, want)
         # scattered, repeated rows in any order; each reads one explicit bin
         # and random others, as the candidate search does
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, b, rng.integers(1, 30))
         bins = rng.integers(1, n_bins + 1, (rows.size, 9))
         bins[:, 4] = noise.bins[rows, rng.integers(0, noise.bins.shape[1], rows.size)]
-        for got, want in zip(channel._unit_noise(noise, bins, rows),
+        for got, want in zip(channel._unit_noise(noise, bins.T, rows),
                              slot_plane.unit_noise(noise, n_bins, bins, rows)):
-            assert np.array_equal(got, want)
+            assert np.array_equal(got.T, want)
 
     @pytest.mark.parametrize("n_bins", [1, 8, 17, 2048, 2049])
     def test_plane_holds_one_bit_per_bin(self, n_bins):
