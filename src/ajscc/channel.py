@@ -324,12 +324,12 @@ def _subset(keys: np.ndarray, n: int, m: int):
     uint8, bin j at bit j & 7 of byte j >> 3 (``np.unpackbits`` order
     "little"), drawn once per chunk and bin count."""
     picks = (_uniform(keys, _SUBSET, np.arange(m)) * np.arange(n - m + 1, n + 1)).astype(np.intp)
-    rows = np.arange(keys.size)
     plane = np.zeros((keys.size, -(-n // 8)), dtype=np.uint8)
+    flat, offsets = plane.reshape(-1), np.arange(keys.size) * plane.shape[1]  # row starts
     out = np.empty((keys.size, m), dtype=np.intp)
-    for k in range(m):  # picks[:, k] is uniform on 0..n-m+k
-        pick = np.where(_member(plane, rows, picks[:, k]), n - m + k, picks[:, k])
-        plane.reshape(-1)[rows * plane.shape[1] + (pick >> 3)] |= _BIT[pick & 7]
+    for k, pick in enumerate(picks.T):  # pick is uniform on 0..n-m+k
+        pick = np.where(flat[offsets + (pick >> 3)] & _BIT[pick & 7], n - m + k, pick)
+        flat[offsets + (pick >> 3)] |= _BIT[pick & 7]
         out[:, k] = pick
     return out, plane
 

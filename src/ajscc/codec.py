@@ -19,22 +19,21 @@ Candidate search.  Each curve is a straight line in vds, so the two-point
 slope (i2 - i1) / (v2 - v1) of the pair's implied drain voltages on a level
 is its curve slope (:func:`curve_slope`) in exact arithmetic.  Scoring the
 curve slope spares the cancellation of v2 - v1: currents a few ulps apart
-decode like any other pair, not by rounding noise.  The slope never falls
-with the level and IEEE subtraction is monotone, so the float score falls,
-then rises along the levels, which gives a closed form:
+decode like any other pair, not by rounding noise.  The decode is defined by
+stably sorting every level's score, but the slope never falls with the level
+and IEEE subtraction is monotone, so the float score falls, then rises along
+the levels, and one closed form gives that result for every input:
 
 * The pick is the better of the two levels whose slopes bracket the pair's
-  (one searchsorted); the lower level wins a tie, as in the stable sort.
-* The in-range levels form one run [A, B], as the float implied vds
-  v = (i / base_L - 1) / lam falls with the level and rises with the
-  current; A and B are estimated by searchsorted and confirmed in float.
-  The in-range pick is the pick clipped to [A, B].
-* Equal currents score inf at every level: level 0, or A in range.
-
-The full computation scores every level and stays as the reference.  It
-decodes the pairs whose run ends the estimate misses, those with a
-non-positive or non-finite current, and those whose pick's score the next
-lower level ties (levels a few ulps apart), which the stable sort would take.
+  (one searchsorted), walked down while the next lower level ties its score.
+  Flat pairs (equal currents or a non-finite implied slope) take level 0.
+* The in-range levels form one run [A, B]: the float implied vds
+  v = (i / base_L - 1) / lam of a positive current falls with the level, and
+  a non-positive current is never in range, as vds_range lies above -1/lam.
+  A and B are searchsorted estimates, stepped a level at a time until the
+  range test confirms them on both sides.
+* The in-range pick is the pick clipped to [A, B], walked down within it
+  while the next lower level ties its score.
 
 Caveat on fine level spacing: two consecutive currents constrain the curve
 only up to the family of levels whose implied vds stays in range.  If
@@ -96,9 +95,9 @@ def build_levels(vgs_range: tuple[float, float], delta: float) -> np.ndarray:
 class CodecConfig:
     """Level set and drain-voltage interval shared by transmitter and receiver.
 
-    levels must be strictly ascending.  vds_range is the drain-voltage
-    interval the transmitter guarantees, which the decoder uses for range
-    checking.
+    levels must be finite and strictly ascending.  vds_range is the finite
+    drain-voltage interval the transmitter guarantees, which the decoder
+    uses for range checking.
     """
 
     levels: np.ndarray
@@ -108,10 +107,12 @@ class CodecConfig:
         object.__setattr__(self, "levels", np.asarray(self.levels, dtype=float))
         if self.levels.ndim != 1 or self.levels.size == 0:
             raise ValueError("levels must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(self.levels)):
+            raise ValueError(f"levels must be finite, got {self.levels}")
         if self.levels.size > 1 and not np.all(np.diff(self.levels) > 0):
             raise ValueError("levels must be strictly ascending")
-        if not self.vds_range[0] < self.vds_range[1]:
-            raise ValueError(f"invalid vds_range {self.vds_range}")
+        if not -np.inf < self.vds_range[0] < self.vds_range[1] < np.inf:
+            raise ValueError(f"vds_range must have finite lo < hi, got {self.vds_range}")
 
 
 def quantize(value, levels):
@@ -154,90 +155,74 @@ def decode_pairs(p: MosfetParams, cfg: CodecConfig, ids1, ids2, range_check: boo
 
     Takes the pairs' first and second currents as equal-length 1-d arrays
     (or scalars) and returns (vgs_hat, vds_hat_1, vds_hat_2, corrected,
-    in_range) arrays of that length.  Degenerate pairs (ids1 == ids2)
-    leave no slope to score, so the range check alone selects the lowest
-    level in range.  Non-positive currents are tolerated: their implied vds
-    is far out of range.  Needs lam > 0: flat curves have no slope to match.
+    in_range) arrays of that length.  Flat pairs (equal currents, or a
+    non-finite implied slope) leave no slope to score: the range check alone
+    selects the lowest level in range.  Non-positive and non-finite currents
+    are tolerated: their implied vds is out of range.  Needs lam > 0 (flat
+    curves have no slope to match) and a vds_range above -1/lam.
 
-    The closed form (module docstring) gives bit for bit the result of
-    scoring every level by its curve slope and stably sorting the scores
-    (:func:`_decode_full`), which decodes the pairs it does not cover.
+    For every input the closed form (module docstring) gives bit for bit the
+    result of stably sorting every level's curve-slope score.
     """
     _check_levels_on(p, cfg)
-    if not p.lam > 0:
-        raise ValueError(f"decoding needs lam > 0, got {p.lam}")
-    ids1 = np.atleast_1d(np.asarray(ids1, dtype=float))
-    ids2 = np.atleast_1d(np.asarray(ids2, dtype=float))
+    lam, levels, n = p.lam, cfg.levels, cfg.levels.size
+    rlo, rhi = cfg.vds_range[0] - RANGE_TOL, cfg.vds_range[1] + RANGE_TOL
+    if not lam > 0:
+        raise ValueError(f"decoding needs lam > 0, got {lam}")
+    if not rlo > -1.0 / lam:
+        raise ValueError(f"decoding needs vds_range above -1/lam = {-1.0 / lam}")
+    ids1, ids2 = (np.atleast_1d(np.asarray(i, dtype=float)) for i in (ids1, ids2))
     if ids1.shape != ids2.shape or ids1.ndim != 1:
         raise ValueError("ids1 and ids2 must be 1-d arrays of one length")
 
-    lam, levels, n = p.lam, cfg.levels, cfg.levels.size
     base = 0.5 * p.k_gain * (levels - p.v_th) ** 2  # current at vds = 0, per level
     slope = np.concatenate(([np.nan], curve_slope(p, levels)))  # slope[L + 1] of level L
-    rlo, rhi = cfg.vds_range[0] - RANGE_TOL, cfg.vds_range[1] + RANGE_TOL
     imin, imax = np.minimum(ids1, ids2), np.maximum(ids1, ids2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c = lam * (ids1 + ids2) / 2.0
 
-        def score(L):  # NaN below level 0, so it ties nothing
+        def vds(i, L):  # the implied drain voltage of current i on level L
+            return (i / base.take(L, mode="clip") - 1.0) / lam
+
+        def score(L, c):  # NaN below level 0, so it ties nothing
             return np.abs(slope.take(L + 1) - c)
-        # levels j - 1 and j bracket c; equal currents take level 0
+
+        def tied(rows, L):  # the next lower level scores as L does
+            return score(L - 1, c[rows]) == score(L, c[rows])
+
+        def first(L, i, holds):  # L stepped to the first level in [0, n] where holds(i, level)
+            return _settle(L, lambda rows, L: ((L < n) & ~holds(i[rows], L)).astype(np.intp)
+                           - ((L > 0) & holds(i[rows], L - 1)))
+        # levels j - 1 and j bracket c, and the lowest of tied levels wins; flat pairs take 0
         j = np.minimum(np.searchsorted(slope[1:], c), n - 1)
-        g = np.where(ids1 == ids2, 0, np.where(score(j) < score(j - 1), j, np.maximum(j - 1, 0)))
-        # the in-range run [a, b], confirmed in float; base 0 and inf pin its ends
-        a = np.searchsorted(base, imax / (1.0 + lam * rhi))
-        b = np.searchsorted(base, imin / (1.0 + lam * rlo), "right") - 1
-        bz = np.concatenate(([0.0], base, [np.inf])).take(np.array([a, a + 1, b + 1, b + 2]))
-        vz = (np.array([imax, imin])[:, None] / bz.reshape(2, 2, -1) - 1.0) / lam
-        run_ok = (vz[0, 0] > rhi) & (vz[0, 1] <= rhi) & (vz[1, 0] >= rlo) & (vz[1, 1] < rlo)
-        r = np.where(a <= b, np.minimum(np.maximum(g, a), b), g)  # the in-range pick
+        g = np.where((ids1 == ids2) | ~np.isfinite(c), 0,
+                     np.where(score(j, c) < score(j - 1, c), j, np.maximum(j - 1, 0)))
+        g = _settle(g, lambda rows, L: 0 - tied(rows, L))
+        # the in-range run [a, b]: searchsorted estimates, stepped to two monotone float tests
+        a = first(np.searchsorted(base, imax / (1.0 + lam * rhi)), imax,
+                  lambda i, L: vds(i, L) <= rhi)
+        # count(base <= imin / (1 + lam * rlo)), which is 0 for NaN
+        b = first(n - np.searchsorted(-base[::-1], imin / -(1.0 + lam * rlo)), imin,
+                  lambda i, L: ~(vds(i, L) >= rlo)) - 1
+        # the in-range pick: g clipped to the run, the lowest of tied levels inside it
+        r = np.where(a <= b, np.minimum(np.maximum(g, a), b), g)
+        r = _settle(r, lambda rows, L: 0 - ((L > a[rows]) & tied(rows, L)))
         sel = r if range_check else g
-        corrected, in_range = sel != g, (a <= b) & (sel == r)
-        proven = run_ok & (imin > 0) & np.isfinite(c) \
-            & (score(g - 1) != score(g)) & (score(sel - 1) != score(sel))
         bs = base.take(sel)
-        out = [levels.take(sel), (ids1 / bs - 1.0) / lam, (ids2 / bs - 1.0) / lam,
-               corrected, in_range]
-    rows = ~proven
-    if rows.any():
-        for o, full in zip(out, _decode_full(p, cfg, ids1[rows], ids2[rows], range_check)):
-            o[rows] = full
-    return tuple(out)
+        return (levels.take(sel), (ids1 / bs - 1.0) / lam, (ids2 / bs - 1.0) / lam,
+                sel != g, (a <= b) & (sel == r))
 
 
-def _decode_full(p: MosfetParams, cfg: CodecConfig, ids1: np.ndarray, ids2: np.ndarray,
-                 range_check: bool):
-    """:func:`decode_pairs` of 1-d current arrays by scoring every level: the
-    reference, and the path of the pairs the closed form does not cover."""
-    levels = cfg.levels
-    base = 0.5 * p.k_gain * (levels - p.v_th) ** 2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v1 = (ids1[:, None] / base - 1.0) / p.lam
-        v2 = (ids2[:, None] / base - 1.0) / p.lam
-        score = np.abs(curve_slope(p, levels) - (p.lam * (ids1 + ids2) / 2.0)[:, None])
-    degenerate = (ids2 == ids1)[:, None] | ~np.isfinite(score)
-    score = np.where(degenerate, np.inf, score)
-    # stable sort: ties (and the all-inf degenerate case) go to the lower level
-    order = np.argsort(score, axis=1, kind="stable")
-
-    rlo, rhi = cfg.vds_range
-    ok = (v1 >= rlo - RANGE_TOL) & (v1 <= rhi + RANGE_TOL) \
-        & (v2 >= rlo - RANGE_TOL) & (v2 <= rhi + RANGE_TOL)
-
-    rows = np.arange(ids1.shape[0])
-    if range_check:
-        ok_sorted = np.take_along_axis(ok, order, axis=1)
-        any_ok = ok_sorted.any(axis=1)
-        pos = np.where(any_ok, np.argmax(ok_sorted, axis=1), 0)
-        sel = np.take_along_axis(order, pos[:, None], axis=1)[:, 0]
-        corrected = any_ok & (pos > 0)
-        in_range = any_ok
-    else:
-        sel = order[:, 0]
-        corrected = np.zeros(ids1.shape[0], dtype=bool)
-        in_range = ok[rows, sel]
-
-    return levels[sel], v1[rows, sel], v2[rows, sel], corrected, in_range
+def _settle(L, move):
+    """L with each entry moved by move(rows, L[rows]) (-1, 0 or +1) until none
+    moves: one pass over every entry, then only over those that moved."""
+    s = move(slice(None), L)
+    rows = np.flatnonzero(s)
+    while rows.size:
+        L[rows] += s[s != 0]
+        s = move(rows, L[rows])
+        rows = rows[s != 0]
+    return L
 
 
 def decode_stream(p: MosfetParams, cfg: CodecConfig, ids, range_check: bool = True):

@@ -252,6 +252,15 @@ class TestSubcommands:
         ("sweep-snr", ["--fm-headroom", "0"], "headroom must lie in (0, 1], got 0.0"),
         ("sweep-delta", ["--delta", "0.5", "--doppler-fraction", "1"],
          "doppler_fraction must lie in [0, 1), got 1.0"),
+        ("noiseless", ["--noiseless-levels", "1,2,inf"], "levels must be finite"),
+        ("encode", ["--noiseless-levels", "1,nan", "--vgs", "1", "--vds", "7"],
+         "levels must be finite"),
+        ("noiseless", ["--vds-hi", "inf"], "vds_range must have finite lo < hi"),
+        ("decode", ["--ids1", "1e-3", "--ids2", "2e-3", "--vds-hi", "inf"],
+         "vds_range must have finite lo < hi"),
+        # below vds = -1/lam the curves carry non-positive currents
+        ("decode", ["--ids1", "1e-3", "--ids2", "2e-3", "--vds-lo=-30"],
+         "decoding needs vds_range above -1/lam"),
     ], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
     def test_failing_input_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                    message):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ajscc
-from ajscc import codec, experiments
+from ajscc import experiments
 from ajscc.codec import CodecConfig, build_levels, decode_pairs, quantize
 from ajscc.experiments import (
     LinkConfig,
@@ -208,26 +208,6 @@ class TestLinkPipeline:
         rpt = run_link_point(cfg, gs, ds, delta=1.0, chan=cfg.channel(),
                              link_seed=(6, 0))
         assert rpt.mse_gs >= 0 and rpt.mse_ds >= 0
-
-
-class TestDecodeFallback:
-    @pytest.mark.parametrize("snr_db", [-20.0, None], ids=["minus_20_db", "perfect_link"])
-    def test_no_link_point_pair_takes_the_full_decode(self, monkeypatch, snr_db):
-        # link estimates are whole FFT bins apart, and perfect-link pairs are
-        # equal or clean curve pairs, so the candidate search proves each one
-        rows = []
-        full = codec._decode_full
-
-        def counting(p, cfg, ids1, ids2, range_check):
-            rows.append(ids1.size)
-            return full(p, cfg, ids1, ids2, range_check)
-        monkeypatch.setattr(codec, "_decode_full", counting)
-        cfg = LinkConfig(nx=6, ny=6, nt=10, s_p=3, t_p=5, n_samples=512, snr_db=-20.0)
-        gs, ds = cfg.fields(0)
-        for delta in (0.05, 0.41, 1.25):
-            chan = None if snr_db is None else cfg.channel(snr_db=snr_db)
-            run_link_point(cfg, gs, ds, delta, chan, (cfg.seed, 0))
-        assert sum(rows) == 0
 
 
 class TestPerfectLinkFloor:
