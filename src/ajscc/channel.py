@@ -32,10 +32,11 @@ points), search each distinct (symbol, tone) once, since equal currents at
 one symbol share every draw, and configs whose complex64 tone factors
 match bit for bit (bandwidths whose sample rate and FM scale scale with
 them) share that search.  They evaluate the power only at each symbol's
-candidate bins: the 9 within +/- _WINDOW = 4 of the tone and the 17 with
-explicitly drawn loud noise.  A per-row bound proves that no other bin
-can win; a row without that proof is searched over every bin of its
-chunk's draws, so the estimates equal the peaks of the full-row reference
+candidate bins: the run of 9 bins within +/- _WINDOW = 4 of the tone
+(shifted inside the band at its edges) and the 17 with explicitly drawn
+loud noise.  A per-row bound proves that no other bin can win; a row
+without that proof is searched over every bin of its chunk's draws, so
+the estimates equal the peaks of the full-row reference
 :func:`received_spectrum` bit for bit.  The two counts set only how often
 a row falls back: at most 1e-3 of the rows at every SNR from -60 dB to +inf,
 block length from 16 to 8192 samples and K-factor of 6 dB or +/- inf.
@@ -245,7 +246,6 @@ _FAR, _SUBSET, _LEVEL, _PHASE, _GAMMA_TOP, _GAMMA_REST = range(6)
 # Loudest unit-noise values drawn explicitly per symbol: _TOP_NOISE above
 # the (_TOP_NOISE + 1)-th, which bounds every other bin
 _TOP_NOISE = 16
-_BIT = np.left_shift(np.uint8(1), np.arange(8, dtype=np.uint8))
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -312,51 +312,37 @@ def _gamma(keys: np.ndarray, shape: float, stream: int) -> np.ndarray:
     return out
 
 
-def _member(plane: np.ndarray, rows, bins) -> np.ndarray:
-    """True where 0-based ``bins`` of ``rows`` are set in the packed ``plane``."""
-    return (plane.reshape(-1)[rows * plane.shape[1] + (bins >> 3)] & _BIT[bins & 7]) != 0
-
-
-def _subset(keys: np.ndarray, n: int, m: int):
+def _subset(keys: np.ndarray, n: int, m: int) -> np.ndarray:
     """A uniform m-subset of the 0-based bins 0..n-1 per key (Floyd's algorithm:
-    Bentley and Floyd, "A sample of brilliance", CACM 30(9), 1987),
-    (len(keys), m), and its membership plane: (len(keys), ceil(n / 8))
-    uint8, bin j at bit j & 7 of byte j >> 3 (``np.unpackbits`` order
-    "little"), drawn once per chunk and bin count."""
-    picks = (_uniform(keys, _SUBSET, np.arange(m)) * np.arange(n - m + 1, n + 1)).astype(np.intp)
-    plane = np.zeros((keys.size, -(-n // 8)), dtype=np.uint8)
-    flat, offsets = plane.reshape(-1), np.arange(keys.size) * plane.shape[1]  # row starts
-    out = np.empty((keys.size, m), dtype=np.intp)
-    for k, pick in enumerate(picks.T):  # pick is uniform on 0..n-m+k
-        pick = np.where(flat[offsets + (pick >> 3)] & _BIT[pick & 7], n - m + k, pick)
-        flat[offsets + (pick >> 3)] |= _BIT[pick & 7]
-        out[:, k] = pick
-    return out, plane
+    Bentley and Floyd, "A sample of brilliance", CACM 30(9), 1987), picks x
+    keys (m, len(keys)); a pick already taken is replaced by n - m + k."""
+    picks = _uniform(keys, _SUBSET, np.arange(m)).T * np.arange(n - m + 1, n + 1)[:, None]
+    picks = picks.astype(np.intp, order="C")
+    for k in range(1, m):  # picks[k] is uniform on 0..n-m+k
+        picks[k, (picks[:k] == picks[k]).any(axis=0)] = n - m + k
+    return picks
 
 
 class _Noise(NamedTuple):
     """Unit noise of a chunk of symbols at one bin count, drawn lazily.
 
-    ``bins`` (1-based) hold explicitly drawn values ``top_re``/``top_im``,
-    marked one bit per bin in row ``plane_rows`` of the chunk's ``plane``; a
-    read bin set there finds its column among its row's ``bins``.  Every
-    other bin's unit power is below ``u_rest``; it is generated on demand
-    from ``keys`` with u/2 ~ Exp(1) truncated to [0, u_rest / 2), which is
-    ``-log1p(U * shrink)`` for a uniform U.
+    ``bins`` (1-based) hold explicitly drawn values ``top_re``/``top_im``.
+    Every other bin's unit power is below ``u_rest``; it is generated on
+    demand from ``keys`` with u/2 ~ Exp(1) truncated to [0, u_rest / 2),
+    which is ``-log1p(U * shrink)`` for a uniform U.  Reads are runs of
+    consecutive bins (:func:`_unit_noise`).
     """
 
     keys: np.ndarray     # (b,) uint64
     shrink: np.ndarray   # (b,) float32, expm1(-u_rest / 2)
-    plane: np.ndarray    # (chunk, ceil(n_bins / 8)) uint8
     bins: np.ndarray     # (b, m)
     top_re: np.ndarray   # (b, m) float32
     top_im: np.ndarray   # (b, m) float32
     u_rest: np.ndarray   # (b,) float64
-    plane_rows: np.ndarray  # (b,)
 
     def take(self, rows) -> "_Noise":
-        """The noise of the symbols at ``rows``; the plane is shared, not copied."""
-        return _Noise(*(a if a is self.plane else a.take(rows, axis=0) for a in self))
+        """The noise of the symbols at ``rows``."""
+        return _Noise(*(a.take(rows, axis=0) for a in self))
 
 
 def _noise_draws(seed, n_bins: int, symbols: np.ndarray) -> _Noise:
@@ -374,32 +360,31 @@ def _noise_draws(seed, n_bins: int, symbols: np.ndarray) -> _Noise:
     """
     keys = _symbol_keys(seed, n_bins, symbols)
     m = min(_TOP_NOISE + 1, n_bins)
-    bins, plane = _subset(keys, n_bins, m)
     t = np.log1p(_gamma(keys, n_bins - m + 1.0, _GAMMA_REST) / _gamma(keys, float(m), _GAMMA_TOP))
     level = t[:, None] - np.log1p(-_uniform(keys, _LEVEL, np.arange(m)))
     # Floyd's order is not uniform: draw the member that holds t
     level[np.arange(keys.size), (_uniform(keys, _LEVEL, [m])[:, 0] * m).astype(np.intp)] = t
     angle = np.float32(2.0 * np.pi) * _uniform24(_bits(keys, _PHASE, np.arange(m)), 0)
     radius = np.sqrt(2.0 * level).astype(np.float32)
-    return _Noise(keys, np.expm1(-t).astype(np.float32), plane, bins + 1,
-                  radius * np.cos(angle), radius * np.sin(angle), 2.0 * t, np.arange(keys.size))
+    return _Noise(keys, np.expm1(-t).astype(np.float32), _subset(keys, n_bins, m).T + 1,
+                  radius * np.cos(angle), radius * np.sin(angle), 2.0 * t)
 
 
 def _unit_noise(noise: _Noise, bins: np.ndarray, rows=None):
     """Unit noise planes (real, imaginary), float32, candidates x symbols, of
     the symbols at ``rows`` of ``noise`` (default every row) at 1-based
-    ``bins`` ((k, len(rows)), or (k, 1) for the same bins in every row)."""
+    ``bins``, a run of k consecutive bins per row: (k, len(rows)), or (k, 1)
+    for one run of every row; an explicit bin is found by its offset in it."""
     noise = noise if rows is None else noise.take(rows)
     bits = _bits(noise.keys, _FAR, bins, axis=0)
     radius = np.sqrt(np.float32(-2.0) * np.log1p(_uniform24(bits, 40) * noise.shrink))
     angle = np.float32(2.0 * np.pi) * _uniform24(bits, 0)
     re, im = radius * np.cos(angle), radius * np.sin(angle)
-    explicit = _member(noise.plane, noise.plane_rows, bins - 1)
-    c, r = np.unravel_index(np.flatnonzero(explicit), re.shape)  # 2-d np.nonzero is far slower
-    hit = np.broadcast_to(bins, re.shape)[c, r]
-    top = np.argmax(noise.bins[r] == hit[:, None], axis=1)
-    re[c, r] = noise.top_re[r, top]
-    im[c, r] = noise.top_im[r, top]
+    at = noise.bins - bins[0][:, None]  # symbols x explicit: offset in the row's run
+    hit = np.flatnonzero((at >= 0) & (at < bins.shape[0]))  # 2-d np.nonzero is slower
+    c, r = at.ravel()[hit], hit // at.shape[1]
+    re[c, r] = noise.top_re.ravel()[hit]
+    im[c, r] = noise.top_im.ravel()[hit]
     return re, im
 
 
@@ -451,7 +436,7 @@ def _power(tone: np.ndarray, noise, scale) -> np.ndarray:
     return re
 
 
-# Pruned peak search of simulate_link_grid.  Candidate bins are those
+# Pruned peak search of simulate_link_grid.  Candidate bins are the run
 # within _WINDOW of a symbol's tone bin plus the bins whose unit noise is
 # drawn explicitly (_noise_draws: the min(_TOP_NOISE + 1, n_bins) loudest).
 _WINDOW = 4
@@ -482,12 +467,14 @@ def _candidate_bins(factors, noise: _Noise | None, roots: np.ndarray, n: int, ke
     :func:`received_spectrum` rows.
 
     The power is evaluated exactly at each row's candidate bins: the
-    window around its tone and, with noise, the explicitly drawn bins of
-    ``noise``.  Every candidate array is candidates x rows, so each row's
-    max and lowest-bin tie-break reduce over axis 0 along contiguous
-    memory.  A row whose window holds every in-band bin has no other
-    bin.  Otherwise a bin outside the window lies at least _WINDOW + 1/2
-    bins from the tone, so its tone amplitude is at most
+    window, the run of min(2 _WINDOW + 1, n_bins) bins from ``k0 -
+    _WINDOW`` (shifted inside the band), which holds every in-band bin
+    within _WINDOW of the tone's bin ``k0``, and, with noise, the
+    explicitly drawn bins of ``noise``.  Every candidate array is
+    candidates x rows, so each row's max and lowest-bin tie-break reduce
+    over axis 0 along contiguous memory.  A window of every in-band bin
+    leaves no other bin.  Otherwise a bin outside it lies at least
+    _WINDOW + 1/2 bins from the tone, so its tone amplitude is at most
     ``eps = |hnum| / (2 sin(pi (_WINDOW + 1/2) / n) - _DEN_SLACK)``; a bin
     not drawn explicitly has noise amplitude at most
     ``scale * sqrt(u_rest)``.  A row whose best candidate beats
@@ -498,8 +485,8 @@ def _candidate_bins(factors, noise: _Noise | None, roots: np.ndarray, n: int, ke
     """
     n_bins = roots.size
     hnum, k0 = factors[0], factors[2]
-    bins = np.clip(k0 + np.arange(-_WINDOW, _WINDOW + 1)[:, None], 1, n_bins)
-    n_window = bins.shape[0]
+    n_window = min(2 * _WINDOW + 1, n_bins)
+    bins = np.clip(k0 - _WINDOW, 1, n_bins - n_window + 1) + np.arange(n_window)[:, None]
     if any(key is not None for key in keys):
         cand_noise = tuple(np.concatenate([near, top.T]) for near, top in
                            zip(_unit_noise(noise, bins), (noise.top_re, noise.top_im)))
@@ -510,8 +497,8 @@ def _candidate_bins(factors, noise: _Noise | None, roots: np.ndarray, n: int, ke
     # position x and every bin k outside the window, where sin increases
     eps = np.abs(hnum.astype(complex)) / (2.0 * math.sin(math.pi * (_WINDOW + 0.5) / n)
                                           - _DEN_SLACK)
-    # a row whose window holds every in-band bin needs no bound
-    whole_row = (k0 - _WINDOW <= 1) & (k0 + _WINDOW >= n_bins)
+    # a window of every in-band bin needs no bound
+    whole_row = n_window == n_bins
     peaks = {}
     for key in keys:
         if key is None:
@@ -599,8 +586,8 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
     tone config, such as another bandwidth of the SNR sweep (whose sample
     rate and FM scale scale with it), is searched only on the rows where its
     complex64 tone factors differ.  ``chunk_symbols`` bounds the symbols
-    whose draws are held at once (the explicit-bin plane takes one bit per
-    bin) and does not change any result.
+    whose draws are held at once (17 explicit bins per symbol and bin count,
+    whatever the bin count) and does not change any result.
     """
     if not isinstance(chunk_symbols, (int, np.integer)) or chunk_symbols < 1:
         raise ValueError(f"chunk_symbols = {chunk_symbols!r} must be an integer >= 1")

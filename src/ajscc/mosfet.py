@@ -14,6 +14,7 @@ floats for scalar inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class MosfetParams:
 
     k_gain is the lumped transconductance factor W*mu*Cox/L [A/V^2],
     v_th the threshold voltage [V], and lam the channel-length-modulation
-    parameter [1/V].  Defaults are the 0.18 um n-channel device used
-    throughout the experiments.
+    parameter [1/V]; k_gain and lam must be finite.  Defaults are the
+    0.18 um n-channel device used throughout the experiments.
     """
 
     k_gain: float = 155e-6
@@ -48,6 +49,9 @@ class MosfetParams:
             raise ValueError(f"v_th must be non-negative, got {self.v_th}")
         if not self.lam >= 0:
             raise ValueError(f"lam must be non-negative, got {self.lam}")
+        for name in ("k_gain", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 def _ret(x: np.ndarray):

@@ -1,12 +1,13 @@
 """Int8 slot-plane reference of the explicit-bin sampler.
 
-The library marks a symbol's explicitly drawn noise bins in a bit-packed
-plane (:func:`ajscc.channel._subset`) and finds a member's column among the
-row's explicit bins only on a hit.  This module keeps the plain form it
-replaces: Floyd's algorithm over a ``(b, n)`` int8 plane holding 1 + each
-bin's column in the subset (0 if none), and the unit-noise lookup that
-reads the column from it.  The tests require the packed sampler to equal it
-exactly.
+The library keeps only each symbol's explicitly drawn noise bins
+(:func:`ajscc.channel._subset`, Floyd's algorithm with each pick checked
+against the earlier picks) and reads runs of consecutive bins, finding an
+explicit bin by its offset from the run's first bin.  This module keeps a
+plain form with a plane: Floyd's algorithm over a ``(b, n)`` int8 plane
+holding 1 + each bin's column in the subset (0 if none), and the unit-noise
+lookup that reads the column from it at any bins.  The tests require the
+library's sampler to equal it exactly.
 """
 
 import numpy as np

@@ -376,10 +376,11 @@ class TestPrunedPeakSearch:
     # 64, 68 and 72 samples give 16, 17 and 18 bins: the order statistics
     # cover the whole row up to _TOP_NOISE + 1 bins and only the loudest
     # above; 100, 104 and 108 give 25, 26 and 27 bins, around the
-    # 2 _WINDOW + 1 + _TOP_NOISE + 1 candidate bins; 16 samples (4 bins) fit
-    # in one window, and from 256 samples (64 bins) most bins go unsearched
+    # 2 _WINDOW + 1 + _TOP_NOISE + 1 candidate bins; 16 and 36 samples (4
+    # and 9 bins) fit in one window, 40 (10 bins) is one bin more, and from
+    # 256 samples (64 bins) most bins go unsearched
     @pytest.mark.parametrize("n", [8192, 512, 16, 256, 260, 264, 388, 392, 396,
-                                   64, 68, 72, 100, 104, 108])
+                                   64, 68, 72, 100, 104, 108, 36, 40])
     @pytest.mark.parametrize("snr", [-50.0, -20.0, 10.0, math.inf])
     def test_matches_full_row_reference(self, n, snr):
         cfg = make_cfg(snr_db=snr, n=n)
@@ -392,7 +393,7 @@ class TestPrunedPeakSearch:
         snr=st.sampled_from([-60.0, -30.0, -10.0, 0.0, 20.0, math.inf]),
         k_db=st.sampled_from([-math.inf, 0.0, math.inf]),
         doppler=st.sampled_from([0.0, 0.02]),
-        n=st.sampled_from([8, 16, 512, 8192]),
+        n=st.sampled_from([8, 16, 36, 40, 512, 8192]),
         n_sym=st.integers(1, 200),
         chunk=st.integers(1, 256),
         seed=st.integers(0, 2**32 - 1),
@@ -433,10 +434,10 @@ class TestPrunedPeakSearch:
             assert 0 < sum(rows) <= ids.size, snr
 
     def test_no_fallback_when_the_window_holds_every_bin(self, monkeypatch):
-        # below 2 _WINDOW + 1 samples every in-band bin is a candidate
+        # up to 2 _WINDOW + 1 bins (4 and 9 here) every in-band bin is a candidate
         rows = self.count_fallback_rows(monkeypatch)
         ids = np.random.default_rng(17).uniform(0.01, 1.0, 2000) * I_MAX
-        cfgs = [make_cfg(snr_db=snr, n=16) for snr in (-20.0, 10.0, math.inf)]
+        cfgs = [make_cfg(snr_db=snr, n=n) for n in (16, 36) for snr in (-20.0, 10.0, math.inf)]
         simulate_link_grid([ids], cfgs, 8)
         assert sum(rows) == 0
 
@@ -771,10 +772,9 @@ class TestSamplerLaw:
         self.check_peak_bin_error(make_cfg(snr_db=snr, n=256))
 
 
-class TestPackedPlane:
-    """The bit-packed explicit-bin plane gives the sampler of the int8 slot
-    plane it replaced (tests/slot_plane.py) exactly, in an eighth of the
-    memory."""
+class TestExplicitBins:
+    """Floyd's subset and the run lookup of the explicitly drawn bins give
+    the sampler of the int8 slot plane (tests/slot_plane.py) exactly."""
 
     N_BINS = [1, 4, 16, 17, 18, 64, 65, 100, 2048]
 
@@ -784,12 +784,8 @@ class TestPackedPlane:
     def test_subset_matches_slot_plane_reference(self, n_bins, b, m, start, seed):
         m = min(m, n_bins)
         keys = channel._symbol_keys(seed, n_bins, np.arange(start, start + b))
-        bins, plane = channel._subset(keys, n_bins, m)
-        assert np.array_equal(bins, slot_plane.subset(keys, n_bins, m)[0])
-        # the set bits, padding included, are exactly each row's subset
-        explicit = np.zeros((b, 8 * plane.shape[1]), dtype=np.uint8)
-        np.put_along_axis(explicit, bins, 1, axis=1)
-        assert np.array_equal(np.unpackbits(plane, axis=1, bitorder="little"), explicit)
+        assert np.array_equal(channel._subset(keys, n_bins, m).T,
+                              slot_plane.subset(keys, n_bins, m)[0])
 
     @settings(max_examples=150, deadline=None)
     @given(n_bins=st.sampled_from(N_BINS), b=st.integers(1, 40), start=st.integers(0, 10**6),
@@ -800,21 +796,18 @@ class TestPackedPlane:
         for got, want in zip(channel._unit_noise(noise, full_row.T),
                              slot_plane.unit_noise(noise, n_bins, full_row)):
             assert np.array_equal(got.T, want)
-        # scattered, repeated rows in any order; each reads one explicit bin
-        # and random others, as the candidate search does
+        # repeated rows in any order, each read as a run of 9 bins (fewer
+        # below 9 bins), as the candidate window is; each run holds a chosen
+        # explicit bin at its first, middle or last slot, where the band allows
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, b, rng.integers(1, 30))
-        bins = rng.integers(1, n_bins + 1, (rows.size, 9))
-        bins[:, 4] = noise.bins[rows, rng.integers(0, noise.bins.shape[1], rows.size)]
+        k = min(2 * channel._WINDOW + 1, n_bins)
+        explicit = noise.bins[rows, rng.integers(0, noise.bins.shape[1], rows.size)]
+        first = np.clip(explicit - rng.choice([0, k // 2, k - 1], rows.size), 1, n_bins - k + 1)
+        bins = first[:, None] + np.arange(k)
         for got, want in zip(channel._unit_noise(noise, bins.T, rows),
                              slot_plane.unit_noise(noise, n_bins, bins, rows)):
             assert np.array_equal(got.T, want)
-
-    @pytest.mark.parametrize("n_bins", [1, 8, 17, 2048, 2049])
-    def test_plane_holds_one_bit_per_bin(self, n_bins):
-        noise = channel._noise_draws(4, n_bins, np.arange(2048))
-        assert noise.plane.dtype == np.uint8
-        assert noise.plane.nbytes == 2048 * -(-n_bins // 8)
 
     def test_default_chunk_memory(self):
         # the criterion-3 shape: 10 spacings of 8000 symbols at 2048 bins and

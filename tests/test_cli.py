@@ -261,6 +261,8 @@ class TestSubcommands:
         # below vds = -1/lam the curves carry non-positive currents
         ("decode", ["--ids1", "1e-3", "--ids2", "2e-3", "--vds-lo=-30"],
          "decoding needs vds_range above -1/lam"),
+        ("noiseless", ["--k-gain", "inf"], "k_gain must be finite, got inf"),
+        ("noiseless", ["--lam", "inf"], "lam must be finite, got inf"),
     ], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
     def test_failing_input_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                    message):

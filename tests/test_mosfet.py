@@ -70,6 +70,9 @@ class TestDrainCurrent:
         for kw in (dict(v_th=float("nan")), dict(lam=float("nan"))):
             with pytest.raises(ValueError, match="must be non-negative, got nan"):
                 MosfetParams(**kw)
+        for name in ("k_gain", "lam"):
+            with pytest.raises(ValueError, match=f"{name} must be finite, got inf"):
+                MosfetParams(**{name: float("inf")})
 
 
 class TestInvertVds:
