@@ -6,7 +6,9 @@ defaults, then a config file (``key = value`` lines, ``#`` comments), then
 artifact starts with a ``#`` line echoing the fully resolved configuration,
 so a run is reproducible from its own output.
 
-The subcommands are the keys of :data:`COMMANDS`.
+The subcommands are the keys of :data:`COMMANDS`.  Resolving only converts
+each value to its type: a command checks just the values it reads, when it
+reads them, by key in the :class:`RunConfig` accessors or by its library calls.
 """
 
 import argparse
@@ -99,7 +101,18 @@ class RunConfig:
     outdir: str = "."
 
     def mosfet(self) -> MosfetParams:
-        return MosfetParams(k_gain=self.k_gain, v_th=self.v_th, lam=self.lam)
+        try:
+            p = MosfetParams(k_gain=self.k_gain, v_th=self.v_th, lam=self.lam)
+        except ValueError as exc:
+            raise ConfigError(f"invalid device parameters (k_gain/v_th/lam): {exc}") from None
+        if not p.lam > 0:  # the decoder matches curve slopes
+            raise ConfigError("invalid value for 'lam': must be positive")
+        return p
+
+    def vds_range(self) -> tuple[float, float]:
+        if not self.vds_lo < self.vds_hi:
+            raise ConfigError("invalid value for 'vds_lo/vds_hi': need lo < hi")
+        return self.vds_lo, self.vds_hi
 
     def noiseless_level_list(self) -> np.ndarray:
         return np.array(_parse_float_list("noiseless_levels", self.noiseless_levels))
@@ -108,31 +121,48 @@ class RunConfig:
         return noiseless_vds_grid(self.noiseless_vds_start, self.noiseless_vds_step,
                                   self.noiseless_vds_count)
 
+    def _axis(self, axis: str) -> tuple[float, float, float]:
+        """``<axis>_min/_max/_step``, checked to be a valid sweep axis."""
+        lo, hi, step = (getattr(self, f"{axis}_{end}") for end in ("min", "max", "step"))
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ConfigError(f"invalid value for '{axis}_min/{axis}_max': "
+                              "need finite bounds with min <= max")
+        if not 0 < step < math.inf:
+            raise ConfigError(f"invalid value for '{axis}_step': must be positive and finite")
+        return lo, hi, step
+
     def delta_grid(self) -> list[float]:
-        if self.delta is not None:
+        if self.delta is not None:  # a pinned spacing leaves the grid unread
             return [self.delta]
-        return delta_points(self.delta_min, self.delta_max, self.delta_step)
+        lo, hi, step = self._axis("delta")
+        if not lo > 0:
+            raise ConfigError("invalid value for 'delta_min': must be positive")
+        return delta_points(lo, hi, step)
 
     def snr_grid(self) -> list[float]:
-        return axis_points(self.snr_min, self.snr_max, self.snr_step)
+        return axis_points(*self._axis("snr"))
 
     def bandwidth_list(self) -> list[float]:
-        return _parse_float_list("bandwidths", self.bandwidths)
+        vals = _parse_float_list("bandwidths", self.bandwidths)
+        for b in vals:
+            if not 0 < b < math.inf:
+                raise ConfigError(f"invalid value for 'bandwidths': {b} is not positive "
+                                  "and finite")
+        return vals
 
     def link(self) -> LinkConfig:
         """The library config of the link sweeps; its checks are reported by key."""
+        mosfet, vds_range = self.mosfet(), self.vds_range()  # each reports its own keys
         try:
             return LinkConfig(
-                mosfet=self.mosfet(),
-                vgs_range=(self.vgs_lo, self.vgs_hi),
-                vds_range=(self.vds_lo, self.vds_hi),
+                mosfet=mosfet, vgs_range=(self.vgs_lo, self.vgs_hi), vds_range=vds_range,
                 nx=self.nx, ny=self.ny, nt=self.nt, s_p=self.s_p, t_p=self.t_p,
                 bandwidth=self.bandwidth, snr_db=self.snr_db,
                 doppler_fraction=self.doppler_fraction, rician_k_db=self.rician_k_db,
                 n_samples=self.n_samples, oversample=self.oversample,
                 fm_headroom=self.fm_headroom,
                 n_seeds=self.seeds, seed=self.seed,
-                workers=self.workers if self.workers > 0 else _usable_cpus(),
+                workers=self.workers or _usable_cpus(),
             )
         except ValueError as exc:
             # the keys of the LinkConfig fields the library's message names
@@ -205,57 +235,8 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> RunC
         if val is not None:
             values[key] = val
 
-    cfg = RunConfig(**{f.name: _coerce(f.name, values[f.name], f.type)
-                       for f in dataclasses.fields(RunConfig)})
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    """Check by key the values that parse_config resolves for every command.
-
-    The sweep grids and the bandwidth list are checked by key when a sweep
-    is dispatched (:data:`COMMANDS`); every other value by the library call
-    of the command that reads it, with the library's message, before any
-    artifact is written.
-    """
-    try:
-        cfg.mosfet()
-    except ValueError as exc:
-        raise ConfigError(f"invalid device parameters (k_gain/v_th/lam): {exc}") from None
-    if not cfg.vds_lo < cfg.vds_hi:
-        raise ConfigError("invalid value for 'vds_lo/vds_hi': need lo < hi")
-    if not cfg.lam > 0:
-        raise ConfigError("invalid value for 'lam': must be positive")
-    for key in ("seed", "workers"):
-        if getattr(cfg, key) < 0:
-            raise ConfigError(f"invalid value for '{key}': must be >= 0")
-
-
-def _check_axis(cfg: RunConfig, axis: str) -> None:
-    """The ``axis`` sweep grid (``<axis>_min/_max/_step``) must be a valid axis."""
-    lo, hi, step = (getattr(cfg, f"{axis}_{end}") for end in ("min", "max", "step"))
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ConfigError(f"invalid value for '{axis}_min/{axis}_max': "
-                          "need finite bounds with min <= max")
-    if not 0 < step < math.inf:
-        raise ConfigError(f"invalid value for '{axis}_step': must be positive and finite")
-
-
-def _check_sweep_delta(cfg: RunConfig) -> None:
-    """The delta grid, unless ``delta`` pins one spacing."""
-    if cfg.delta is None:
-        _check_axis(cfg, "delta")
-        if not cfg.delta_min > 0:
-            raise ConfigError("invalid value for 'delta_min': must be positive")
-
-
-def _check_sweep_snr(cfg: RunConfig) -> None:
-    """The SNR grid and the bandwidth list."""
-    _check_axis(cfg, "snr")
-    for b in cfg.bandwidth_list():
-        if not 0 < b < math.inf:
-            raise ConfigError(f"invalid value for 'bandwidths': {b} is not positive and finite")
+    return RunConfig(**{f.name: _coerce(f.name, values[f.name], f.type)
+                         for f in dataclasses.fields(RunConfig)})
 
 
 @contextlib.contextmanager
@@ -301,7 +282,7 @@ def _fmt(v) -> str:
 def _cmd_noiseless(cfg: RunConfig) -> int:
     res = run_noiseless(cfg.mosfet(), levels=cfg.noiseless_level_list(),
                         vds_grid=cfg.noiseless_vds_grid(),
-                        vds_range=(cfg.vds_lo, cfg.vds_hi))
+                        vds_range=cfg.vds_range())
     rows = zip(res.vgs_true, res.vds_true, res.vgs_hat, res.vds_hat, res.corrected)
     _write_csv(cfg, "noiseless.csv", "vgs_true,vds_true,vgs_hat,vds_hat,corrected", rows)
     print(f"accuracy={res.accuracy:.6g} accuracy_uncorrected={res.accuracy_pre:.6g} "
@@ -311,9 +292,10 @@ def _cmd_noiseless(cfg: RunConfig) -> int:
 
 def _cmd_sweep_lambda(cfg: RunConfig) -> int:
     lambdas = _parse_float_list("lambda_grid", cfg.lambda_grid)
-    sw = sweep_lambda(lambdas, base=cfg.mosfet(), levels=cfg.noiseless_level_list(),
+    base = dataclasses.replace(cfg, lam=_LINK.mosfet.lam).mosfet()  # the grid sets lam
+    sw = sweep_lambda(lambdas, base=base, levels=cfg.noiseless_level_list(),
                       vds_grid=cfg.noiseless_vds_grid(),
-                      vds_range=(cfg.vds_lo, cfg.vds_hi))
+                      vds_range=cfg.vds_range())
     rows = zip(sw.lambdas, sw.mse_pre, sw.mse_post, sw.accuracy_pre, sw.accuracy_post)
     _write_csv(cfg, "sweep_lambda.csv", "lambda,mse_pre,mse_post,accuracy_pre,accuracy_post", rows)
     print(f"lambda_points={len(sw.lambdas)} max_mse_pre={max(sw.mse_pre):.6g} "
@@ -345,8 +327,10 @@ def _cmd_sweep_snr(cfg: RunConfig) -> int:
 
 
 def _cmd_gen_field(cfg: RunConfig) -> int:
-    field = generate_field(cfg.nx, cfg.ny, cfg.nt, cfg.s_p, cfg.t_p,
-                           cfg.vds_lo, cfg.vds_hi, seed=cfg.seed)
+    if cfg.seed < 0:  # numpy's own message names no key
+        raise ConfigError("invalid value for 'seed': must be >= 0")
+    field = generate_field(cfg.nx, cfg.ny, cfg.nt, cfg.s_p, cfg.t_p, *cfg.vds_range(),
+                           seed=cfg.seed)
     path = os.path.join(cfg.outdir, "field.csv")
     with _atomic_path(path) as tmp:
         field_to_csv(field, tmp)
@@ -355,41 +339,38 @@ def _cmd_gen_field(cfg: RunConfig) -> int:
 
 
 def _cmd_encode(cfg: RunConfig, vgs: float, vds: float) -> int:
-    codec = CodecConfig(cfg.noiseless_level_list(), (cfg.vds_lo, cfg.vds_hi))
+    codec = CodecConfig(cfg.noiseless_level_list(), cfg.vds_range())
     ids = encode(cfg.mosfet(), codec, vgs, vds)
     print(f"{ids:.5g}")
     return 0
 
 
 def _cmd_decode(cfg: RunConfig, ids1: float, ids2: float) -> int:
-    codec = CodecConfig(cfg.noiseless_level_list(), (cfg.vds_lo, cfg.vds_hi))
+    codec = CodecConfig(cfg.noiseless_level_list(), cfg.vds_range())
     vgs, vds, corrected, in_range = decode_stream(cfg.mosfet(), codec, [ids1, ids2])
     print(f"vgs_hat={vgs[0]:.6g} vds_hat_1={vds[0]:.6g} vds_hat_2={vds[1]:.6g} "
           f"corrected={int(corrected[0])} in_range={int(in_range[0])}")
     return 0
 
 
-# command name -> (handler, the float arguments it takes after the config,
-# checks of the config values only this command reads)
+# command name -> (handler, the float arguments it takes after the config); a
+# handler checks each config value it reads, when it reads it
 COMMANDS = {
-    "noiseless": (_cmd_noiseless, (), ()),
-    "sweep-lambda": (_cmd_sweep_lambda, (), ()),
-    "sweep-delta": (_cmd_sweep_delta, (), (_check_sweep_delta,)),
-    "sweep-snr": (_cmd_sweep_snr, (), (_check_sweep_snr,)),
-    "gen-field": (_cmd_gen_field, (), ()),
-    "encode": (_cmd_encode, ("vgs", "vds"), ()),
-    "decode": (_cmd_decode, ("ids1", "ids2"), ()),
+    "noiseless": (_cmd_noiseless, ()),
+    "sweep-lambda": (_cmd_sweep_lambda, ()),
+    "sweep-delta": (_cmd_sweep_delta, ()),
+    "sweep-snr": (_cmd_sweep_snr, ()),
+    "gen-field": (_cmd_gen_field, ()),
+    "encode": (_cmd_encode, ("vgs", "vds")),
+    "decode": (_cmd_decode, ("ids1", "ids2")),
 }
 
 
 def dispatch(command: str, cfg: RunConfig, **extra) -> int:
-    """Check the values ``command`` reads, then run it; returns a process exit status."""
+    """Run ``command``; returns a process exit status."""
     if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}'")
-    handler, _, checks = COMMANDS[command]
-    for check in checks:
-        check(cfg)
-    return handler(cfg, **extra)
+    return COMMANDS[command][0](cfg, **extra)
 
 
 @functools.cache  # once per process: building it is most of an in-process call's overhead
@@ -403,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ajscc",
         description="Two-voltages-over-one-current simulator and experiment harness")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, extras, _) in COMMANDS.items():
+    for name, (_, extras) in COMMANDS.items():
         sp = sub.add_parser(name, parents=[common])
         for arg in extras:
             sp.add_argument(f"--{arg}", type=float, required=True)

@@ -245,7 +245,8 @@ def sweep_lambda(lambdas=DEFAULT_LAMBDA_GRID, base: MosfetParams = MosfetParams(
 class LinkConfig:
     """Shared configuration of the channel experiments.
 
-    Checked when built, so a sweep rejects it before any replicate runs.
+    Checked when built, a negative ``seed`` and ``workers`` below 1 included,
+    so a sweep rejects it before any replicate runs or any process starts.
     ``vgs_range[0]`` is the lowest level at every spacing, so it alone is
     checked against v_th; the channel is checked when :meth:`channel` builds it.
     """
@@ -275,6 +276,10 @@ class LinkConfig:
             raise ValueError(f"need at least 2 samples to decode, got nt={self.nt}")
         if self.n_seeds < 1:
             raise ValueError(f"need at least one replicate, got n_seeds={self.n_seeds}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.workers < 1:
+            raise ValueError(f"need at least one worker, got workers={self.workers}")
         for name, (lo, hi) in (("vgs_range", self.vgs_range), ("vds_range", self.vds_range)):
             if not -np.inf < lo < hi < np.inf:
                 raise ValueError(f"{name} must have finite lo < hi, got {(lo, hi)}")
@@ -392,7 +397,7 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     for delta in deltas:
         build_levels(cfg.vgs_range, delta)
     tasks = [(cfg, deltas, chans, rep) for rep in range(cfg.n_seeds)]
-    workers = max(1, min(cfg.workers, len(tasks)))
+    workers = min(cfg.workers, len(tasks))
     children = []  # (process, receiving end of its pipe) per share after the first
     try:
         if workers > 1:

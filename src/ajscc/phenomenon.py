@@ -19,6 +19,9 @@ __all__ = ["Field", "check_geometry", "generate_field", "block_means", "field_to
 
 @dataclass(frozen=True)
 class Field:
+    """A sampled field, checked when built: its geometry, finite lo < hi, and
+    values of shape (nx, ny, nt), all within [lo, hi]."""
+
     nx: int
     ny: int
     nt: int
@@ -27,13 +30,17 @@ class Field:
     lo: float
     hi: float
     seed: int
-    values: np.ndarray  # (nx, ny, nt) voltages, all within [lo, hi]
+    values: np.ndarray  # (nx, ny, nt) voltages
 
     def __post_init__(self) -> None:
+        check_geometry(self.nx, self.ny, self.nt, self.s_p, self.t_p)
+        _check_bounds(self.lo, self.hi)
         if self.values.shape != (self.nx, self.ny, self.nt):
             raise ValueError(
                 f"values shape {self.values.shape} != {(self.nx, self.ny, self.nt)}"
             )
+        if not np.all((self.values >= self.lo) & (self.values <= self.hi)):  # NaN fails
+            raise ValueError(f"values must lie within [lo, hi] = [{self.lo}, {self.hi}]")
 
     @property
     def n_blocks(self) -> int:
@@ -42,27 +49,27 @@ class Field:
         )
 
 
-def _check_sizes(nx: int, ny: int, nt: int, s_p: int, t_p: int) -> None:
+def check_geometry(nx: int, ny: int, nt: int, s_p: int, t_p: int) -> None:
+    """Raise ValueError unless the grid and its blocks are sizes >= 1 that fit."""
     for name, dim in (("nx", nx), ("ny", ny), ("nt", nt), ("s_p", s_p), ("t_p", t_p)):
         if dim < 1:
             raise ValueError(f"{name} must be >= 1, got {dim}")
-
-
-def check_geometry(nx: int, ny: int, nt: int, s_p: int, t_p: int) -> None:
-    """Raise ValueError unless the grid and its blocks are sizes >= 1 that fit."""
-    _check_sizes(nx, ny, nt, s_p, t_p)
     if s_p > nx or s_p > ny:
         raise ValueError(f"s_p={s_p} exceeds grid {nx}x{ny}")
     if t_p > nt:
         raise ValueError(f"t_p={t_p} exceeds nt={nt}")
 
 
+def _check_bounds(lo: float, hi: float) -> None:
+    if not -np.inf < lo < hi < np.inf:  # written so that NaN fails too
+        raise ValueError(f"need finite lo < hi, got ({lo}, {hi})")
+
+
 def generate_field(nx: int, ny: int, nt: int, s_p: int, t_p: int,
                    lo: float, hi: float, seed: int) -> Field:
     """Draw a block-constant random field; deterministic per seed."""
     check_geometry(nx, ny, nt, s_p, t_p)
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got ({lo}, {hi})")
+    _check_bounds(lo, hi)  # before the draw, which would turn bad bounds into NaN
 
     bx, by, bt = -(-nx // s_p), -(-ny // s_p), -(-nt // t_p)
     rng = np.random.default_rng(seed)
@@ -106,7 +113,9 @@ def field_from_csv(path) -> Field:
 
     Every grid cell must appear exactly once; a malformed row, a row
     outside the grid or a repeated cell is rejected with its line number,
-    as is a metadata line with a missing or malformed key or a size below 1.
+    as is a metadata line with a missing or malformed key or a geometry
+    :func:`check_geometry` rejects; any other violation of :class:`Field`'s
+    checks is reported with the path.
     """
     with open(path) as fh:
         meta_line = fh.readline()
@@ -121,7 +130,7 @@ def field_from_csv(path) -> Field:
             nx, ny, nt, s_p, t_p, seed = (int(meta[k])
                                           for k in ("nx", "ny", "nt", "s_p", "t_p", "seed"))
             lo, hi = float(meta["lo"]), float(meta["hi"])
-            _check_sizes(nx, ny, nt, s_p, t_p)
+            check_geometry(nx, ny, nt, s_p, t_p)
         except KeyError as exc:
             raise ValueError(f"{path}:1: missing metadata key {exc}") from None
         except ValueError as exc:
@@ -151,4 +160,7 @@ def field_from_csv(path) -> Field:
         seen = int(np.count_nonzero(filled))
         if seen != nx * ny * nt:
             raise ValueError(f"{path}: expected {nx * ny * nt} rows, got {seen}")
-    return Field(nx, ny, nt, s_p, t_p, lo, hi, seed, values)
+    try:
+        return Field(nx, ny, nt, s_p, t_p, lo, hi, seed, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -66,8 +66,10 @@ class TestParseConfig:
             parse_config(None, {"snr_db": "abc"})
 
     def test_inconsistent_ranges_rejected(self):
+        # resolving only converts; the accessor that reads the pair checks it
+        cfg = parse_config(None, {"vds_lo": "10", "vds_hi": "5"})
         with pytest.raises(ConfigError, match="vds_lo"):
-            parse_config(None, {"vds_lo": "10", "vds_hi": "5"})
+            cfg.vds_range()
 
     def test_delta_accepts_none_and_numbers(self):
         assert parse_config(None, {"delta": "none"}).delta is None
@@ -263,6 +265,8 @@ class TestSubcommands:
          "decoding needs vds_range above -1/lam"),
         ("noiseless", ["--k-gain", "inf"], "k_gain must be finite, got inf"),
         ("noiseless", ["--lam", "inf"], "lam must be finite, got inf"),
+        ("gen-field", ["--vds-lo=-inf"], "need finite lo < hi, got (-inf, 10.0)"),
+        ("gen-field", ["--vds-hi", "inf"], "need finite lo < hi, got (5.0, inf)"),
     ], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
     def test_failing_input_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                    message):
@@ -296,6 +300,15 @@ class TestSubcommands:
         ("noiseless", ["--seeds", "0"], "noiseless.csv"),
         ("noiseless", ["--nx", "0"], "noiseless.csv"),
         ("noiseless", ["--vgs-lo", "6", "--vgs-hi", "5"], "noiseless.csv"),
+        ("gen-field", ["--lam", "0"], "field.csv"),
+        ("gen-field", ["--k-gain", "-1"], "field.csv"),
+        ("gen-field", ["--v-th", "nan"], "field.csv"),
+        ("gen-field", ["--workers", "-1"], "field.csv"),
+        ("noiseless", ["--seed", "-1"], "noiseless.csv"),
+        ("noiseless", ["--workers", "-2"], "noiseless.csv"),
+        ("encode", ["--vgs", "5", "--vds", "7", "--seed", "-1"], None),
+        # the lambda grid sets lam
+        ("sweep-lambda", ["--lam", "0"], "sweep_lambda.csv"),
     ])
     def test_values_other_commands_read_do_not_block(self, tmp_path, command, flags, name):
         # name: the artifact the command writes (encode writes none)

@@ -456,12 +456,28 @@ class TestLinkConfig:
         (dict(vds_range=(10.0, 5.0)), "vds_range must have finite lo < hi"),
         (dict(vds_range=(5.0, math.inf)), "vds_range must have finite lo < hi"),
         (dict(vgs_range=(0.74, 10.0)), "levels must all exceed v_th=0.74 V"),
+        (dict(workers=0), "need at least one worker, got workers=0"),
+        (dict(workers=-4), "need at least one worker, got workers=-4"),
+        (dict(seed=-1), "seed must be non-negative, got -1"),
     ], ids=["one_sample", "no_replicates", "block_wider_than_grid", "empty_grid",
             "empty_vgs_range", "reversed_vds_range", "unbounded_vds_range",
-            "level_at_threshold"])
+            "level_at_threshold", "no_workers", "negative_workers", "negative_seed"])
     def test_construction_rejects(self, kw, match):
         with pytest.raises(ValueError, match=match):
             LinkConfig(**kw)
+
+    def test_negative_seed_starts_no_process(self, monkeypatch):
+        real, starts = multiprocessing.Process.start, []
+
+        def counting(proc):
+            starts.append(proc)
+            real(proc)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", counting)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            sweep_delta((0.4, 0.8), tiny_link_cfg(seed=-1, workers=2))
+        assert starts == []
+        assert multiprocessing.active_children() == []
 
 
 # 12 x 12 sensors x 10 instants = 1440 symbols: one full 1024-symbol chunk

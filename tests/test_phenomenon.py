@@ -87,6 +87,10 @@ def test_invalid_arguments():
         generate_field(4, 4, 4, 2, 5, 0, 1, seed=0)
     with pytest.raises(ValueError, match="lo"):
         generate_field(4, 4, 4, 2, 2, 1.0, 1.0, seed=0)
+    # rejected before the draw, which would warn and write NaN or inf values
+    for lo, hi in ((-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(ValueError, match="need finite lo < hi"):
+            generate_field(4, 4, 4, 2, 2, lo, hi, seed=0)
 
 
 def test_field_shape_validated():
@@ -118,8 +122,10 @@ def test_csv_rejects_malformed(tmp_path):
     (lambda rows: rows[:-1] + ["2,1,1"], r"field.csv:14: expected 4 fields x,y,t,value, got 3"),
     (lambda rows: rows[:-1] + ["2,1,1,high"], r"field.csv:14: could not convert .*'high'"),
     (lambda rows: rows[:-1] + ["2,1,one,7.0"], r"field.csv:14: invalid literal .*'one'"),
+    (lambda rows: rows[:-1] + ["2,1,1,nan"], r"field.csv: values must lie within \[lo, hi\]"),
+    (lambda rows: rows[:-1] + ["2,1,1,99.0"], r"field.csv: values must lie within \[lo, hi\]"),
 ], ids=["duplicate", "negative_index", "index_past_end", "three_fields", "bad_value",
-        "bad_index"])
+        "bad_index", "nan_value", "value_above_hi"])
 def test_csv_rejects_bad_cells(tmp_path, edit, match):
     # the row count stays right: the last row (line 14) is replaced by a bad one
     path = tmp_path / "field.csv"
@@ -136,7 +142,11 @@ def test_csv_rejects_bad_cells(tmp_path, edit, match):
     (lambda meta: meta.replace("nx=3", "nx=three"), r"field.csv:1: bad metadata: .*'three'"),
     (lambda meta: meta.replace("s_p=1", "s_p=0"), r"field.csv:1: .*s_p must be >= 1, got 0"),
     (lambda meta: meta.replace("nt=2", "nt=-2"), r"field.csv:1: .*nt must be >= 1, got -2"),
-], ids=["missing_key", "stray_token", "bad_int", "zero_block", "negative_dim"])
+    (lambda meta: meta.replace("s_p=1", "s_p=3"), r"field.csv:1: .*s_p=3 exceeds grid 3x2"),
+    (lambda meta: meta.replace("lo=5.0", "lo=10.0"),
+     r"field.csv: need finite lo < hi, got \(10.0, 10.0\)"),
+], ids=["missing_key", "stray_token", "bad_int", "zero_block", "negative_dim",
+        "block_wider_than_grid", "lo_not_below_hi"])
 def test_csv_rejects_bad_metadata(tmp_path, edit, match):
     path = tmp_path / "field.csv"
     field_to_csv(generate_field(3, 2, 2, 1, 1, 5.0, 10.0, seed=14), path)
