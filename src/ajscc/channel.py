@@ -3,11 +3,13 @@
 A current is mapped linearly to a tone frequency, transmitted as one
 complex-baseband symbol block, and recovered as the frequency of the
 largest-magnitude FFT bin inside the configured band, divided by the same
-scale factor.  Impairments per symbol: a Doppler shift drawn uniformly in
-+/- doppler_fraction of the tone frequency, a scalar Rician fading gain
-(line-of-sight fraction set by the K-factor, diffuse part complex
-Gaussian), and white complex Gaussian noise whose in-band power equals
-signal power / 10^(snr_db/10).
+scale factor.  Both maps are computed in cycles per sample, with
+fm_cycles = fm_scale / sample_rate, so bandwidths that share fm_cycles
+give bit-identical links.  Impairments per symbol: a Doppler shift drawn
+uniformly in +/- doppler_fraction of the tone frequency, a scalar Rician
+fading gain (line-of-sight fraction set by the K-factor, diffuse part
+complex Gaussian), and white complex Gaussian noise whose in-band power
+equals signal power / 10^(snr_db/10).
 
 :func:`received_spectrum` samples the received spectrum directly: the
 tone's transform is the closed-form geometric-series kernel, and the FFT of
@@ -26,20 +28,16 @@ and every other bin's value, Exp(1) truncated below the quietest of those,
 is a pure function of (seed, symbol, bin), evaluated only where it is read
 (:func:`_noise_draws`).
 
-:func:`simulate_link`, and :func:`simulate_link_grid` for many current
-sequences and configs on shared draws (the Monte-Carlo sweeps' axis
-points), search each distinct (symbol, tone) once, since equal currents at
-one symbol share every draw, and configs whose complex64 tone factors
-match bit for bit (bandwidths whose sample rate and FM scale scale with
-them) share that search.  They evaluate the power only at each symbol's
-candidate bins: the run of 9 bins within +/- _WINDOW = 4 of the tone
-(shifted inside the band at its edges) and the 17 with explicitly drawn
-loud noise.  A per-row bound proves that no other bin can win; a row
-without that proof is searched over every bin of its chunk's draws, so
-the estimates equal the peaks of the full-row reference
-:func:`received_spectrum` bit for bit.  The two counts set only how often
-a row falls back: at most 1e-3 of the rows at every SNR from -60 dB to +inf,
-block length from 16 to 8192 samples and K-factor of 6 dB or +/- inf.
+:func:`simulate_link_grid` searches each distinct (symbol, current) once
+for all configs that share fm_cycles, on shared draws, evaluating the
+power only at each symbol's candidate bins: the 9 within +/- _WINDOW = 4
+bins of the tone (shifted inside the band) and the 17 with explicitly
+drawn loud noise.  A per-row bound proves that no other bin can win; a row
+without that proof is searched over every bin of its chunk's draws, so the
+estimates equal the peaks of the full-row reference bit for bit.  The two
+counts set only how often a row falls back: at most 1e-3 of the rows at
+every SNR from -60 dB to +inf, block length from 16 to 8192 samples and
+K-factor of 6 dB or +/- inf.
 
 Every draw (doppler, fading and noise) is keyed by the seed and the
 symbol's index, the noise also by the bin count, so the results do not
@@ -118,6 +116,11 @@ class ChannelConfig:
         """Number of searched in-band FFT bins (bin 1 .. n_bins)."""
         return int(math.floor(self.bandwidth * self.n_samples / self.sample_rate * (1.0 + 1e-12)))
 
+    @property
+    def fm_cycles(self) -> float:
+        """Current -> tone frequency map in cycles per sample [1/A]."""
+        return self.fm_scale / self.sample_rate
+
     @classmethod
     def for_current_range(cls, i_max: float, bandwidth: float, snr_db: float, *,
                           headroom: float, n_samples: int, oversample: float = OVERSAMPLE,
@@ -174,7 +177,7 @@ def _noisy(cfg: ChannelConfig) -> bool:
 
 
 def _symbol_gains(freqs: np.ndarray, draws, cfg: ChannelConfig):
-    """Doppler-shifted frequencies and fading gains from the unit draws."""
+    """Doppler-shifted ``freqs`` (in any unit) and fading gains from the unit draws."""
     d, z_re, z_im = draws
     f_eff = freqs * (1.0 + cfg.doppler_fraction * d)
     los, diffuse = _fading_scales(cfg)
@@ -195,19 +198,20 @@ def _bin_roots(cfg: ChannelConfig) -> np.ndarray:
     return np.exp(-2j * np.pi * k / cfg.n_samples).astype(np.complex64)
 
 
-def _tone_factors(freqs: np.ndarray, draws, cfg: ChannelConfig):
-    """Per-symbol factors of the faded tone kernel: (hnum, z, k0, exact).
+def _tone_factors(cycles: np.ndarray, draws, cfg: ChannelConfig):
+    """Per-symbol factors (hnum, z, k0, exact) of the faded tone kernel.
 
-    For the fading gain h and the Doppler-shifted angular frequency omega
-    per sample, hnum = h (1 - e^{i omega n}) and z = e^{i omega} are the
-    complex64 numerator and ratio of the kernel, k0 is the bin nearest the
-    tone and exact the complex64 kernel there, computed in float64 since
-    the denominator loses precision near the tone.  At one block length and
-    bin count, equal factors give an equal spectrum.
+    For tones at ``cycles`` per sample, the fading gain h and the
+    Doppler-shifted angular frequency omega per sample, hnum = h (1 - e^{i
+    omega n}) and z = e^{i omega} are the complex64 numerator and ratio of
+    the kernel, k0 is the bin nearest the tone and exact the complex64
+    kernel there, computed in float64 since the denominator loses precision
+    near the tone.  At one block length and bin count, equal factors give an
+    equal spectrum.
     """
     n = cfg.n_samples
-    f_eff, h = _symbol_gains(freqs, draws, cfg)
-    omega = 2.0 * np.pi * f_eff / cfg.sample_rate
+    c_eff, h = _symbol_gains(cycles, draws, cfg)
+    omega = 2.0 * np.pi * c_eff
     num = 1.0 - np.exp(1j * omega * n)
     z = np.exp(1j * omega).astype(np.complex64)
     k0 = np.rint(omega * n / (2.0 * np.pi)).astype(np.int64)
@@ -225,7 +229,8 @@ def _tone_spectrum(factors, roots: np.ndarray, bins: np.ndarray) -> np.ndarray:
     the full row ``np.arange(1, n_bins + 1)[:, None]``, serves every symbol.
     """
     hnum, z, k0, exact = factors
-    spectrum = hnum / (1.0 - z * roots[bins - 1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 at an on-bin tone's k0
+        spectrum = hnum / (1.0 - z * roots[bins - 1])
     np.copyto(spectrum, exact, where=bins == k0)
     return spectrum
 
@@ -393,18 +398,23 @@ def received_spectrum(freqs, cfg: ChannelConfig, seed, symbols=None) -> np.ndarr
 
     Row r is symbol ``symbols[r]`` (default r) of a link run under
     ``seed``: the same draws :func:`simulate_link` makes for that symbol,
-    materialised at every bin.  This is the link's full-row reference: the
-    pruned search of :func:`simulate_link_grid` equals its peaks bit for
-    bit, without calling it.  It is statistically identical to the FFT of
-    the received sample blocks at the searched bins, which the test suite
-    builds as its time-domain reference.
+    materialised at every bin, for tones at ``freqs / sample_rate`` cycles
+    per sample.  It is statistically identical to the FFT of the received
+    sample blocks at the searched bins, which the test suite builds as its
+    time-domain reference.
     """
     freqs = _check_tones(freqs, cfg)
     symbols = np.arange(freqs.size) if symbols is None else np.atleast_1d(symbols)
     if symbols.shape != freqs.shape:
         raise ValueError("need one symbol index per tone")
+    return _spectrum_rows(freqs / cfg.sample_rate, cfg, seed, symbols)
+
+
+def _spectrum_rows(cycles: np.ndarray, cfg: ChannelConfig, seed, symbols: np.ndarray):
+    """:func:`received_spectrum` rows of the tones at ``cycles`` per sample; at the
+    link's ``fm_cycles * ids``, the full-row reference its pruned search equals."""
     bins = np.arange(1, cfg.n_bins + 1)[:, None]
-    factors = _tone_factors(freqs, _gain_draws(seed, symbols), cfg)
+    factors = _tone_factors(cycles, _gain_draws(seed, symbols), cfg)
     spectrum = _tone_spectrum(factors, _bin_roots(cfg), bins)
     if _noisy(cfg):
         re, im = _unit_noise(_noise_draws(seed, cfg.n_bins, symbols), bins)
@@ -415,7 +425,7 @@ def received_spectrum(freqs, cfg: ChannelConfig, seed, symbols=None) -> np.ndarr
 
 def _bin_currents(k: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     """Current estimates from 1-based peak bins."""
-    return k * (cfg.sample_rate / cfg.n_samples) / cfg.fm_scale
+    return k / (cfg.n_samples * cfg.fm_cycles)
 
 
 def demodulate_spectrum(spectrum: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
@@ -452,7 +462,7 @@ _BATCH_ROWS = 1024
 
 def _full_row_peaks(factors, rows: np.ndarray, noise: _Noise | None, roots: np.ndarray,
                     key) -> np.ndarray:
-    """1-based peak bins of the :func:`received_spectrum` rows of the tones with
+    """1-based peak bins of the :func:`_spectrum_rows` of the tones with
     ``factors`` at the rows ``rows`` of ``noise``: every bin read from those
     draws (not drawn again) scaled by ``key`` (None: no noise)."""
     full_row = np.arange(1, roots.size + 1)[:, None]
@@ -464,7 +474,7 @@ def _candidate_bins(factors, noise: _Noise | None, roots: np.ndarray, n: int, ke
     """1-based peak bins of the tones with ``factors``, one per row of their
     symbols' unit ``noise``, at block length ``n`` per noise key of ``keys``
     (None: no noise); equal bit for bit to the peak bins of their
-    :func:`received_spectrum` rows.
+    :func:`_spectrum_rows`.
 
     The power is evaluated exactly at each row's candidate bins: the
     window, the run of min(2 _WINDOW + 1, n_bins) bins from ``k0 -
@@ -518,39 +528,22 @@ def _candidate_bins(factors, noise: _Noise | None, roots: np.ndarray, n: int, ke
 
 
 def _candidate_currents(currents: np.ndarray, rows: np.ndarray, gains: np.ndarray,
-                        noise: _Noise | None, tones: list, roots: dict) -> list:
+                        noise: _Noise | None, tones: list) -> list:
     """Current estimates of ``currents`` at the chunk's rows ``rows`` for the
-    configs of ``tones``, (tone config, its configs) pairs of one bin count,
-    flattened; equal bit for bit to :func:`demodulate_spectrum` of their
-    :func:`received_spectrum` rows, with the rows' draws gathered once.  Each
-    block length's first tone config is searched on every row
-    (:func:`_candidate_bins`); since every draw is shared, a later one reuses
-    its peak bins at equal noise keys and is searched only on the rows where
-    its tone factors differ bit for bit.
-    """
+    configs of ``tones``, (tone config, kernel roots, configs sharing its
+    tones) triples of one bin count, flattened; equal bit for bit to
+    :func:`demodulate_spectrum` of their :func:`_spectrum_rows`.  The rows'
+    draws are gathered once, and each tone config is searched once."""
     gains = gains.take(rows, axis=1)
     noise = None if noise is None else noise.take(rows)
-    estimates, refs = [], {}
-    for tone_cfg, cfgs in tones:
-        freqs = tone_cfg.fm_scale * currents  # modulate, checked by simulate_link_grid
-        factors = _tone_factors(freqs, gains, tone_cfg)
+    estimates = []
+    for tone_cfg, roots, cfgs in tones:
+        # modulate, checked by simulate_link_grid
+        factors = _tone_factors(tone_cfg.fm_cycles * currents, gains, tone_cfg)
         keys = [_noise_scale(cfg) if _noisy(cfg) else None for cfg in cfgs]
-        search = (roots[tone_cfg], tone_cfg.n_samples)
-        first, shared = refs.setdefault(tone_cfg.n_samples, (factors, {}))
-        peaks = {key: shared[key].copy() for key in keys if key in shared}
-        if peaks:
-            redo = np.nonzero(~np.all([a.view(np.uint64) == b.view(np.uint64)
-                                       for a, b in zip(factors, first)], axis=0))[0]
-            if redo.size:
-                for key, k in _candidate_bins(tuple(f[redo] for f in factors),
-                                              None if noise is None else noise.take(redo),
-                                              *search, list(peaks)).items():
-                    peaks[key][redo] = k
-        if todo := [key for key in dict.fromkeys(keys) if key not in peaks]:
-            peaks.update(_candidate_bins(factors, noise, *search, todo))
-        if first is factors:
-            shared.update(peaks)
-        estimates += [_bin_currents(peaks[key], cfg) for key, cfg in zip(keys, cfgs)]
+        peaks = _candidate_bins(factors, noise, roots, tone_cfg.n_samples,
+                                list(dict.fromkeys(keys)))
+        estimates += [_bin_currents(peaks[key], tone_cfg) for key in keys]
     return estimates
 
 
@@ -572,22 +565,16 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
 
     Returns an array of shape ``(len(ids_list), len(cfgs), *ids.shape)``
     whose entry ``[i, j]`` is ``simulate_link(ids_list[i], cfgs[j], seed)``,
-    bit for bit.  The draws of a symbol do not depend on the tone
-    frequencies or the SNR, so per chunk the doppler and fading and, per
-    bin count (if any config has noise), the explicit unit noise are drawn
-    once, and equal currents at one symbol give equal estimates: each
-    distinct (symbol, current) pair of a chunk is searched once, in batches
-    of at most _BATCH_ROWS = 1024 pairs.  Configs of one block length and
-    bin count share one search per batch (:func:`_candidate_currents`): the
-    tone and the noise are evaluated at each symbol's candidate bins only,
-    per SNR only the noise is rescaled and the peak searched among the
-    candidates, with a per-row proof that no other bin can win; the rows
-    without it are searched over every bin of the chunk's draws.  Another
-    tone config, such as another bandwidth of the SNR sweep (whose sample
-    rate and FM scale scale with it), is searched only on the rows where its
-    complex64 tone factors differ.  ``chunk_symbols`` bounds the symbols
-    whose draws are held at once (17 explicit bins per symbol and bin count,
-    whatever the bin count) and does not change any result.
+    bit for bit.  A symbol's draws depend on neither its tone nor the SNR,
+    so per chunk the doppler and fading and, per bin count (if any config
+    has noise), the explicit unit noise are drawn once, and each distinct
+    (symbol, current) pair is searched once, in batches of at most
+    _BATCH_ROWS = 1024 pairs.  Configs of one bin count, block length,
+    fm_cycles, Doppler and K-factor, such as the bandwidths of an SNR sweep,
+    share one tone evaluation and search per batch; per SNR only the noise
+    is rescaled.  ``chunk_symbols`` bounds the symbols whose draws are held
+    at once (17 explicit bins per symbol and bin count) and does not change
+    any result.
     """
     if not isinstance(chunk_symbols, (int, np.integer)) or chunk_symbols < 1:
         raise ValueError(f"chunk_symbols = {chunk_symbols!r} must be an integer >= 1")
@@ -598,17 +585,17 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
     shape = ids_list[0].shape
     if any(ids.shape != shape for ids in ids_list):
         raise ValueError("current arrays must share one shape")
-    # bin count -> {config with its SNR set to inf: indices of the configs
-    # differing from it only in SNR}; tone configs of one block length share a search
-    groups: dict[int, dict[ChannelConfig, list[int]]] = {}
-    for j, cfg in enumerate(cfgs):
-        tone_cfg = dataclasses.replace(cfg, snr_db=math.inf)
-        groups.setdefault(cfg.n_bins, {}).setdefault(tone_cfg, []).append(j)
-    roots = {tone_cfg: _bin_roots(tone_cfg) for tones in groups.values() for tone_cfg in tones}
     flat = [ids.ravel() for ids in ids_list]
-    for tone_cfg in roots:
+    for cfg in dict.fromkeys(dataclasses.replace(cfg, snr_db=math.inf) for cfg in cfgs):
         for ids in flat:
-            _check_tones(modulate(ids, tone_cfg), tone_cfg)
+            _check_tones(modulate(ids, cfg), cfg)
+    # bin count -> {(block length, fm_cycles, doppler, K-factor): indices of
+    # the configs that share one tone evaluation and search}
+    groups: dict[int, dict[tuple, list[int]]] = {}
+    for j, cfg in enumerate(cfgs):
+        key = (cfg.n_samples, cfg.fm_cycles, cfg.doppler_fraction, cfg.rician_k_db)
+        groups.setdefault(cfg.n_bins, {}).setdefault(key, []).append(j)
+    roots = {js[0]: _bin_roots(cfgs[js[0]]) for tones in groups.values() for js in tones.values()}
 
     n_sym = flat[0].size
     out = np.empty((len(ids_list), len(cfgs), n_sym))
@@ -622,14 +609,13 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
         edges = np.arange(n_batches + 1) * currents.size // n_batches
         gains = _gain_draws(seed, symbols)
         for n_bins, tones in groups.items():
-            noise = None
-            if any(_noisy(cfgs[j]) for js in tones.values() for j in js):
-                noise = _noise_draws(seed, n_bins, symbols)
-            search = [(tone_cfg, [cfgs[j] for j in js]) for tone_cfg, js in tones.items()]
             js = [j for group in tones.values() for j in group]
+            noisy = any(_noisy(cfgs[j]) for j in js)
+            noise = _noise_draws(seed, n_bins, symbols) if noisy else None
+            search = [(cfgs[g[0]], roots[g[0]], [cfgs[j] for j in g]) for g in tones.values()]
             for part in map(slice, edges[:-1], edges[1:]):
                 est[js, part] = _candidate_currents(currents[part], rows[part], gains, noise,
-                                                    search, roots)
+                                                    search)
         out[:, :, start:stop] = est[:, inverse].swapaxes(0, 1)
     return out.reshape(len(ids_list), len(cfgs), *shape)
 

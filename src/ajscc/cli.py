@@ -115,7 +115,22 @@ class RunConfig:
         return self.vds_lo, self.vds_hi
 
     def noiseless_level_list(self) -> np.ndarray:
-        return np.array(_parse_float_list("noiseless_levels", self.noiseless_levels))
+        """The gate levels; a finite one whose drain current overflows at a finite
+        vds_hi fails (CodecConfig rejects the levels that are not finite)."""
+        levels = np.array(_parse_float_list("noiseless_levels", self.noiseless_levels))
+        p = self.mosfet()
+        with np.errstate(over="ignore", invalid="ignore"):  # reported here, by key
+            top = 0.5 * p.k_gain * (levels - p.v_th) ** 2 * (1.0 + p.lam * self.vds_hi)
+        if math.isfinite(self.vds_hi) and np.any(np.isfinite(levels) & ~np.isfinite(top)):
+            raise ConfigError("invalid value for 'noiseless_levels': drain current overflow")
+        return levels
+
+    def lambda_list(self) -> list[float]:
+        vals = _parse_float_list("lambda_grid", self.lambda_grid)
+        if not all(0 < a < b for a, b in zip(vals, vals[1:] + [math.inf])):
+            raise ConfigError("invalid value for 'lambda_grid': need positive, finite, "
+                              "strictly ascending values")
+        return vals
 
     def noiseless_vds_grid(self) -> np.ndarray:
         return noiseless_vds_grid(self.noiseless_vds_start, self.noiseless_vds_step,
@@ -291,9 +306,10 @@ def _cmd_noiseless(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep_lambda(cfg: RunConfig) -> int:
-    lambdas = _parse_float_list("lambda_grid", cfg.lambda_grid)
+    lambdas = cfg.lambda_list()
     base = dataclasses.replace(cfg, lam=_LINK.mosfet.lam).mosfet()  # the grid sets lam
-    sw = sweep_lambda(lambdas, base=base, levels=cfg.noiseless_level_list(),
+    levels = dataclasses.replace(cfg, lam=lambdas[-1]).noiseless_level_list()  # top lam
+    sw = sweep_lambda(lambdas, base=base, levels=levels,
                       vds_grid=cfg.noiseless_vds_grid(),
                       vds_range=cfg.vds_range())
     rows = zip(sw.lambdas, sw.mse_pre, sw.mse_post, sw.accuracy_pre, sw.accuracy_post)
@@ -346,6 +362,9 @@ def _cmd_encode(cfg: RunConfig, vgs: float, vds: float) -> int:
 
 
 def _cmd_decode(cfg: RunConfig, ids1: float, ids2: float) -> int:
+    for key, ids in (("ids1", ids1), ("ids2", ids2)):
+        if not 0 < ids < math.inf:
+            raise ConfigError(f"invalid value for '{key}': must be positive and finite")
     codec = CodecConfig(cfg.noiseless_level_list(), cfg.vds_range())
     vgs, vds, corrected, in_range = decode_stream(cfg.mosfet(), codec, [ids1, ids2])
     print(f"vgs_hat={vgs[0]:.6g} vds_hat_1={vds[0]:.6g} vds_hat_2={vds[1]:.6g} "

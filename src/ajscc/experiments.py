@@ -448,15 +448,9 @@ def sweep_snr(snrs=DEFAULT_SNR_GRID, bandwidths=DEFAULT_BANDWIDTHS,
 
     Points are (snr_db, bandwidth) pairs, snr-major; each bandwidth derives
     its own FM scale so the band is always filled to the same headroom.
-    The sample rate and FM scale both scale with the bandwidth, so the
-    curves agree across bandwidths in exact arithmetic, but not bit for
-    bit: the float rounding of the tone frequencies differs per bandwidth
-    and can move the MSE in the last digits (relative differences near
-    1e-15).  The link therefore searches one bandwidth per block length and
-    bin count and re-searches another only on the symbols whose complex64
-    tone factors differ from it (about 1 in 10 000 on the default grid), so
-    every point equals its own link bit for bit.  Points with bit-identical
-    link outputs (50 and 200 kHz, a factor 4 apart) are decoded and scored once.
+    Sample rate and FM scale both grow with the bandwidth; bandwidths that
+    share their ratio fm_cycles (every default one) share one link search
+    and give bit-identical curves, each SNR's points decoded and scored once.
     """
     snrs = [float(s) for s in snrs]
     bandwidths = [float(b) for b in bandwidths]

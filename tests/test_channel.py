@@ -1,12 +1,11 @@
 """Link tests: FM map, impairments, FFT-peak recovery, fast-path equivalence."""
 
-import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -246,6 +245,20 @@ class TestFastPath:
         ids = demodulate_spectrum(spectrum, cfg)[0]
         assert ids == pytest.approx(f / cfg.fm_scale, rel=1e-12)
 
+    # a tone on a bin can make the complex64 kernel denominator exactly 0
+    # there; that bin's value is computed apart, and nothing warns
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k_db", [math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [8, 16, 64, 512])
+    def test_tone_on_every_bin_peaks_there(self, n, k_db):
+        cfg = make_cfg(snr_db=math.inf, doppler=0.0, k_db=k_db, n=n)
+        k = np.arange(1, cfg.n_bins + 1)
+        ids = channel._bin_currents(k, cfg)
+        assert np.array_equal(simulate_link(ids, cfg, 3), ids)
+        assert np.array_equal(full_search_link(ids, cfg, 3), ids)
+        spectrum = received_spectrum(k * (cfg.sample_rate / n), cfg, 3)
+        assert np.array_equal(1 + np.argmax(np.abs(spectrum), axis=1), k)
+
     def test_fast_and_time_domain_paths_agree_statistically(self):
         cfg = make_cfg(snr_db=-20.0, n=1024)
         ids = np.random.default_rng(10).uniform(0.2, 0.9, 1500) * I_MAX
@@ -332,12 +345,15 @@ class TestDeterminism:
 
 
 def full_search_link(ids, cfg, seed, chunk_symbols=1024):
-    """Reference link: the materialised rows of received_spectrum and an argmax over every bin."""
-    freqs = modulate(np.ravel(ids), cfg)
-    out = np.empty(freqs.size)
-    for start in range(0, freqs.size, chunk_symbols):
-        stop = min(start + chunk_symbols, freqs.size)
-        spectrum = received_spectrum(freqs[start:stop], cfg, seed, np.arange(start, stop))
+    """Reference link: the materialised spectrum rows of the link's tones,
+    fm_cycles * ids cycles per sample, and an argmax over every bin."""
+    flat = np.ravel(ids)
+    channel._check_tones(modulate(flat, cfg), cfg)
+    cycles = cfg.fm_cycles * flat
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, chunk_symbols):
+        stop = min(start + chunk_symbols, flat.size)
+        spectrum = channel._spectrum_rows(cycles[start:stop], cfg, seed, np.arange(start, stop))
         out[start:stop] = demodulate_spectrum(spectrum, cfg)
     return out.reshape(np.shape(ids))
 
@@ -348,13 +364,14 @@ def gaussian_link(ids, cfg, seed, chunk_symbols=1024):
     and fading draws, and an argmax over every bin (the full-row law the
     order-statistics sampler replaces)."""
     freqs = modulate(np.ravel(ids), cfg)
+    cycles = cfg.fm_cycles * np.ravel(ids)
     roots = channel._bin_roots(cfg)
     scale = channel._noise_scale(cfg)
     out = np.empty(freqs.size)
     for ci, start in enumerate(range(0, freqs.size, chunk_symbols)):
         stop = min(start + chunk_symbols, freqs.size)
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ci,)))
-        factors = channel._tone_factors(freqs[start:stop], draw_gains(rng, stop - start), cfg)
+        factors = channel._tone_factors(cycles[start:stop], draw_gains(rng, stop - start), cfg)
         full_row = np.arange(1, roots.size + 1)[None, :]
         spectrum = channel._tone_spectrum(factors, roots, full_row.T).T
         if not math.isinf(cfg.snr_db):
@@ -398,6 +415,8 @@ class TestPrunedPeakSearch:
         chunk=st.integers(1, 256),
         seed=st.integers(0, 2**32 - 1),
     )
+    # edge tones on the two bins of an 8-sample block, no Doppler
+    @example(snr=-60.0, k_db=-math.inf, doppler=0.0, n=8, n_sym=1, chunk=1, seed=0)
     def test_matches_full_row_reference_everywhere(self, snr, k_db, doppler, n, n_sym, chunk,
                                                    seed):
         cfg = make_cfg(snr_db=snr, doppler=doppler, k_db=k_db, n=n)
@@ -596,55 +615,43 @@ class TestDistinct:
 
 
 class TestBandwidthFanOut:
-    """simulate_link_grid searches configs of one block length and bin count
-    once and searches another tone config only on the rows where its
-    complex64 tone factors differ from the first's."""
+    """Configs that differ only in bandwidth and SNR, and share fm_cycles
+    (the sample rate and the FM scale both scale with the bandwidth), share
+    one tone evaluation and one search in simulate_link_grid and give
+    bit-identical estimates at one SNR; a config whose fm_cycles differs by
+    one ulp is evaluated and searched apart."""
 
     BANDWIDTHS = (50e3, 200e3, 410e3, 500e3)
     SNRS = (-20.0, 10.0, math.inf)
+    # about 3 in 10 bandwidths in 1 kHz - 1 MHz get an fm_cycles one ulp
+    # below that of the four above; this is one of them
+    ULP_OFF = 109e3
 
-    @staticmethod
-    def perturb(monkeypatch, bandwidth):
-        """Scale hnum tenfold at ``bandwidth`` on the symbols whose doppler
-        draw exceeds 0.8, everywhere the link computes tone factors."""
-        tone_factors = channel._tone_factors
-
-        def perturbed(freqs, draws, cfg):
-            hnum, z, k0, exact = tone_factors(freqs, draws, cfg)
-            if cfg.bandwidth == bandwidth:
-                hnum = np.where(draws[0] > 0.8, 10 * hnum, hnum)
-            return hnum, z, k0, exact
-
-        monkeypatch.setattr(channel, "_tone_factors", perturbed)
-
-    @staticmethod
-    def mismatched(ids, cfgs, seed):
-        """Count the (symbol, tone config) pairs whose tone factors differ bit
-        for bit from the first tone config's."""
-        gains = channel._gain_draws(seed, np.arange(ids.size))
-        tones = dict.fromkeys(dataclasses.replace(cfg, snr_db=math.inf) for cfg in cfgs)
-        first, *rest = [channel._tone_factors(modulate(ids, t), gains, t) for t in tones]
-        return sum(int(np.sum(~np.all([a.view(np.uint64) == b.view(np.uint64)
-                                       for a, b in zip(factors, first)], axis=0)))
-                   for factors in rest)
+    @classmethod
+    def configs(cls, n, off_by_ulp):
+        bws = cls.BANDWIDTHS + ((cls.ULP_OFF,) if off_by_ulp else ())
+        cfgs = [make_cfg(snr_db=snr, bandwidth=bw, n=n) for snr in cls.SNRS for bw in bws]
+        cycles = sorted({cfg.fm_cycles for cfg in cfgs})
+        assert len(cycles) == 1 + off_by_ulp
+        assert cycles[-1] - cycles[0] == off_by_ulp * np.spacing(cycles[0])
+        return cfgs
 
     # 64 samples give 16 in-band bins, 8192 give 2048, at every bandwidth
-    @pytest.mark.parametrize("perturbed", [False, True])
+    @pytest.mark.parametrize("off_by_ulp", [False, True])
     @pytest.mark.parametrize("n", [64, 8192])
-    def test_every_config_equals_its_own_link(self, monkeypatch, n, perturbed):
+    def test_every_config_equals_its_own_link(self, n, off_by_ulp):
         ids = np.random.default_rng(20).uniform(0.01, 0.9, 300) * I_MAX
-        cfgs = [make_cfg(snr_db=snr, bandwidth=bw, n=n)
-                for snr in self.SNRS for bw in self.BANDWIDTHS]
-        plain = [simulate_link(ids, cfg, (2, 9)) for cfg in cfgs]
-        if perturbed:
-            self.perturb(monkeypatch, 410e3)
-            assert self.mismatched(ids, cfgs, (2, 9)) > 0
+        cfgs = self.configs(n, off_by_ulp)
         want = [simulate_link(ids, cfg, (2, 9)) for cfg in cfgs]
-        # the perturbation moves peaks, so a shared search that missed it fails
-        assert np.array_equal(want, plain) != perturbed
         for chunk in (1, 7, 100, 5000):
             grid = simulate_link_grid([ids], cfgs, (2, 9), chunk_symbols=chunk)
             assert np.array_equal(grid[0], want), chunk
+        # at each SNR every bandwidth of one fm_cycles gives the same estimates
+        shared = [[w for w, cfg in zip(want, cfgs) if cfg.snr_db == snr
+                   and cfg.bandwidth != self.ULP_OFF] for snr in self.SNRS]
+        assert all(np.array_equal(w, ws[0]) for ws in shared for w in ws)
+        if off_by_ulp:
+            assert not np.array_equal(want[len(self.BANDWIDTHS)], want[0])
 
     @pytest.mark.parametrize("variants", [
         # 128 bins each, at block lengths 512, 1024 and 640: other kernel roots
@@ -664,26 +671,39 @@ class TestBandwidthFanOut:
         for j, cfg in enumerate(cfgs):
             assert np.array_equal(grid[0, j], simulate_link(ids, cfg, 5)), cfg
 
-    @pytest.mark.parametrize("perturbed", [False, True])
-    def test_extra_bandwidths_add_no_fallback_work(self, monkeypatch, perturbed):
-        # four bandwidths hand the full-row fallback the rows of one bandwidth
-        # plus at most the mismatched rows at each SNR, not four times the rows
+    @pytest.mark.parametrize("off_by_ulp", [False, True])
+    def test_extra_bandwidths_add_no_fallback_work(self, monkeypatch, off_by_ulp):
+        # bandwidths of one fm_cycles hand the full-row fallback exactly the
+        # rows of one bandwidth, from as many tone evaluations; one of
+        # another fm_cycles adds exactly the work of its own link
         monkeypatch.setattr(channel, "_WINDOW", 0)
         monkeypatch.setattr(channel, "_TOP_NOISE", 1)
-        if perturbed:
-            self.perturb(monkeypatch, 410e3)
         rows = TestPrunedPeakSearch.count_fallback_rows(monkeypatch)
+        calls = []
+        tone_factors = channel._tone_factors
+
+        def counting(cycles, *args):
+            calls.append(np.size(cycles))
+            return tone_factors(cycles, *args)
+
+        monkeypatch.setattr(channel, "_tone_factors", counting)
         ids = np.random.default_rng(22).uniform(0.01, 0.9, 300) * I_MAX
-        cfgs = [make_cfg(snr_db=snr, bandwidth=bw, n=512)
-                for snr in self.SNRS for bw in self.BANDWIDTHS]
-        simulate_link_grid([ids], cfgs[::len(self.BANDWIDTHS)], 4, chunk_symbols=100)
-        once = sum(rows)
-        rows.clear()
-        simulate_link_grid([ids], cfgs, 4, chunk_symbols=100)
-        differ = self.mismatched(ids, cfgs, 4)
-        assert once > 0
-        assert differ > 0 if perturbed else differ < 0.01 * ids.size
-        assert once <= sum(rows) <= once + len(self.SNRS) * differ
+
+        def work(cfgs):
+            rows.clear()
+            calls.clear()
+            simulate_link_grid([ids], cfgs, 4, chunk_symbols=100)
+            return sorted(rows), sorted(calls)
+
+        cfgs = self.configs(512, off_by_ulp)
+        one = [cfg for cfg in cfgs if cfg.bandwidth == 410e3]
+        off = [cfg for cfg in cfgs if cfg.bandwidth == self.ULP_OFF]
+        want_rows, want_calls = work(one)
+        if off_by_ulp:
+            off_rows, off_calls = work(off)
+            want_rows, want_calls = sorted(want_rows + off_rows), sorted(want_calls + off_calls)
+        assert sum(want_rows) > 0
+        assert work(cfgs) == (want_rows, want_calls)
 
 
 class TestSamplerLaw:

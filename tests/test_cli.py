@@ -267,6 +267,16 @@ class TestSubcommands:
         ("noiseless", ["--lam", "inf"], "lam must be finite, got inf"),
         ("gen-field", ["--vds-lo=-inf"], "need finite lo < hi, got (-inf, 10.0)"),
         ("gen-field", ["--vds-hi", "inf"], "need finite lo < hi, got (5.0, inf)"),
+        # decode reads its two currents: each must be positive and finite
+        ("decode", ["--ids1", "nan", "--ids2", "nan"], "invalid value for 'ids1'"),
+        ("decode", ["--ids1", "-1", "--ids2", "1e-3"], "invalid value for 'ids1'"),
+        ("decode", ["--ids1", "1e-3", "--ids2", "inf"], "invalid value for 'ids2'"),
+        # a level whose drain current overflows is rejected before it warns
+        ("noiseless", ["--noiseless-levels", "1e200,2e200"],
+         "invalid value for 'noiseless_levels'"),
+        ("sweep-lambda", ["--noiseless-levels", "1e200,2e200"],
+         "invalid value for 'noiseless_levels'"),
+        ("sweep-lambda", ["--lambda-grid", "0.1,0.05"], "invalid value for 'lambda_grid'"),
     ], ids=lambda v: v.split()[0] if isinstance(v, str) else None)
     def test_failing_input_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                    message):

@@ -14,6 +14,7 @@ import ajscc
 from ajscc import experiments
 from ajscc.codec import CodecConfig, build_levels, decode_pairs, quantize
 from ajscc.experiments import (
+    DEFAULT_BANDWIDTHS,
     LinkConfig,
     MseReport,
     mse_averaged,
@@ -372,6 +373,23 @@ class TestSweeps:
             assert (r50.mse_gs, r50.mse_ds) == (r200.mse_gs, r200.mse_ds)
             assert (r50.params_echo["bandwidth"], r200.params_echo["bandwidth"]) == (50e3, 200e3)
 
+    def test_every_bandwidth_decodes_once(self, monkeypatch):
+        # the four default bandwidths share fm_cycles, so their links give
+        # bit-identical estimates: one decode per SNR per replicate
+        real, calls = experiments.decode_stream, []
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(experiments, "decode_stream", counting)
+        cfg = tiny_link_cfg(n_seeds=2)
+        sw = sweep_snr((-30.0, -10.0, math.inf), DEFAULT_BANDWIDTHS, 0.5, cfg)
+        assert len(DEFAULT_BANDWIDTHS) == 4
+        assert len(calls) == 3 * cfg.n_seeds
+        for i in range(0, len(sw.reports), 4):
+            assert len({(r.mse_gs, r.mse_ds) for r in sw.reports[i:i + 4]}) == 1
+
     def test_sweep_delta_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             sweep_delta((0.0, 0.4), tiny_link_cfg())
@@ -506,22 +524,23 @@ class TestGoldenSweeps:
         assert [(r.mse_gs, r.mse_ds) for r in sw.reports] == [
             (5.132725892957525, 2.706704344041097),
             (5.132725892957525, 2.706704344041097),
-            (0.8557446196962284, 2.4196340346710503),
             (0.8557446196962284, 2.4196340346710508),
-            (0.12661665971482286, 2.339087487701961),
+            (0.8557446196962284, 2.4196340346710508),
+            (0.12661665971482286, 2.3390874877019616),
             (0.12661665971482286, 2.3390874877019616),
         ]
 
-    def test_bandwidth_invariance_holds_to_rounding_only(self):
-        # the sample rate and the FM scale both scale with the bandwidth, so
-        # the MSE agrees across bandwidths up to float rounding of the tone
-        # frequencies; it is not bit-exact, but the CSV's 10 digits agree
+    def test_bandwidth_invariance_is_exact(self):
+        # the sample rate and the FM scale both scale with the bandwidth, and
+        # at these bandwidths their ratio, fm_cycles, is one float: the link
+        # computes in cycles per sample, so every bandwidth gives the same
+        # reports bit for bit
         bws = (50e3, 123.456e3, 200e3, 410e3, 500e3)
-        sw = sweep_snr((-10.0,), bws, 0.41, GOLDEN_CFG)
-        for attr in ("mse_gs", "mse_ds", "mse_sum"):
-            vals = [getattr(r, attr) for r in sw.reports]
-            assert max(vals) - min(vals) <= 1e-12 * min(vals)
-            assert len({f"{v:.10g}" for v in vals}) == 1
+        assert len({GOLDEN_CFG.channel(bandwidth=bw).fm_cycles for bw in bws}) == 1
+        sw = sweep_snr((-10.0, math.inf), bws, 0.41, GOLDEN_CFG)
+        for i in range(0, len(sw.reports), len(bws)):
+            block = sw.reports[i:i + len(bws)]
+            assert len({(r.mse_gs, r.mse_ds, r.mse_sum) for r in block}) == 1
 
 
 class TestGoldenDecodePaths:
