@@ -28,22 +28,23 @@ and every other bin's value, Exp(1) truncated below the quietest of those,
 is a pure function of (seed, symbol, bin), evaluated only where it is read
 (:func:`_noise_draws`).
 
-:func:`simulate_link_grid` searches each distinct (symbol, current) once
-for all configs that share fm_cycles, on shared draws, evaluating the
+:func:`simulate_link_grid`, one flat loop over batches of shared draws,
+searches each distinct (symbol, current) once per group of configs of one
+(bin count, block length, fm_cycles, Doppler, K-factor), evaluating the
 power only at each symbol's candidate bins: the 9 within +/- _WINDOW = 4
-bins of the tone (shifted inside the band) and the 17 with explicitly
-drawn loud noise.  A per-row bound proves that no other bin can win; a row
-without that proof is searched over every bin of its chunk's draws, so the
-estimates equal the peaks of the full-row reference bit for bit.  The two
-counts set only how often a row falls back: at most 1e-3 of the rows at
-every SNR from -60 dB to +inf, block length from 16 to 8192 samples and
-K-factor of 6 dB or +/- inf.
+bins of the tone (shifted inside the band) and the 17 with explicitly drawn
+loud noise.  A per-row bound proves that no other bin can win; a row without
+that proof is searched over every bin of its chunk's draws, so the estimates
+equal the peaks of the full-row reference bit for bit.  The two counts set
+only how often a row falls back: at most 1e-3 of the rows at every SNR from
+-60 dB to +inf, block length from 16 to 8192 samples and K-factor of 6 dB or
++/- inf.
 
 Every draw (doppler, fading and noise) is keyed by the seed and the
 symbol's index, the noise also by the bin count, so the results do not
 depend on the chunking or on how the work is split.  None of them depends
 on the tone frequencies or the SNR: noise is drawn at unit power and
-scaled per config.  A chunk's draws are made once, for all its searches.
+scaled per config.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ class ChannelConfig:
 
     rician_k_db = -inf is pure Rayleigh fading.  Every other parameter must
     be finite.  n_samples, an integer >= 8, is the samples per symbol and
-    the FFT length; a symbol lasts n_samples / sample_rate seconds.
+    the FFT length, lasting n_samples / sample_rate seconds.  snr_db has a
+    float32 floor (_UNIT_POWER_MAX): about -316 dB at 8192 samples, 4x oversampling.
     """
 
     bandwidth: float          # occupied signal band [Hz]
@@ -110,6 +112,12 @@ class ChannelConfig:
             raise ValueError(f"n_samples = {self.n_samples} must be an integer >= 8")
         if self.n_bins < 1:
             raise ValueError("bandwidth spans less than one FFT bin")
+        # noise power n_samples * _noise_variance / 2 * u, in logs: 10^(-snr_db/10) can overflow
+        floor = 10.0 * math.log10(self.n_samples * self.sample_rate / self.bandwidth
+                                  * _UNIT_POWER_MAX / 2.0 / float(np.finfo(np.float32).max))
+        if self.snr_db < floor:
+            raise ValueError(f"snr_db must be at least {floor:.6g} dB at this block length "
+                             f"and sample rate (float32 noise power), got {self.snr_db}")
 
     @property
     def n_bins(self) -> int:
@@ -171,11 +179,6 @@ def _noise_variance(cfg: ChannelConfig) -> float:
     return 10.0 ** (-cfg.snr_db / 10.0) * cfg.sample_rate / cfg.bandwidth
 
 
-def _noisy(cfg: ChannelConfig) -> bool:
-    """Whether the link adds noise (and so draws it)."""
-    return _noise_variance(cfg) > 0
-
-
 def _symbol_gains(freqs: np.ndarray, draws, cfg: ChannelConfig):
     """Doppler-shifted ``freqs`` (in any unit) and fading gains from the unit draws."""
     d, z_re, z_im = draws
@@ -235,9 +238,10 @@ def _tone_spectrum(factors, roots: np.ndarray, bins: np.ndarray) -> np.ndarray:
     return spectrum
 
 
-def _noise_scale(cfg: ChannelConfig) -> np.float32:
-    """Amplitude of each unit-noise component at cfg's SNR."""
-    return np.float32(math.sqrt(cfg.n_samples * _noise_variance(cfg) / 2.0))
+def _noise_scale(cfg: ChannelConfig) -> np.float32 | None:
+    """Amplitude of each unit-noise component at cfg's SNR; None for a link without noise."""
+    variance = _noise_variance(cfg)
+    return np.float32(math.sqrt(cfg.n_samples * variance / 2.0)) if variance > 0 else None
 
 
 # The spectrum sampler's random values are pure functions of (seed, symbol
@@ -251,6 +255,10 @@ _FAR, _SUBSET, _LEVEL, _PHASE, _GAMMA_TOP, _GAMMA_REST = range(6)
 # Loudest unit-noise values drawn explicitly per symbol: _TOP_NOISE above
 # the (_TOP_NOISE + 1)-th, which bounds every other bin
 _TOP_NOISE = 16
+# Above every unit power u drawn, so ChannelConfig's SNR floor keeps scale^2 u finite in
+# float32: 53-bit uniforms give -log(1 - U) <= 53 ln 2 and _gamma variates in (2/3 e^-111.2,
+# 91 shape), so t < 116.1 + ln n_bins and u <= 2 (t + 53 ln 2) < 394 below 2^63 bins
+_UNIT_POWER_MAX = 512.0
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -375,12 +383,11 @@ def _noise_draws(seed, n_bins: int, symbols: np.ndarray) -> _Noise:
                   radius * np.cos(angle), radius * np.sin(angle), 2.0 * t)
 
 
-def _unit_noise(noise: _Noise, bins: np.ndarray, rows=None):
+def _unit_noise(noise: _Noise, bins: np.ndarray):
     """Unit noise planes (real, imaginary), float32, candidates x symbols, of
-    the symbols at ``rows`` of ``noise`` (default every row) at 1-based
-    ``bins``, a run of k consecutive bins per row: (k, len(rows)), or (k, 1)
-    for one run of every row; an explicit bin is found by its offset in it."""
-    noise = noise if rows is None else noise.take(rows)
+    every row of ``noise`` at 1-based ``bins``, a run of k consecutive bins
+    per row: (k, rows), or (k, 1) for one run of every row; an explicit bin
+    is found by its offset in it."""
     bits = _bits(noise.keys, _FAR, bins, axis=0)
     radius = np.sqrt(np.float32(-2.0) * np.log1p(_uniform24(bits, 40) * noise.shrink))
     angle = np.float32(2.0 * np.pi) * _uniform24(bits, 0)
@@ -416,10 +423,11 @@ def _spectrum_rows(cycles: np.ndarray, cfg: ChannelConfig, seed, symbols: np.nda
     bins = np.arange(1, cfg.n_bins + 1)[:, None]
     factors = _tone_factors(cycles, _gain_draws(seed, symbols), cfg)
     spectrum = _tone_spectrum(factors, _bin_roots(cfg), bins)
-    if _noisy(cfg):
+    scale = _noise_scale(cfg)
+    if scale is not None:
         re, im = _unit_noise(_noise_draws(seed, cfg.n_bins, symbols), bins)
-        spectrum.real += _noise_scale(cfg) * re
-        spectrum.imag += _noise_scale(cfg) * im
+        spectrum.real += scale * re
+        spectrum.imag += scale * im
     return spectrum.T
 
 
@@ -464,9 +472,9 @@ def _full_row_peaks(factors, rows: np.ndarray, noise: _Noise | None, roots: np.n
                     key) -> np.ndarray:
     """1-based peak bins of the :func:`_spectrum_rows` of the tones with
     ``factors`` at the rows ``rows`` of ``noise``: every bin read from those
-    draws (not drawn again) scaled by ``key`` (None: no noise)."""
+    draws (taken, not drawn again) scaled by ``key`` (None: no noise)."""
     full_row = np.arange(1, roots.size + 1)[:, None]
-    planes = None if key is None else _unit_noise(noise, full_row, rows)
+    planes = None if key is None else _unit_noise(noise.take(rows), full_row)
     return 1 + np.argmax(_power(_tone_spectrum(factors, roots, full_row), planes, key), axis=0)
 
 
@@ -527,26 +535,6 @@ def _candidate_bins(factors, noise: _Noise | None, roots: np.ndarray, n: int, ke
     return peaks
 
 
-def _candidate_currents(currents: np.ndarray, rows: np.ndarray, gains: np.ndarray,
-                        noise: _Noise | None, tones: list) -> list:
-    """Current estimates of ``currents`` at the chunk's rows ``rows`` for the
-    configs of ``tones``, (tone config, kernel roots, configs sharing its
-    tones) triples of one bin count, flattened; equal bit for bit to
-    :func:`demodulate_spectrum` of their :func:`_spectrum_rows`.  The rows'
-    draws are gathered once, and each tone config is searched once."""
-    gains = gains.take(rows, axis=1)
-    noise = None if noise is None else noise.take(rows)
-    estimates = []
-    for tone_cfg, roots, cfgs in tones:
-        # modulate, checked by simulate_link_grid
-        factors = _tone_factors(tone_cfg.fm_cycles * currents, gains, tone_cfg)
-        keys = [_noise_scale(cfg) if _noisy(cfg) else None for cfg in cfgs]
-        peaks = _candidate_bins(factors, noise, roots, tone_cfg.n_samples,
-                                list(dict.fromkeys(keys)))
-        estimates += [_bin_currents(peaks[key], tone_cfg) for key in keys]
-    return estimates
-
-
 def _distinct(ids: np.ndarray):
     """Column indices and values of each column's distinct values of ``ids``
     (arrays x symbols), and each entry's index among them."""
@@ -566,15 +554,15 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
     Returns an array of shape ``(len(ids_list), len(cfgs), *ids.shape)``
     whose entry ``[i, j]`` is ``simulate_link(ids_list[i], cfgs[j], seed)``,
     bit for bit.  A symbol's draws depend on neither its tone nor the SNR,
-    so per chunk the doppler and fading and, per bin count (if any config
-    has noise), the explicit unit noise are drawn once, and each distinct
+    so per chunk the doppler and fading are drawn once, and the explicit
+    unit noise once per bin count with a noisy config.  Each distinct
     (symbol, current) pair is searched once, in batches of at most
-    _BATCH_ROWS = 1024 pairs.  Configs of one bin count, block length,
-    fm_cycles, Doppler and K-factor, such as the bandwidths of an SNR sweep,
-    share one tone evaluation and search per batch; per SNR only the noise
-    is rescaled.  ``chunk_symbols`` bounds the symbols whose draws are held
-    at once (17 explicit bins per symbol and bin count) and does not change
-    any result.
+    _BATCH_ROWS = 1024 pairs that gather their draws once: configs of one
+    bin count, block length, fm_cycles, Doppler and K-factor, such as the
+    bandwidths of an SNR sweep, share one tone evaluation and one
+    :func:`_candidate_bins` call, whose noise keys are their noise scales.
+    ``chunk_symbols`` bounds the symbols whose draws are held at once (17
+    explicit bins per symbol and bin count) and does not change any result.
     """
     if not isinstance(chunk_symbols, (int, np.integer)) or chunk_symbols < 1:
         raise ValueError(f"chunk_symbols = {chunk_symbols!r} must be an integer >= 1")
@@ -589,13 +577,13 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
     for cfg in dict.fromkeys(dataclasses.replace(cfg, snr_db=math.inf) for cfg in cfgs):
         for ids in flat:
             _check_tones(modulate(ids, cfg), cfg)
-    # bin count -> {(block length, fm_cycles, doppler, K-factor): indices of
-    # the configs that share one tone evaluation and search}
-    groups: dict[int, dict[tuple, list[int]]] = {}
+    # grouping key -> indices of the configs that share one tone evaluation and search
+    groups: dict[tuple, list[int]] = {}
     for j, cfg in enumerate(cfgs):
-        key = (cfg.n_samples, cfg.fm_cycles, cfg.doppler_fraction, cfg.rician_k_db)
-        groups.setdefault(cfg.n_bins, {}).setdefault(key, []).append(j)
-    roots = {js[0]: _bin_roots(cfgs[js[0]]) for tones in groups.values() for js in tones.values()}
+        key = (cfg.n_bins, cfg.n_samples, cfg.fm_cycles, cfg.doppler_fraction, cfg.rician_k_db)
+        groups.setdefault(key, []).append(j)
+    roots = {key: _bin_roots(cfgs[js[0]]) for key, js in groups.items()}
+    noisy_bins = {cfg.n_bins for cfg in cfgs if _noise_scale(cfg) is not None}
 
     n_sym = flat[0].size
     out = np.empty((len(ids_list), len(cfgs), n_sym))
@@ -608,14 +596,20 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
         n_batches = -(-currents.size // _BATCH_ROWS)
         edges = np.arange(n_batches + 1) * currents.size // n_batches
         gains = _gain_draws(seed, symbols)
-        for n_bins, tones in groups.items():
-            js = [j for group in tones.values() for j in group]
-            noisy = any(_noisy(cfgs[j]) for j in js)
-            noise = _noise_draws(seed, n_bins, symbols) if noisy else None
-            search = [(cfgs[g[0]], roots[g[0]], [cfgs[j] for j in g]) for g in tones.values()]
-            for part in map(slice, edges[:-1], edges[1:]):
-                est[js, part] = _candidate_currents(currents[part], rows[part], gains, noise,
-                                                    search)
+        noises = {n_bins: _noise_draws(seed, n_bins, symbols) for n_bins in noisy_bins}
+        for part in map(slice, edges[:-1], edges[1:]):
+            batch_gains = gains.take(rows[part], axis=1)
+            batch_noises = {n_bins: noise.take(rows[part]) for n_bins, noise in noises.items()}
+            for key, js in groups.items():
+                cfg = cfgs[js[0]]
+                # modulate, checked above
+                factors = _tone_factors(cfg.fm_cycles * currents[part], batch_gains, cfg)
+                scales = [_noise_scale(cfgs[j]) for j in js]
+                peaks = _candidate_bins(factors, batch_noises.get(cfg.n_bins), roots[key],
+                                        cfg.n_samples, list(dict.fromkeys(scales)))
+                est[js, part] = [_bin_currents(peaks[s], cfg) for s in scales]
+            # the next batch gathers with none of this batch's arrays alive
+            del batch_gains, batch_noises, factors, peaks
         out[:, :, start:stop] = est[:, inverse].swapaxes(0, 1)
     return out.reshape(len(ids_list), len(cfgs), *shape)
 

@@ -245,10 +245,10 @@ def sweep_lambda(lambdas=DEFAULT_LAMBDA_GRID, base: MosfetParams = MosfetParams(
 class LinkConfig:
     """Shared configuration of the channel experiments.
 
-    Checked when built, a negative ``seed`` and ``workers`` below 1 included,
-    so a sweep rejects it before any replicate runs or any process starts.
-    ``vgs_range[0]`` is the lowest level at every spacing, so it alone is
-    checked against v_th; the channel is checked when :meth:`channel` builds it.
+    Checked when built (integer counts, ``seed`` >= 0, ``workers`` >= 1), so
+    a sweep rejects it before any replicate runs or any process starts.
+    ``vgs_range[0]``, the lowest level at every spacing, alone is checked
+    against v_th; :meth:`channel` checks the channel, snr_db's floor included.
     """
 
     mosfet: MosfetParams = MosfetParams()
@@ -272,6 +272,9 @@ class LinkConfig:
 
     def __post_init__(self) -> None:
         check_geometry(self.nx, self.ny, self.nt, self.s_p, self.t_p)
+        for name in ("n_seeds", "seed", "workers"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.nt < 2:
             raise ValueError(f"need at least 2 samples to decode, got nt={self.nt}")
         if self.n_seeds < 1:

@@ -50,8 +50,10 @@ class Field:
 
 
 def check_geometry(nx: int, ny: int, nt: int, s_p: int, t_p: int) -> None:
-    """Raise ValueError unless the grid and its blocks are sizes >= 1 that fit."""
+    """Raise ValueError unless the grid and its blocks are integer sizes >= 1 that fit."""
     for name, dim in (("nx", nx), ("ny", ny), ("nt", nt), ("s_p", s_p), ("t_p", t_p)):
+        if not isinstance(dim, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {dim!r}")
         if dim < 1:
             raise ValueError(f"{name} must be >= 1, got {dim}")
     if s_p > nx or s_p > ny:

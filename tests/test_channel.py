@@ -71,6 +71,11 @@ class TestConfig:
                           sample_rate=4e5, n_samples=4000)
         with pytest.raises(ValueError):
             make_cfg(i_max=0.0)
+        # below the floor the float32 noise power can overflow (at -340 dB the
+        # peak landed on an inf bin; at -4000 dB the variance overflowed)
+        for snr_db in (-340.0, -4000.0):
+            with pytest.raises(ValueError, match="snr_db must be at least"):
+                make_cfg(snr_db=snr_db, n=8192)
 
     @pytest.mark.parametrize("kw, match", [
         (dict(snr_db=math.nan), "snr_db"),
@@ -439,6 +444,25 @@ class TestPrunedPeakSearch:
         monkeypatch.setattr(channel, "_full_row_peaks", counting)
         return rows
 
+    @staticmethod
+    def count_draws(monkeypatch):
+        """Record each gain draw's first symbol and each noise draw's (first
+        symbol, bin count)."""
+        gains, noise = [], []
+        gain_draws, noise_draws = channel._gain_draws, channel._noise_draws
+
+        def counting_gains(seed, symbols):
+            gains.append(symbols[0])
+            return gain_draws(seed, symbols)
+
+        def counting_noise(seed, n_bins, symbols):
+            noise.append((symbols[0], n_bins))
+            return noise_draws(seed, n_bins, symbols)
+
+        monkeypatch.setattr(channel, "_gain_draws", counting_gains)
+        monkeypatch.setattr(channel, "_noise_draws", counting_noise)
+        return gains, noise
+
     def test_forced_fallback_stays_exact(self, monkeypatch):
         # with no window and a single explicit loud bin the bound rarely holds
         monkeypatch.setattr(channel, "_WINDOW", 0)
@@ -467,25 +491,25 @@ class TestPrunedPeakSearch:
         monkeypatch.setattr(channel, "_WINDOW", 0)
         monkeypatch.setattr(channel, "_TOP_NOISE", 1)
         rows = self.count_fallback_rows(monkeypatch)
-        gain_draws, noise_draws = channel._gain_draws, channel._noise_draws
-        gains, noise = [], []
-
-        def counting_gains(seed, symbols):
-            gains.append(symbols[0])
-            return gain_draws(seed, symbols)
-
-        def counting_noise(seed, n_bins, symbols):
-            noise.append((symbols[0], n_bins))
-            return noise_draws(seed, n_bins, symbols)
-
-        monkeypatch.setattr(channel, "_gain_draws", counting_gains)
-        monkeypatch.setattr(channel, "_noise_draws", counting_noise)
+        gains, noise = self.count_draws(monkeypatch)
         ids = np.random.default_rng(15).uniform(0.01, 1.0, 700) * I_MAX
         cfgs = [make_cfg(snr_db=snr, n=n) for n in (256, 512) for snr in (-20.0, 10.0, math.inf)]
         simulate_link_grid([ids, 1.1 * ids], cfgs, 6, chunk_symbols=300)
         assert sum(rows) > 0
         assert gains == [0, 300, 600]
         assert sorted(noise) == [(start, n_bins) for start in (0, 300, 600) for n_bins in (64, 128)]
+
+    def test_noiseless_bin_count_draws_no_noise(self, monkeypatch):
+        # a bin count whose configs all lack noise draws none, while the
+        # noisy one draws its noise once per chunk
+        gains, noise = self.count_draws(monkeypatch)
+        ids = np.random.default_rng(18).uniform(0.01, 1.0, 700) * I_MAX
+        cfgs = [make_cfg(snr_db=-20.0, n=256), make_cfg(snr_db=math.inf, n=512)]
+        grid = simulate_link_grid([ids], cfgs, 6, chunk_symbols=300)
+        assert gains == [0, 300, 600]
+        assert noise == [(0, 64), (300, 64), (600, 64)]
+        for j, cfg in enumerate(cfgs):
+            assert np.array_equal(grid[0, j], simulate_link(ids, cfg, 6)), cfg
 
     def test_fallback_is_rare(self, monkeypatch):
         # the default candidate counts are sized so that at most 1e-3 of the
@@ -825,7 +849,7 @@ class TestExplicitBins:
         explicit = noise.bins[rows, rng.integers(0, noise.bins.shape[1], rows.size)]
         first = np.clip(explicit - rng.choice([0, k // 2, k - 1], rows.size), 1, n_bins - k + 1)
         bins = first[:, None] + np.arange(k)
-        for got, want in zip(channel._unit_noise(noise, bins.T, rows),
+        for got, want in zip(channel._unit_noise(noise.take(rows), bins.T),
                              slot_plane.unit_noise(noise, n_bins, bins, rows)):
             assert np.array_equal(got.T, want)
 

@@ -180,6 +180,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("flag, value", [
         ("--snr-db", "nan"), ("--snr-db", "-inf"), ("--doppler-fraction", "nan"),
         ("--rician-k-db", "nan"), ("--delta", "nan"), ("--delta", "inf"),
+        ("--snr-db", "-400"),
     ])
     def test_non_finite_link_parameter_exits_without_artifacts(self, tmp_path, capsys,
                                                               flag, value):

@@ -477,9 +477,14 @@ class TestLinkConfig:
         (dict(workers=0), "need at least one worker, got workers=0"),
         (dict(workers=-4), "need at least one worker, got workers=-4"),
         (dict(seed=-1), "seed must be non-negative, got -1"),
+        (dict(nx=4.0, s_p=2), "nx must be an integer, got 4.0"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(n_seeds=2.0), "n_seeds must be an integer, got 2.0"),
+        (dict(workers=2.0), "workers must be an integer, got 2.0"),
     ], ids=["one_sample", "no_replicates", "block_wider_than_grid", "empty_grid",
             "empty_vgs_range", "reversed_vds_range", "unbounded_vds_range",
-            "level_at_threshold", "no_workers", "negative_workers", "negative_seed"])
+            "level_at_threshold", "no_workers", "negative_workers", "negative_seed",
+            "float_nx", "float_seed", "float_n_seeds", "float_workers"])
     def test_construction_rejects(self, kw, match):
         with pytest.raises(ValueError, match=match):
             LinkConfig(**kw)

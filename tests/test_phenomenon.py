@@ -81,6 +81,9 @@ def test_block_values_uniform_ks():
 def test_invalid_arguments():
     with pytest.raises(ValueError, match="nx"):
         generate_field(0, 5, 5, 1, 1, 0, 1, seed=0)
+    # a float count would pass the size checks and fail inside the draw
+    with pytest.raises(ValueError, match="nx must be an integer, got 4.0"):
+        generate_field(4.0, 4, 4, 2, 2, 5.0, 10.0, seed=1)
     with pytest.raises(ValueError, match="s_p"):
         generate_field(4, 4, 4, 5, 1, 0, 1, seed=0)
     with pytest.raises(ValueError, match="t_p"):
