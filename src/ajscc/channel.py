@@ -56,6 +56,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .phenomenon import check_seed
+
 __all__ = [
     "OVERSAMPLE",
     "ChannelConfig",
@@ -273,6 +275,7 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 def _symbol_keys(seed, tag: int, symbols: np.ndarray) -> np.ndarray:
     """Keys of symbol indices ``symbols``: tag 0 for the gains, n_bins for the noise."""
+    check_seed(seed)  # where a seed becomes entropy, so every draw checks it
     base = np.random.SeedSequence(seed, spawn_key=(tag,)).generate_state(1, np.uint64)
     return _mix(base + _GOLDEN * (symbols.astype(np.uint64) + np.uint64(1)))
 
@@ -404,9 +407,10 @@ def received_spectrum(freqs, cfg: ChannelConfig, seed, symbols=None) -> np.ndarr
     """In-band received spectrum rows (bins 1..n_bins), complex64.
 
     Row r is symbol ``symbols[r]`` (default r) of a link run under
-    ``seed``: the same draws :func:`simulate_link` makes for that symbol,
-    materialised at every bin, for tones at ``freqs / sample_rate`` cycles
-    per sample.  It is statistically identical to the FFT of the received
+    ``seed`` (an integer >= 0 or a non-empty tuple of them; a ValueError
+    names any other seed): the same draws :func:`simulate_link` makes for
+    that symbol, materialised at every bin, for tones at ``freqs /
+    sample_rate`` cycles per sample.  It is statistically identical to the FFT of the received
     sample blocks at the searched bins, which the test suite builds as its
     time-domain reference.
     """
@@ -553,8 +557,10 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
 
     Returns an array of shape ``(len(ids_list), len(cfgs), *ids.shape)``
     whose entry ``[i, j]`` is ``simulate_link(ids_list[i], cfgs[j], seed)``,
-    bit for bit.  A symbol's draws depend on neither its tone nor the SNR,
-    so per chunk the doppler and fading are drawn once, and the explicit
+    bit for bit.  ``seed`` is an integer >= 0 or a non-empty tuple of them;
+    a ValueError names any other seed, such as None, which would draw fresh
+    entropy per call.  A symbol's draws depend on neither its tone nor the
+    SNR, so per chunk the doppler and fading are drawn once, and the explicit
     unit noise once per bin count with a noisy config.  Each distinct
     (symbol, current) pair is searched once, in batches of at most
     _BATCH_ROWS = 1024 pairs that gather their draws once: configs of one
@@ -618,8 +624,9 @@ def simulate_link(ids, cfg: ChannelConfig, seed, *, chunk_symbols: int = 2048) -
     """Pass a current sequence through the link, one symbol each.
 
     The one-point case of :func:`simulate_link_grid`.  Every draw is a pure
-    function of ``seed`` (an int or a tuple of ints) and the symbol's index,
-    so results are reproducible and do not depend on ``chunk_symbols``, which
-    only bounds the symbols whose draws are held at once, or on parallelism.
+    function of ``seed`` (an int >= 0 or a tuple of them) and the symbol's
+    index, so results are reproducible and do not depend on ``chunk_symbols``,
+    which only bounds the symbols whose draws are held at once, or on
+    parallelism.
     """
     return simulate_link_grid([ids], [cfg], seed, chunk_symbols=chunk_symbols)[0, 0]

@@ -275,23 +275,14 @@ def _atomic_path(path: str):
 
 
 def _write_csv(cfg: RunConfig, name: str, header: str, rows) -> None:
-    """Write ``name`` in the output directory atomically: config echo line, header, rows."""
+    """Write ``name`` in the output directory atomically: config echo line, header,
+    rows of numbers (a flag as 1 or 0), each to 10 significant digits."""
     with _atomic_path(os.path.join(cfg.outdir, name)) as tmp:
         with open(tmp, "w") as fh:
             fh.write(f"# ajscc {cfg.echo()}\n")
             fh.write(header + "\n")
             for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float) or isinstance(v, np.floating):
-        return f"{float(v):.10g}"
-    return str(v)
+                fh.write(",".join(f"{float(v):.10g}" for v in row) + "\n")
 
 
 def _cmd_noiseless(cfg: RunConfig) -> int:
@@ -343,7 +334,7 @@ def _cmd_sweep_snr(cfg: RunConfig) -> int:
 
 
 def _cmd_gen_field(cfg: RunConfig) -> int:
-    if cfg.seed < 0:  # numpy's own message names no key
+    if cfg.seed < 0:  # reported by key, as LinkConfig's check is for the sweeps
         raise ConfigError("invalid value for 'seed': must be >= 0")
     field = generate_field(cfg.nx, cfg.ny, cfg.nt, cfg.s_p, cfg.t_p, *cfg.vds_range(),
                            seed=cfg.seed)

@@ -393,9 +393,11 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     The replicates are dealt round-robin into ``min(cfg.workers, n_seeds)``
     shares.  The caller computes the first share; each other share runs in a
     process started for this sweep, which sends back its reports or its
-    exception through a pipe.  So at most ``cfg.workers`` processes compute
-    at once, and none is started for one worker or one replicate.  ``cfg``
-    checked itself when built, so only the spacings are checked up front.
+    exception through a pipe; a child that dies before it sends raises
+    ChildProcessError with its exit code.  So at most ``cfg.workers``
+    processes compute at once, and none is started for one worker or one
+    replicate.  ``cfg`` checked itself when built, so only the spacings are
+    checked up front.
     """
     for delta in deltas:
         build_levels(cfg.vgs_range, delta)
@@ -414,8 +416,13 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
                 send.close()  # the child holds the only send end, so its death ends recv
                 children.append((proc, recv))
         per_share = [[_replicate_task(t) for t in tasks[::workers]]]
-        for _, recv in children:  # received before any join: a share can outgrow the pipe
-            per_share.append(recv.recv())
+        for proc, recv in children:  # received before any join: a share can outgrow the pipe
+            try:
+                per_share.append(recv.recv())
+            except EOFError:  # the child died before it sent anything
+                proc.join()
+                raise ChildProcessError(f"a sweep worker exited with code {proc.exitcode} "
+                                        "before sending its reports") from None
             if isinstance(per_share[-1], Exception):
                 raise per_share[-1]
     except BaseException:

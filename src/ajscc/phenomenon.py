@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Field", "check_geometry", "generate_field", "block_means", "field_to_csv",
-           "field_from_csv"]
+__all__ = ["Field", "check_geometry", "check_seed", "generate_field", "block_means",
+           "field_to_csv", "field_from_csv"]
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,15 @@ def check_geometry(nx: int, ny: int, nt: int, s_p: int, t_p: int) -> None:
         raise ValueError(f"t_p={t_p} exceeds nt={nt}")
 
 
+def check_seed(seed, *, tuples: bool = True) -> None:
+    """Raise ValueError unless ``seed`` is an integer >= 0 or, with ``tuples``, a
+    non-empty tuple of them: the entropy every draw of the package is keyed by."""
+    items = seed if tuples and isinstance(seed, tuple) else (seed,)
+    if not items or not all(isinstance(s, (int, np.integer)) and s >= 0 for s in items):
+        kind = "an integer >= 0" + (" or a non-empty tuple of them" if tuples else "")
+        raise ValueError(f"seed must be {kind}, got {seed!r}")
+
+
 def _check_bounds(lo: float, hi: float) -> None:
     if not -np.inf < lo < hi < np.inf:  # written so that NaN fails too
         raise ValueError(f"need finite lo < hi, got ({lo}, {hi})")
@@ -69,9 +78,11 @@ def _check_bounds(lo: float, hi: float) -> None:
 
 def generate_field(nx: int, ny: int, nt: int, s_p: int, t_p: int,
                    lo: float, hi: float, seed: int) -> Field:
-    """Draw a block-constant random field; deterministic per seed."""
+    """Draw a block-constant random field; deterministic per ``seed``, an
+    integer >= 0 (a ValueError names any other seed)."""
     check_geometry(nx, ny, nt, s_p, t_p)
     _check_bounds(lo, hi)  # before the draw, which would turn bad bounds into NaN
+    check_seed(seed, tuples=False)  # Field.seed and its CSV line hold one integer
 
     bx, by, bt = -(-nx // s_p), -(-ny // s_p), -(-nt // t_p)
     rng = np.random.default_rng(seed)

@@ -58,6 +58,12 @@ class TestConfig:
             ChannelConfig(bandwidth=100e3, snr_db=0.0, fm_scale=1e8, sample_rate=1e6,
                           n_samples=4096, doppler_fraction=doppler)
 
+    def test_band_narrower_than_one_bin_rejected(self):
+        # 100 Hz at 400 kS/s over 8 samples is 0.002 of a bin
+        with pytest.raises(ValueError, match="bandwidth spans less than one FFT bin"):
+            ChannelConfig(bandwidth=100.0, snr_db=0.0, fm_scale=1e8, sample_rate=400e3,
+                          n_samples=8)
+
     def test_block_length_must_be_integral(self):
         with pytest.raises(ValueError, match="integer"):
             ChannelConfig(bandwidth=100e3, snr_db=0.0, fm_scale=1e8,
@@ -320,6 +326,27 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="shape"):
             simulate_link_grid([np.full(4, 1e-3), np.full(5, 1e-3)], [IDEAL], 0)
 
+    @pytest.mark.parametrize("ids_list, cfgs", [([], [IDEAL]), ([np.full(4, 1e-3)], [])],
+                             ids=["no_currents", "no_configs"])
+    def test_grid_rejects_empty_inputs(self, ids_list, cfgs):
+        with pytest.raises(ValueError, match="need at least one current array and one link"):
+            simulate_link_grid(ids_list, cfgs, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), None, -1, "7", (1, 2.5), ()],
+                             ids=repr)
+    @pytest.mark.parametrize("entry", ["simulate_link_grid", "simulate_link",
+                                       "received_spectrum"])
+    def test_seeds_outside_the_contract_rejected(self, entry, seed):
+        # None would draw fresh entropy per chunk, so two equal calls would differ
+        cfg = make_cfg(n=512)
+        ids = np.full(3, 0.5 * I_MAX)
+        call = {"simulate_link_grid": lambda: simulate_link_grid([ids], [cfg], seed),
+                "simulate_link": lambda: simulate_link(ids, cfg, seed),
+                "received_spectrum": lambda: received_spectrum(modulate(ids, cfg), cfg, seed)}
+        with pytest.raises(ValueError,
+                           match="seed must be an integer >= 0 or a non-empty tuple of them"):
+            call[entry]()
+
     def test_chunk_size_does_not_change_results(self):
         # every draw is keyed by (seed, symbol index), not by chunk
         ids = np.random.default_rng(13).uniform(0.01, 1.0, 1100) * I_MAX
@@ -347,6 +374,8 @@ class TestDeterminism:
         # a scattered, unordered index set, as the pruned search's fallback passes
         idx = np.array([37, 2, 19, 20, 5])
         assert np.array_equal(received_spectrum(freqs[idx], cfg, 9, idx), whole[idx])
+        with pytest.raises(ValueError, match="need one symbol index per tone"):
+            received_spectrum(freqs[:3], cfg, 9, [0, 1])
 
 
 def full_search_link(ids, cfg, seed, chunk_symbols=1024):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import multiprocessing
 import os
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ajscc import experiments
 from ajscc.cli import COMMANDS, ConfigError, RunConfig, dispatch, main, parse_config
 from ajscc.experiments import LinkConfig
 
@@ -60,6 +62,20 @@ class TestParseConfig:
         path.write_text("snrr_db = -30\n")
         with pytest.raises(ConfigError, match="snrr_db"):
             parse_config(str(path))
+
+    def test_missing_config_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="config file not found"):
+            parse_config(str(tmp_path / "absent.cfg"))
+
+    def test_config_line_without_equals(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("# comment\nsnr_db -30\n")
+        with pytest.raises(ConfigError, match=r"run.cfg:2: expected key = value"):
+            parse_config(str(path))
+
+    def test_unknown_override_key(self):
+        with pytest.raises(ConfigError, match="unknown key 'nope'"):
+            parse_config(None, {"nope": 1})
 
     def test_bad_value_names_the_key(self):
         with pytest.raises(ConfigError, match="snr_db"):
@@ -204,6 +220,8 @@ class TestSubcommands:
         ("sweep-snr", ["--bandwidths", "0"], "bandwidths"),
         ("sweep-snr", ["--bandwidths", "410e3,nan"], "bandwidths"),
         ("sweep-snr", ["--bandwidths", "-5"], "bandwidths"),
+        ("sweep-snr", ["--bandwidths", "410e3,abc"], "bandwidths"),
+        ("sweep-snr", ["--bandwidths", ","], "bandwidths"),
         ("sweep-delta", ["--seed", "-1"], "seed"),
         ("gen-field", ["--seed", "-5"], "seed"),
         ("sweep-snr", ["--workers", "-3"], "workers"),
@@ -325,6 +343,22 @@ class TestSubcommands:
         # name: the artifact the command writes (encode writes none)
         assert main([command, "--outdir", str(tmp_path), *FAST_LINK, *flags]) == 0
         assert name is None or (tmp_path / name).exists()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the dying replicate is patched in, which only a fork inherits")
+    def test_a_dead_worker_exits_without_traceback_or_artifacts(self, tmp_path, capsys,
+                                                               monkeypatch):
+        real = experiments._replicate_task
+        monkeypatch.setattr(experiments, "_replicate_task",
+                            lambda args: os._exit(3) if args[3] % 2 else real(args))
+        out = tmp_path / "out"
+        assert main(["sweep-delta", "--outdir", str(out), "--delta", "0.5", *FAST_LINK,
+                     "--workers", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sweep worker exited with code 3")
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
 
     def test_unknown_command_creates_no_outdir(self, tmp_path):
         out = tmp_path / "out"

@@ -74,6 +74,11 @@ class TestCodecConfig:
         with pytest.raises(ValueError, match="ascending"):
             CodecConfig(levels=[2.0, 1.0], vds_range=(5, 10))
 
+    @pytest.mark.parametrize("levels", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2d"])
+    def test_rejects_empty_or_2d_levels(self, levels):
+        with pytest.raises(ValueError, match="levels must be a non-empty 1-d sequence"):
+            CodecConfig(levels=levels, vds_range=(5, 10))
+
     def test_rejects_bad_vds_range(self):
         for vds_range in ((10, 5), (5, math.inf), (-math.inf, 10), (math.nan, 10)):
             with pytest.raises(ValueError, match="vds_range"):
@@ -91,6 +96,10 @@ class TestQuantize:
     def test_clamps_to_extremes(self):
         assert quantize(0.2, REF_LEVELS) == 1.0
         assert quantize(11.0, REF_LEVELS) == 5.0
+
+    def test_no_levels_rejected(self):
+        with pytest.raises(ValueError, match="levels must be non-empty"):
+            quantize(2.4, [])
 
     def test_array_input(self):
         out = quantize(np.array([0.2, 2.5, 4.9]), REF_LEVELS)

@@ -65,6 +65,13 @@ class TestMseAveraged:
         with pytest.raises(ValueError, match="shape"):
             mse_averaged(f, np.zeros((4, 4, 3)), f, f.values)
 
+    def test_ds_shape_mismatch_rejected(self):
+        # a (4, 4, 3) estimate has (2, 2, 2) block means, which broadcast
+        # against the field's (2, 2, 1) without an error
+        f = generate_field(4, 4, 2, 2, 2, 0.0, 1.0, seed=5)
+        with pytest.raises(ValueError, match=r"ds estimate shape \(4, 4, 3\)"):
+            mse_averaged(f, f.values, f, np.zeros((4, 4, 3)))
+
     def test_block_geometry_mismatch_rejected(self):
         a = generate_field(4, 4, 2, 2, 2, 0.0, 1.0, seed=6)
         b = generate_field(4, 4, 2, 2, 1, 0.0, 1.0, seed=6)
@@ -297,6 +304,44 @@ class TestSweeps:
         with pytest.raises(KeyError, match="replicate 1 failed"):
             sweep_delta((0.4, 0.8), tiny_link_cfg(n_seeds=2, workers=2))
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the dying replicate is patched in, which only a fork inherits")
+    def test_a_child_that_dies_is_reported_with_its_exit_code(self, monkeypatch):
+        real = experiments._replicate_task
+
+        def die_odd(args):
+            if args[3] % 2:
+                os._exit(3)
+            return real(args)
+
+        monkeypatch.setattr(experiments, "_replicate_task", die_odd)
+        with pytest.raises(ChildProcessError, match="a sweep worker exited with code 3"):
+            sweep_delta((0.4, 0.8), tiny_link_cfg(n_seeds=2, workers=2))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_every_start_method_gives_the_in_process_result(self, tmp_path, method):
+        # macOS and Windows spawn their workers and Linux forkservers them from
+        # Python 3.14: a worker then imports the package instead of inheriting it
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} is not available here")
+        args = ((-30.0, -10.0), (50e3, 410e3), 0.5)
+        want = sweep_snr(*args, tiny_link_cfg(n_seeds=3, workers=2))
+        script = tmp_path / "start_method.py"
+        script.write_text(
+            "import multiprocessing, sys\n"
+            "from ajscc import experiments\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method(sys.argv[1])\n"
+            "    cfg = experiments.LinkConfig(nx=4, ny=4, nt=4, s_p=2, t_p=2, n_samples=512,\n"
+            "                                 n_seeds=3, seed=5, workers=2)\n"
+            f"    print(repr(experiments.sweep_snr(*{args!r}, cfg).reports))\n"
+            "    print(multiprocessing.active_children())\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(ajscc.__file__).parents[1])}
+        out = subprocess.run([sys.executable, str(script), method], capture_output=True,
+                             text=True, env=env, timeout=60, check=True)
+        assert out.stdout.splitlines() == [repr(want.reports), "[]"]
 
     def test_a_failing_caller_share_leaves_no_process(self, monkeypatch):
         real = experiments._replicate_task

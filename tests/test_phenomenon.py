@@ -96,6 +96,14 @@ def test_invalid_arguments():
             generate_field(4, 4, 4, 2, 2, lo, hi, seed=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), None, -1, "7", (1, 2.5), (), (1, 2)],
+                         ids=repr)
+def test_seed_outside_the_contract_rejected(seed):
+    # Field.seed and the CSV metadata line hold one integer, so a tuple is rejected too
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got"):
+        generate_field(4, 4, 4, 2, 2, 5.0, 10.0, seed=seed)
+
+
 def test_field_shape_validated():
     with pytest.raises(ValueError, match="shape"):
         Field(2, 2, 2, 1, 1, 0.0, 1.0, 0, np.zeros((2, 2)))
@@ -135,6 +143,19 @@ def test_csv_rejects_bad_cells(tmp_path, edit, match):
     field_to_csv(generate_field(3, 2, 2, 1, 1, 5.0, 10.0, seed=14), path)
     meta, header, *rows = path.read_text().splitlines()
     path.write_text("\n".join([meta, header, *edit(rows)]) + "\n")
+    with pytest.raises(ValueError, match=match):
+        field_from_csv(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda lines: [lines[0], "x,y,value", *lines[2:]],
+     r"field.csv: unexpected header 'x,y,value'"),
+    (lambda lines: lines[:-1], r"field.csv: expected 12 rows, got 11"),
+], ids=["bad_header", "missing_row"])
+def test_csv_rejects_bad_layout(tmp_path, edit, match):
+    path = tmp_path / "field.csv"
+    field_to_csv(generate_field(3, 2, 2, 1, 1, 5.0, 10.0, seed=14), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValueError, match=match):
         field_from_csv(path)
 
