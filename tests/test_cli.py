@@ -220,13 +220,13 @@ class TestSubcommands:
         ("sweep-snr", ["--bandwidths", "0"], "bandwidths"),
         ("sweep-snr", ["--bandwidths", "410e3,nan"], "bandwidths"),
         ("sweep-snr", ["--bandwidths", "-5"], "bandwidths"),
-        ("sweep-snr", ["--bandwidths", "410e3,abc"], "bandwidths"),
-        ("sweep-snr", ["--bandwidths", ","], "bandwidths"),
         ("sweep-delta", ["--seed", "-1"], "seed"),
         ("gen-field", ["--seed", "-5"], "seed"),
         ("sweep-snr", ["--workers", "-3"], "workers"),
         ("noiseless", ["--lam", "0"], "lam"),
         ("sweep-delta", ["--lam", "0"], "lam"),
+        ("sweep-snr", ["--bandwidths", "410e3,abc"], "bandwidths"),
+        ("sweep-snr", ["--bandwidths", ","], "bandwidths"),
     ])
     def test_bad_sweep_grid_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                     key):
