@@ -275,7 +275,6 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 def _symbol_keys(seed, tag: int, symbols: np.ndarray) -> np.ndarray:
     """Keys of symbol indices ``symbols``: tag 0 for the gains, n_bins for the noise."""
-    check_seed(seed)  # where a seed becomes entropy, so every draw checks it
     base = np.random.SeedSequence(seed, spawn_key=(tag,)).generate_state(1, np.uint64)
     return _mix(base + _GOLDEN * (symbols.astype(np.uint64) + np.uint64(1)))
 
@@ -407,15 +406,19 @@ def received_spectrum(freqs, cfg: ChannelConfig, seed, symbols=None) -> np.ndarr
     """In-band received spectrum rows (bins 1..n_bins), complex64.
 
     Row r is symbol ``symbols[r]`` (default r) of a link run under
-    ``seed`` (an integer >= 0 or a non-empty tuple of them; a ValueError
-    names any other seed): the same draws :func:`simulate_link` makes for
-    that symbol, materialised at every bin, for tones at ``freqs /
-    sample_rate`` cycles per sample.  It is statistically identical to the FFT of the received
+    ``seed``: the same draws :func:`simulate_link` makes for that symbol,
+    materialised at every bin, for tones at ``freqs / sample_rate`` cycles
+    per sample.  It is statistically identical to the FFT of the received
     sample blocks at the searched bins, which the test suite builds as its
-    time-domain reference.
+    time-domain reference.  A ValueError names a ``seed`` other than an
+    integer >= 0 or a non-empty tuple of them, and ``symbols`` other than
+    integer indices >= 0.
     """
+    check_seed(seed)
     freqs = _check_tones(freqs, cfg)
     symbols = np.arange(freqs.size) if symbols is None else np.atleast_1d(symbols)
+    if symbols.dtype.kind not in "iu" or np.any(symbols < 0):
+        raise ValueError(f"symbols must be integer indices >= 0, got {symbols}")
     if symbols.shape != freqs.shape:
         raise ValueError("need one symbol index per tone")
     return _spectrum_rows(freqs / cfg.sample_rate, cfg, seed, symbols)
@@ -470,6 +473,8 @@ _DEN_SLACK = 16 * float(np.finfo(np.float32).eps)
 _TINY_POWER = 1e-30
 # Most distinct (symbol, current) rows searched at once; 512 and 2048 measured 9 and 14 % slower
 _BATCH_ROWS = 1024
+# Most symbols whose draws are held at once (17 explicit bins each per bin count); sets no result
+_CHUNK_SYMBOLS = 2048
 
 
 def _full_row_peaks(factors, rows: np.ndarray, noise: _Noise | None, roots: np.ndarray,
@@ -552,7 +557,7 @@ def _distinct(ids: np.ndarray):
     return flat % width, ids.ravel()[flat], index[first * width + np.arange(width)]
 
 
-def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np.ndarray:
+def simulate_link_grid(ids_list, cfgs, seed) -> np.ndarray:
     """Pass every current array through every link config on shared draws.
 
     Returns an array of shape ``(len(ids_list), len(cfgs), *ids.shape)``
@@ -567,11 +572,8 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
     bin count, block length, fm_cycles, Doppler and K-factor, such as the
     bandwidths of an SNR sweep, share one tone evaluation and one
     :func:`_candidate_bins` call, whose noise keys are their noise scales.
-    ``chunk_symbols`` bounds the symbols whose draws are held at once (17
-    explicit bins per symbol and bin count) and does not change any result.
     """
-    if not isinstance(chunk_symbols, (int, np.integer)) or chunk_symbols < 1:
-        raise ValueError(f"chunk_symbols = {chunk_symbols!r} must be an integer >= 1")
+    check_seed(seed)  # here, not per draw: no symbols draw nothing
     ids_list = [np.asarray(ids, dtype=float) for ids in ids_list]
     cfgs = list(cfgs)
     if not ids_list or not cfgs:
@@ -593,8 +595,8 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
 
     n_sym = flat[0].size
     out = np.empty((len(ids_list), len(cfgs), n_sym))
-    for start in range(0, n_sym, chunk_symbols):
-        stop = min(start + chunk_symbols, n_sym)
+    for start in range(0, n_sym, _CHUNK_SYMBOLS):
+        stop = min(start + _CHUNK_SYMBOLS, n_sym)
         symbols = np.arange(start, stop)
         rows, currents, inverse = _distinct(np.stack([ids[start:stop] for ids in flat]))
         est = np.empty((len(cfgs), currents.size))
@@ -620,13 +622,8 @@ def simulate_link_grid(ids_list, cfgs, seed, *, chunk_symbols: int = 2048) -> np
     return out.reshape(len(ids_list), len(cfgs), *shape)
 
 
-def simulate_link(ids, cfg: ChannelConfig, seed, *, chunk_symbols: int = 2048) -> np.ndarray:
-    """Pass a current sequence through the link, one symbol each.
-
-    The one-point case of :func:`simulate_link_grid`.  Every draw is a pure
-    function of ``seed`` (an int >= 0 or a tuple of them) and the symbol's
-    index, so results are reproducible and do not depend on ``chunk_symbols``,
-    which only bounds the symbols whose draws are held at once, or on
-    parallelism.
-    """
-    return simulate_link_grid([ids], [cfg], seed, chunk_symbols=chunk_symbols)[0, 0]
+def simulate_link(ids, cfg: ChannelConfig, seed) -> np.ndarray:
+    """Pass a current sequence through the link, one symbol each: the one-point
+    case of :func:`simulate_link_grid`, reproducible per ``seed`` (an int >= 0 or
+    a tuple of them) and independent of the chunking and of parallelism."""
+    return simulate_link_grid([ids], [cfg], seed)[0, 0]

@@ -91,6 +91,18 @@ def build_levels(vgs_range: tuple[float, float], delta: float) -> np.ndarray:
     return levels
 
 
+def _checked_levels(levels) -> np.ndarray:
+    """``levels`` as a float array, checked: non-empty, 1-d, finite, strictly ascending."""
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or levels.size == 0:
+        raise ValueError("levels must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(levels)):
+        raise ValueError(f"levels must be finite, got {levels}")
+    if not np.all(np.diff(levels) > 0):
+        raise ValueError("levels must be strictly ascending")
+    return levels
+
+
 @dataclass(frozen=True)
 class CodecConfig:
     """Level set and drain-voltage interval shared by transmitter and receiver.
@@ -104,23 +116,20 @@ class CodecConfig:
     vds_range: tuple[float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", np.asarray(self.levels, dtype=float))
-        if self.levels.ndim != 1 or self.levels.size == 0:
-            raise ValueError("levels must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(self.levels)):
-            raise ValueError(f"levels must be finite, got {self.levels}")
-        if self.levels.size > 1 and not np.all(np.diff(self.levels) > 0):
-            raise ValueError("levels must be strictly ascending")
+        object.__setattr__(self, "levels", _checked_levels(self.levels))
         if not -np.inf < self.vds_range[0] < self.vds_range[1] < np.inf:
             raise ValueError(f"vds_range must have finite lo < hi, got {self.vds_range}")
 
 
 def quantize(value, levels):
-    """Nearest level to ``value``; exact ties break toward the lower level."""
-    levels = np.asarray(levels, dtype=float)
-    if levels.size == 0:
+    """Nearest level to ``value``; exact ties break toward the lower level and +-inf
+    take the end levels.  Rejects a NaN value and levels :class:`CodecConfig` rejects."""
+    if np.size(levels) == 0:
         raise ValueError("levels must be non-empty")
+    levels = _checked_levels(levels)
     value = np.asarray(value, dtype=float)
+    if np.isnan(value).any():
+        raise ValueError("value must not be NaN")
     idx = np.searchsorted(levels, value)
     lo = np.clip(idx - 1, 0, levels.size - 1)
     hi = np.clip(idx, 0, levels.size - 1)

@@ -93,8 +93,12 @@ def generate_field(nx: int, ny: int, nt: int, s_p: int, t_p: int,
 
 
 def block_means(values: np.ndarray, s_p: int, t_p: int) -> np.ndarray:
-    """Mean over each (s_p x s_p x t_p) block; edge blocks may be partial."""
+    """Mean over each (s_p x s_p x t_p) block of the 3-d ``values``; edge blocks
+    may be partial.  A ValueError names a geometry :func:`check_geometry` rejects."""
+    if np.ndim(values) != 3:
+        raise ValueError(f"values must be 3-d (nx, ny, nt), got shape {np.shape(values)}")
     nx, ny, nt = values.shape
+    check_geometry(nx, ny, nt, s_p, t_p)
     bx, by, bt = -(-nx // s_p), -(-ny // s_p), -(-nt // t_p)
     out = np.empty((bx, by, bt))
     for i in range(bx):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,12 @@ def make_cfg(snr_db=-20.0, doppler=0.02, k_db=6.0, bandwidth=410e3, n=4096,
 
 
 IDEAL = make_cfg(snr_db=math.inf, doppler=0.0, k_db=math.inf)
+
+
+def chunked(n_symbols):
+    """Run the link with the draws of ``n_symbols`` symbols held at once; a
+    context, not a fixture, so Hypothesis examples can use it."""
+    return mock.patch.object(channel, "_CHUNK_SYMBOLS", n_symbols)
 
 
 class TestConfig:
@@ -315,7 +322,8 @@ class TestDeterminism:
                 for snr in (-30.0, math.inf, 0.0)]
         rng = np.random.default_rng(12)
         ids_list = [rng.uniform(0.1, 0.9, (25, 10)) * I_MAX for _ in range(2)]
-        grid = simulate_link_grid(ids_list, cfgs, (3, 1), chunk_symbols=100)
+        with chunked(100):
+            grid = simulate_link_grid(ids_list, cfgs, (3, 1))
         assert grid.shape == (2, len(cfgs), 25, 10)
         for i, ids in enumerate(ids_list):
             for j, cfg in enumerate(cfgs):
@@ -334,12 +342,15 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("seed", [1.5, np.float64(2.0), None, -1, "7", (1, 2.5), ()],
                              ids=repr)
-    @pytest.mark.parametrize("entry", ["simulate_link_grid", "simulate_link",
-                                       "received_spectrum"])
-    def test_seeds_outside_the_contract_rejected(self, entry, seed):
-        # None would draw fresh entropy per chunk, so two equal calls would differ
+    @pytest.mark.parametrize("entry, n_sym", [
+        pytest.param(entry, n_sym, id=entry + ("" if n_sym else "-no_symbols"))
+        for n_sym in (3, 0) for entry in ("simulate_link_grid", "simulate_link",
+                                          "received_spectrum")])
+    def test_seeds_outside_the_contract_rejected(self, entry, n_sym, seed):
+        # None would draw fresh entropy per chunk, so two equal calls would
+        # differ; with no symbols nothing is drawn, and the seed is still checked
         cfg = make_cfg(n=512)
-        ids = np.full(3, 0.5 * I_MAX)
+        ids = np.full(n_sym, 0.5 * I_MAX)
         call = {"simulate_link_grid": lambda: simulate_link_grid([ids], [cfg], seed),
                 "simulate_link": lambda: simulate_link(ids, cfg, seed),
                 "received_spectrum": lambda: received_spectrum(modulate(ids, cfg), cfg, seed)}
@@ -354,14 +365,8 @@ class TestDeterminism:
             cfg = make_cfg(snr_db=snr, n=512)
             want = simulate_link(ids, cfg, (4, 2))
             for chunk in (1, 7, 100, 5000, np.int64(64)):
-                assert np.array_equal(simulate_link(ids, cfg, (4, 2), chunk_symbols=chunk),
-                                      want), (snr, chunk)
-
-    @pytest.mark.parametrize("chunk", [-3, 0, 2.5])
-    def test_chunk_size_must_be_a_positive_integer(self, chunk):
-        # a negative size runs no chunk and would return the output unfilled
-        with pytest.raises(ValueError, match="chunk_symbols"):
-            simulate_link(np.full(5, 0.5 * I_MAX), make_cfg(n=512), 1, chunk_symbols=chunk)
+                with chunked(chunk):
+                    assert np.array_equal(simulate_link(ids, cfg, (4, 2)), want), (snr, chunk)
 
     def test_received_spectrum_rows_are_keyed_by_symbol(self):
         # a row depends on its symbol index only, not on the rows around it
@@ -376,6 +381,18 @@ class TestDeterminism:
         assert np.array_equal(received_spectrum(freqs[idx], cfg, 9, idx), whole[idx])
         with pytest.raises(ValueError, match="need one symbol index per tone"):
             received_spectrum(freqs[:3], cfg, 9, [0, 1])
+        # any numpy integer dtype indexes the same rows
+        for dtype in (np.uint8, np.int32, np.uint64):
+            assert np.array_equal(received_spectrum(freqs[idx], cfg, 9, idx.astype(dtype)),
+                                  whole[idx])
+
+    # a float would take the row of its truncation, -1 that of 2^64 - 1
+    @pytest.mark.parametrize("symbols", [[1.5], [1.0], [-1], [np.nan], [True], ["1"]],
+                             ids=repr)
+    def test_received_spectrum_rejects_symbols_that_are_no_index(self, symbols):
+        cfg = make_cfg(n=512)
+        with pytest.raises(ValueError, match="symbols must be integer indices >= 0"):
+            received_spectrum(modulate([0.5 * I_MAX], cfg), cfg, 9, symbols)
 
 
 def full_search_link(ids, cfg, seed, chunk_symbols=1024):
@@ -457,8 +474,9 @@ class TestPrunedPeakSearch:
         rng = np.random.default_rng(seed)
         ids = np.concatenate([edge_currents(cfg), rng.uniform(0.01, 1.0, n_sym) * I_MAX])
         rng.shuffle(ids)
-        assert np.array_equal(simulate_link(ids, cfg, seed, chunk_symbols=chunk),
-                              full_search_link(ids, cfg, seed, chunk_symbols=chunk))
+        with chunked(chunk):
+            got = simulate_link(ids, cfg, seed)
+        assert np.array_equal(got, full_search_link(ids, cfg, seed, chunk_symbols=chunk))
 
     @staticmethod
     def count_fallback_rows(monkeypatch):
@@ -501,8 +519,9 @@ class TestPrunedPeakSearch:
         for snr in (-20.0, 10.0, math.inf):
             cfg = make_cfg(snr_db=snr, n=512)
             rows.clear()
-            assert np.array_equal(simulate_link(ids, cfg, 6, chunk_symbols=300),
-                                  full_search_link(ids, cfg, 6, chunk_symbols=300))
+            with chunked(300):
+                got = simulate_link(ids, cfg, 6)
+            assert np.array_equal(got, full_search_link(ids, cfg, 6, chunk_symbols=300))
             assert 0 < sum(rows) <= ids.size, snr
 
     def test_no_fallback_when_the_window_holds_every_bin(self, monkeypatch):
@@ -523,7 +542,8 @@ class TestPrunedPeakSearch:
         gains, noise = self.count_draws(monkeypatch)
         ids = np.random.default_rng(15).uniform(0.01, 1.0, 700) * I_MAX
         cfgs = [make_cfg(snr_db=snr, n=n) for n in (256, 512) for snr in (-20.0, 10.0, math.inf)]
-        simulate_link_grid([ids, 1.1 * ids], cfgs, 6, chunk_symbols=300)
+        with chunked(300):
+            simulate_link_grid([ids, 1.1 * ids], cfgs, 6)
         assert sum(rows) > 0
         assert gains == [0, 300, 600]
         assert sorted(noise) == [(start, n_bins) for start in (0, 300, 600) for n_bins in (64, 128)]
@@ -534,7 +554,8 @@ class TestPrunedPeakSearch:
         gains, noise = self.count_draws(monkeypatch)
         ids = np.random.default_rng(18).uniform(0.01, 1.0, 700) * I_MAX
         cfgs = [make_cfg(snr_db=-20.0, n=256), make_cfg(snr_db=math.inf, n=512)]
-        grid = simulate_link_grid([ids], cfgs, 6, chunk_symbols=300)
+        with chunked(300):
+            grid = simulate_link_grid([ids], cfgs, 6)
         assert gains == [0, 300, 600]
         assert noise == [(0, 64), (300, 64), (600, 64)]
         for j, cfg in enumerate(cfgs):
@@ -587,7 +608,8 @@ class TestRepeatedCurrents:
         cfgs = [make_cfg(snr_db=snr, n=n) for snr in (-20.0, 10.0, math.inf)]
         want = [[simulate_link(ids, cfg, (2, 9)) for cfg in cfgs] for ids in ids_list]
         for chunk in (1, 7, 100, 5000):
-            grid = simulate_link_grid(ids_list, cfgs, (2, 9), chunk_symbols=chunk)
+            with chunked(chunk):
+                grid = simulate_link_grid(ids_list, cfgs, (2, 9))
             assert np.array_equal(grid, want), chunk
 
     def test_forced_fallback_stays_exact(self, monkeypatch):
@@ -596,7 +618,8 @@ class TestRepeatedCurrents:
         rows = TestPrunedPeakSearch.count_fallback_rows(monkeypatch)
         ids_list = self.arrays()
         cfgs = [make_cfg(snr_db=snr, n=512) for snr in (-20.0, 10.0, math.inf)]
-        grid = simulate_link_grid(ids_list, cfgs, 4, chunk_symbols=100)
+        with chunked(100):
+            grid = simulate_link_grid(ids_list, cfgs, 4)
         assert sum(rows) > 0
         for i, ids in enumerate(ids_list):
             for j, cfg in enumerate(cfgs):
@@ -610,10 +633,11 @@ class TestRepeatedCurrents:
         rows = TestPrunedPeakSearch.count_fallback_rows(monkeypatch)
         ids = self.arrays()[0]
         cfgs = [make_cfg(snr_db=snr, n=512) for snr in (-20.0, 10.0, math.inf)]
-        simulate_link_grid([ids], cfgs, 4, chunk_symbols=100)
-        once = list(rows)
-        rows.clear()
-        simulate_link_grid([ids, ids, ids], cfgs, 4, chunk_symbols=100)
+        with chunked(100):
+            simulate_link_grid([ids], cfgs, 4)
+            once = list(rows)
+            rows.clear()
+            simulate_link_grid([ids, ids, ids], cfgs, 4)
         assert sum(once) > 0
         assert sum(rows) == sum(once)
         n_chunks = -(-ids.size // 100)
@@ -697,7 +721,8 @@ class TestBandwidthFanOut:
         cfgs = self.configs(n, off_by_ulp)
         want = [simulate_link(ids, cfg, (2, 9)) for cfg in cfgs]
         for chunk in (1, 7, 100, 5000):
-            grid = simulate_link_grid([ids], cfgs, (2, 9), chunk_symbols=chunk)
+            with chunked(chunk):
+                grid = simulate_link_grid([ids], cfgs, (2, 9))
             assert np.array_equal(grid[0], want), chunk
         # at each SNR every bandwidth of one fm_cycles gives the same estimates
         shared = [[w for w, cfg in zip(want, cfgs) if cfg.snr_db == snr
@@ -720,7 +745,8 @@ class TestBandwidthFanOut:
                                                 **{**base, **variant})
                 for variant in variants for snr in (-10.0, math.inf)]
         assert len({cfg.n_bins for cfg in cfgs}) == 1
-        grid = simulate_link_grid([ids], cfgs, 5, chunk_symbols=150)
+        with chunked(150):
+            grid = simulate_link_grid([ids], cfgs, 5)
         for j, cfg in enumerate(cfgs):
             assert np.array_equal(grid[0, j], simulate_link(ids, cfg, 5)), cfg
 
@@ -745,7 +771,8 @@ class TestBandwidthFanOut:
         def work(cfgs):
             rows.clear()
             calls.clear()
-            simulate_link_grid([ids], cfgs, 4, chunk_symbols=100)
+            with chunked(100):
+                simulate_link_grid([ids], cfgs, 4)
             return sorted(rows), sorted(calls)
 
         cfgs = self.configs(512, off_by_ulp)

@@ -101,6 +101,24 @@ class TestQuantize:
         with pytest.raises(ValueError, match="levels must be non-empty"):
             quantize(2.4, [])
 
+    # CodecConfig's rule: unsorted levels would snap 2.9 to 2.0, a NaN level
+    # would return NaN
+    @pytest.mark.parametrize("levels, match", [
+        ([3.0, 1.0, 2.0], "levels must be strictly ascending"),
+        ([1.0, 1.0, 2.0], "levels must be strictly ascending"),
+        ([1.0, math.nan, 2.0], "levels must be finite"),
+        ([1.0, 2.0, math.inf], "levels must be finite"),
+        ([[1.0, 2.0], [3.0, 4.0]], "levels must be a non-empty 1-d sequence"),
+    ], ids=["unsorted", "repeated", "nan", "inf", "2d"])
+    def test_levels_outside_the_codec_rule_rejected(self, levels, match):
+        with pytest.raises(ValueError, match=match):
+            quantize(2.9, levels)
+
+    @pytest.mark.parametrize("value", [math.nan, [1.2, math.nan]], ids=repr)
+    def test_nan_value_rejected(self, value):
+        with pytest.raises(ValueError, match="value must not be NaN"):
+            quantize(value, REF_LEVELS)
+
     def test_array_input(self):
         out = quantize(np.array([0.2, 2.5, 4.9]), REF_LEVELS)
         np.testing.assert_array_equal(out, [1.0, 2.0, 5.0])

@@ -104,6 +104,27 @@ def test_seed_outside_the_contract_rejected(seed):
         generate_field(4, 4, 4, 2, 2, 5.0, 10.0, seed=seed)
 
 
+@pytest.mark.parametrize("s_p, t_p, match", [
+    (0, 2, "s_p must be >= 1, got 0"),
+    (2.5, 2, "s_p must be an integer, got 2.5"),
+    (-2, 2, "s_p must be >= 1, got -2"),
+    (8, 2, "s_p=8 exceeds grid 4x4"),
+    (2, 0, "t_p must be >= 1, got 0"),
+    (2, 5, "t_p=5 exceeds nt=4"),
+], ids=["s_p_zero", "s_p_float", "s_p_negative", "s_p_beyond_grid", "t_p_zero",
+        "t_p_beyond_grid"])
+def test_block_means_rejects_a_geometry_no_field_has(s_p, t_p, match):
+    values = generate_field(4, 4, 4, 2, 2, 5.0, 10.0, seed=1).values
+    with pytest.raises(ValueError, match=match):
+        block_means(values, s_p, t_p)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (4, 4, 4, 1)])
+def test_block_means_needs_3d_values(shape):
+    with pytest.raises(ValueError, match=r"values must be 3-d \(nx, ny, nt\), got shape"):
+        block_means(np.zeros(shape), 2, 2)
+
+
 def test_field_shape_validated():
     with pytest.raises(ValueError, match="shape"):
         Field(2, 2, 2, 1, 1, 0.0, 1.0, 0, np.zeros((2, 2)))
