@@ -91,10 +91,15 @@ def build_levels(vgs_range: tuple[float, float], delta: float) -> np.ndarray:
     return levels
 
 
-def _checked_levels(levels) -> np.ndarray:
-    """``levels`` as a float array, checked: non-empty, 1-d, finite, strictly ascending."""
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or levels.size == 0:
+def _checked_levels(levels, empty: str = "levels must be a non-empty 1-d sequence") -> np.ndarray:
+    """``levels`` as floats: non-empty (else ``empty``), 1-d, finite, strictly ascending."""
+    try:
+        levels = np.asarray(levels, dtype=float)
+    except ValueError as exc:  # ragged nesting: numpy's message would not name the levels
+        raise ValueError("levels must be a non-empty 1-d sequence") from exc
+    if levels.size == 0:
+        raise ValueError(empty)
+    if levels.ndim != 1:
         raise ValueError("levels must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(levels)):
         raise ValueError(f"levels must be finite, got {levels}")
@@ -124,9 +129,7 @@ class CodecConfig:
 def quantize(value, levels):
     """Nearest level to ``value``; exact ties break toward the lower level and +-inf
     take the end levels.  Rejects a NaN value and levels :class:`CodecConfig` rejects."""
-    if np.size(levels) == 0:
-        raise ValueError("levels must be non-empty")
-    levels = _checked_levels(levels)
+    levels = _checked_levels(levels, empty="levels must be non-empty")
     value = np.asarray(value, dtype=float)
     if np.isnan(value).any():
         raise ValueError("value must not be NaN")

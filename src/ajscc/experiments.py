@@ -25,7 +25,7 @@ grids are written once, here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .channel import OVERSAMPLE, ChannelConfig, simulate_link, simulate_link_gri
 # decode_pairs is not called here; bench/tracing.py wraps it in this namespace
 from .codec import CodecConfig, build_levels, decode_pairs, decode_stream, quantize  # noqa: F401
 from .mosfet import MosfetParams, drain_current
-from .phenomenon import Field, block_means, check_geometry, generate_field
+from .phenomenon import Field, block_grid, block_means, check_geometry, generate_field
 
 __all__ = [
     "MseReport",
@@ -96,25 +96,29 @@ def noiseless_vds_grid(start: float, step: float, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MseReport:
-    """Space/time-averaged MSE [V^2] for one parameter point."""
+    """Space/time-averaged MSE [V^2] of one parameter point: of the decoded gate
+    and drain fields' block means against the truth's, averaged over a sweep's
+    replicates, and over both fields in ``mse_sum``."""
 
     mse_gs: float
     mse_ds: float
     mse_sum: float  # (mse_gs + mse_ds) / 2
-    n_blocks: int
-    params_echo: dict = dc_field(default_factory=dict)
+    n_blocks: int  # correlation blocks of one field
 
     @classmethod
-    def from_pair(cls, mse_gs: float, mse_ds: float, n_blocks: int, **echo) -> "MseReport":
+    def from_pair(cls, mse_gs: float, mse_ds: float, n_blocks: int) -> "MseReport":
         if mse_gs < 0 or mse_ds < 0:
             raise ValueError("MSE cannot be negative")
         return cls(float(mse_gs), float(mse_ds), (float(mse_gs) + float(mse_ds)) / 2.0,
-                   int(n_blocks), echo)
+                   int(n_blocks))
 
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One MseReport per axis point, in axis order, plus argmin metadata."""
+    """One MseReport per axis point, in axis order.  ``points`` are the spacings of
+    :func:`sweep_delta`, whose ``metadata`` holds ``argmin_index``, the point of
+    least ``mse_sum``, and ``delta_star``, its spacing; or the (snr_db,
+    bandwidth) pairs of :func:`sweep_snr`, whose ``metadata`` is empty."""
 
     axis_name: str
     points: tuple
@@ -146,27 +150,27 @@ class NoiselessResult:
     mse_ds_pre: float
 
 
-def mse_averaged(truth_gs: Field, est_gs: np.ndarray, truth_ds: Field,
-                 est_ds: np.ndarray, **params_echo) -> MseReport:
-    """Block-averaged MSE of both decoded fields against their ground truth."""
-    if truth_gs.values.shape != np.shape(est_gs):
-        raise ValueError(
-            f"gs estimate shape {np.shape(est_gs)} != field {truth_gs.values.shape}")
-    if truth_ds.values.shape != np.shape(est_ds):
-        raise ValueError(
-            f"ds estimate shape {np.shape(est_ds)} != field {truth_ds.values.shape}")
+def _check_scored(truth_gs: Field, gs_shape, truth_ds: Field, ds_shape) -> None:
+    """Raise ValueError unless each estimate has its field's shape and the fields' blocks match."""
+    for name, truth, shape in (("gs", truth_gs, gs_shape), ("ds", truth_ds, ds_shape)):
+        if truth.values.shape != shape:
+            raise ValueError(f"{name} estimate shape {shape} != field {truth.values.shape}")
     if (truth_gs.s_p, truth_gs.t_p) != (truth_ds.s_p, truth_ds.t_p):
         raise ValueError("the two fields must share block geometry")
 
+
+def mse_averaged(truth_gs: Field, est_gs: np.ndarray, truth_ds: Field,
+                 est_ds: np.ndarray) -> MseReport:
+    """Block-averaged MSE of both decoded fields against their ground truth."""
+    _check_scored(truth_gs, np.shape(est_gs), truth_ds, np.shape(est_ds))
     means = [block_means(f.values, f.s_p, f.t_p) for f in (truth_gs, truth_ds)]
-    return _block_mse(means, truth_gs, est_gs, est_ds, **params_echo)
+    return MseReport.from_pair(*_block_mse(means, truth_gs, est_gs, est_ds), truth_gs.n_blocks)
 
 
-def _block_mse(truth_means, truth: Field, est_gs, est_ds, **params_echo) -> MseReport:
-    """:func:`mse_averaged` given both fields' block means (``truth`` has their geometry)."""
-    gs, ds = (float(np.mean((block_means(np.asarray(est, dtype=float), truth.s_p, truth.t_p)
-                             - bm) ** 2)) for est, bm in zip((est_gs, est_ds), truth_means))
-    return MseReport.from_pair(gs, ds, truth.n_blocks, **params_echo)
+def _block_mse(truth_means, truth: Field, est_gs, est_ds) -> tuple[float, ...]:
+    """(mse_gs, mse_ds) given both fields' block means (``truth`` has their geometry)."""
+    return tuple(float(np.mean((block_means(np.asarray(est, dtype=float), truth.s_p, truth.t_p)
+                                - bm) ** 2)) for est, bm in zip((est_gs, est_ds), truth_means))
 
 
 def run_noiseless(p: MosfetParams, levels=NOISELESS_LEVELS, vds_grid=None,
@@ -191,24 +195,18 @@ def run_noiseless(p: MosfetParams, levels=NOISELESS_LEVELS, vds_grid=None,
     vgs_true = np.repeat(levels, g)
     vds_true = np.tile(vds_grid, levels.size)
     ids = drain_current(p, levels[:, None], vds_grid)
-    out = {}
-    for range_check in (True, False):
-        vgs_hat, vds_hat, corr, _ = (a.ravel() for a in
-                                     decode_stream(p, cfg, ids, range_check=range_check))
-        out[range_check] = (
-            vgs_hat, vds_hat, corr,
-            float(np.mean(vgs_hat == vgs_true)),
-            float(np.mean((vgs_hat - vgs_true) ** 2)),
-            float(np.mean((vds_hat - vds_true) ** 2)),
-        )
-    post, pre = out[True], out[False]
+    (vgs_hat, vds_hat, corr, _), (vgs_pre, vds_pre, _, _) = (
+        [a.ravel() for a in decode_stream(p, cfg, ids, range_check=rc)] for rc in (True, False))
+
+    def mse(est, truth) -> float:
+        return float(np.mean((est - truth) ** 2))
+
     return NoiselessResult(
-        vgs_true=vgs_true, vds_true=vds_true,
-        vgs_hat=post[0], vds_hat=post[1], corrected=post[2],
-        accuracy=post[3], mse_gs=post[4], mse_ds=post[5],
-        vgs_hat_pre=pre[0], vds_hat_pre=pre[1],
-        accuracy_pre=pre[3], mse_gs_pre=pre[4], mse_ds_pre=pre[5],
-    )
+        vgs_true=vgs_true, vds_true=vds_true, vgs_hat=vgs_hat, vds_hat=vds_hat, corrected=corr,
+        accuracy=float(np.mean(vgs_hat == vgs_true)), mse_gs=mse(vgs_hat, vgs_true),
+        mse_ds=mse(vds_hat, vds_true), vgs_hat_pre=vgs_pre, vds_hat_pre=vds_pre,
+        accuracy_pre=float(np.mean(vgs_pre == vgs_true)), mse_gs_pre=mse(vgs_pre, vgs_true),
+        mse_ds_pre=mse(vds_pre, vds_true))
 
 
 @dataclass(frozen=True)
@@ -229,16 +227,12 @@ def sweep_lambda(lambdas=DEFAULT_LAMBDA_GRID, base: MosfetParams = MosfetParams(
     lambdas = [float(l) for l in lambdas]
     if any(l <= 0 for l in lambdas) or not all(a < b for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be positive and strictly ascending")
-    mse_pre, mse_post, acc_pre, acc_post = [], [], [], []
-    for lam in lambdas:
-        p = MosfetParams(k_gain=base.k_gain, v_th=base.v_th, lam=lam)
-        r = run_noiseless(p, levels=levels, vds_grid=vds_grid, vds_range=vds_range)
-        mse_pre.append((r.mse_gs_pre + r.mse_ds_pre) / 2.0)
-        mse_post.append((r.mse_gs + r.mse_ds) / 2.0)
-        acc_pre.append(r.accuracy_pre)
-        acc_post.append(r.accuracy)
-    return LambdaSweep(tuple(lambdas), tuple(mse_pre), tuple(mse_post),
-                       tuple(acc_pre), tuple(acc_post))
+    runs = [run_noiseless(MosfetParams(k_gain=base.k_gain, v_th=base.v_th, lam=lam),
+                          levels=levels, vds_grid=vds_grid, vds_range=vds_range)
+            for lam in lambdas]
+    return LambdaSweep(tuple(lambdas), tuple((r.mse_gs_pre + r.mse_ds_pre) / 2.0 for r in runs),
+                       tuple((r.mse_gs + r.mse_ds) / 2.0 for r in runs),
+                       tuple(r.accuracy_pre for r in runs), tuple(r.accuracy for r in runs))
 
 
 @dataclass(frozen=True)
@@ -319,8 +313,9 @@ class LinkConfig:
 
 
 def _link_points(cfg: LinkConfig, field_gs: Field, field_ds: Field, deltas,
-                 chans, link_seed) -> list[MseReport]:
-    """Quantize, encode, link, decode and score each (delta, channel) point, delta-major.
+                 chans, link_seed) -> np.ndarray:
+    """Quantize, encode, link, decode and score each (delta, channel) point:
+    one (mse_gs, mse_ds) row per point, delta-major.
 
     ``chans=None`` models a perfect link (currents delivered unchanged).
     Every point uses ``link_seed``: common random numbers across axis
@@ -338,48 +333,45 @@ def _link_points(cfg: LinkConfig, field_gs: Field, field_ds: Field, deltas,
     codecs = [CodecConfig(build_levels(cfg.vgs_range, d), cfg.vds_range) for d in deltas]
     streams = [drain_current(cfg.mosfet, quantize(field_gs.values, codec.levels),
                              field_ds.values).reshape(-1, field_gs.nt) for codec in codecs]
-    if chans is None:
-        chans, ids_hat = [None], [[ids] for ids in streams]
-    else:
-        ids_hat = simulate_link_grid(streams, chans, link_seed)
+    ids_hat = ([[ids] for ids in streams] if chans is None
+               else simulate_link_grid(streams, chans, link_seed))
     lo, hi = cfg.vds_range
     shape = field_gs.values.shape
     truth_means = [block_means(f.values, f.s_p, f.t_p) for f in (field_gs, field_ds)]
-    reports = []
-    for i, (delta, codec) in enumerate(zip(deltas, codecs)):
-        scored = []  # (estimates, report) of this spacing's channels so far
-        for j, chan in enumerate(chans):
-            echo = {"delta": float(delta), "lam": cfg.mosfet.lam}
-            if chan is not None:
-                echo.update(snr_db=chan.snr_db, bandwidth=chan.bandwidth)
-            ids = ids_hat[i][j]
-            report = next((r for seen, r in scored if np.array_equal(seen, ids)), None)
-            if report is None:
+    rows = []
+    for codec, links in zip(codecs, ids_hat):
+        scored = []  # (estimates, MSEs) of this spacing's channels so far
+        for ids in links:
+            mse = next((m for seen, m in scored if np.array_equal(seen, ids)), None)
+            if mse is None:
                 est_gs, vds_hat, _, ok = decode_stream(cfg.mosfet, codec, ids)
                 est_ds = np.where(ok, np.clip(vds_hat, lo, hi), 0.5 * (lo + hi))
-                report = _block_mse(truth_means, field_gs, est_gs.reshape(shape),
-                                    est_ds.reshape(shape))
-                scored.append((ids, report))
-            reports.append(replace(report, params_echo=echo))
-    return reports
+                mse = _block_mse(truth_means, field_gs, est_gs.reshape(shape),
+                                 est_ds.reshape(shape))
+                scored.append((ids, mse))
+            rows.append(mse)
+    return np.array(rows)
 
 
 def run_link_point(cfg: LinkConfig, field_gs: Field, field_ds: Field, delta: float,
                    chan: ChannelConfig | None, link_seed) -> MseReport:
     """One pass of the sweeps' pipeline (quantize, encode, link, decode, block
-    MSE) at one point; ``chan=None`` models a perfect link, as in identity checks."""
-    return _link_points(cfg, field_gs, field_ds, [delta],
-                        None if chan is None else [chan], link_seed)[0]
+    MSE) at one point; ``chan=None`` models a perfect link, as in identity checks.
+    A ValueError names a ``field_ds`` whose shape or blocks differ from ``field_gs``'s."""
+    _check_scored(field_gs, field_gs.values.shape, field_ds, field_gs.values.shape)
+    mse = _link_points(cfg, field_gs, field_ds, [delta],
+                       None if chan is None else [chan], link_seed)[0]
+    return MseReport.from_pair(*mse, field_gs.n_blocks)
 
 
-def _replicate_task(args) -> list[MseReport]:
-    """Report of every (delta, channel) point of one replicate, delta-major."""
+def _replicate_task(args) -> np.ndarray:
+    """(mse_gs, mse_ds) of every (delta, channel) point of one replicate, delta-major."""
     cfg, deltas, chans, rep = args
     return _link_points(cfg, *cfg.fields(rep), deltas, chans, (cfg.seed, rep))
 
 
 def _share_task(share, conn, caller_end) -> None:
-    """Send the reports of a share of replicates, or the exception that stopped it."""
+    """Send the MSEs of a share of replicates, or the exception that stopped it."""
     caller_end.close()  # then a send to a caller that died fails instead of blocking
     try:
         conn.send([_replicate_task(t) for t in share])
@@ -392,7 +384,7 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
 
     The replicates are dealt round-robin into ``min(cfg.workers, n_seeds)``
     shares.  The caller computes the first share; each other share runs in a
-    process started for this sweep, which sends back its reports or its
+    process started for this sweep, which sends back its MSEs or its
     exception through a pipe; a child that dies before it sends raises
     ChildProcessError with its exit code.  So at most ``cfg.workers``
     processes compute at once, and none is started for one worker or one
@@ -434,10 +426,10 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
             proc.join()
             recv.close()
     per_rep = [per_share[rep % workers][rep // workers] for rep in range(len(tasks))]
-    return tuple(MseReport.from_pair(np.mean([r.mse_gs for r in reps]),
-                                     np.mean([r.mse_ds for r in reps]),
-                                     reps[0].n_blocks, **reps[0].params_echo)
-                 for reps in zip(*per_rep))
+    # on the contiguous last axis a point's replicates sum in np.mean's order for a list
+    mse = np.stack(per_rep, axis=-1).mean(axis=-1)
+    n_blocks = np.prod(block_grid(cfg.nx, cfg.ny, cfg.nt, cfg.s_p, cfg.t_p))
+    return tuple(MseReport.from_pair(gs, ds, n_blocks) for gs, ds in mse)
 
 
 def sweep_delta(deltas=DEFAULT_DELTA_GRID, cfg: LinkConfig = LinkConfig()) -> SweepResult:
@@ -447,9 +439,8 @@ def sweep_delta(deltas=DEFAULT_DELTA_GRID, cfg: LinkConfig = LinkConfig()) -> Sw
         raise ValueError("deltas must be non-empty, positive and strictly ascending")
     reports = _sweep_reports(cfg, deltas, [cfg.channel()])
     best = int(np.argmin([r.mse_sum for r in reports]))
-    meta = {"delta_star": deltas[best], "mse_sum_star": reports[best].mse_sum,
-            "argmin_index": best, "n_seeds": cfg.n_seeds}
-    return SweepResult("delta", tuple(deltas), reports, meta)
+    return SweepResult("delta", tuple(deltas), reports,
+                       {"delta_star": deltas[best], "argmin_index": best})
 
 
 def sweep_snr(snrs=DEFAULT_SNR_GRID, bandwidths=DEFAULT_BANDWIDTHS,
@@ -468,6 +459,4 @@ def sweep_snr(snrs=DEFAULT_SNR_GRID, bandwidths=DEFAULT_BANDWIDTHS,
         raise ValueError("snrs and bandwidths must be non-empty, snrs strictly ascending")
     points = [(s, b) for s in snrs for b in bandwidths]
     chans = [cfg.channel(bandwidth=b, snr_db=s) for s, b in points]
-    reports = _sweep_reports(cfg, [float(delta)], chans)
-    return SweepResult("snr_db", tuple(points), reports,
-                       {"delta": float(delta), "n_seeds": cfg.n_seeds})
+    return SweepResult("snr_db", tuple(points), _sweep_reports(cfg, [float(delta)], chans))

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Field", "check_geometry", "check_seed", "generate_field", "block_means",
-           "field_to_csv", "field_from_csv"]
+__all__ = ["Field", "block_grid", "check_geometry", "check_seed", "generate_field",
+           "block_means", "field_to_csv", "field_from_csv"]
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,12 @@ class Field:
 
     @property
     def n_blocks(self) -> int:
-        return (
-            -(-self.nx // self.s_p) * (-(-self.ny // self.s_p)) * (-(-self.nt // self.t_p))
-        )
+        return int(np.prod(block_grid(self.nx, self.ny, self.nt, self.s_p, self.t_p)))
+
+
+def block_grid(nx: int, ny: int, nt: int, s_p: int, t_p: int) -> tuple[int, int, int]:
+    """Blocks along x, y and t of an (nx, ny, nt) grid; edge blocks may be partial."""
+    return -(-nx // s_p), -(-ny // s_p), -(-nt // t_p)
 
 
 def check_geometry(nx: int, ny: int, nt: int, s_p: int, t_p: int) -> None:
@@ -84,7 +87,7 @@ def generate_field(nx: int, ny: int, nt: int, s_p: int, t_p: int,
     _check_bounds(lo, hi)  # before the draw, which would turn bad bounds into NaN
     check_seed(seed, tuples=False)  # Field.seed and its CSV line hold one integer
 
-    bx, by, bt = -(-nx // s_p), -(-ny // s_p), -(-nt // t_p)
+    bx, by, bt = block_grid(nx, ny, nt, s_p, t_p)
     rng = np.random.default_rng(seed)
     blocks = lo + (hi - lo) * rng.random((bx, by, bt))
     values = blocks.repeat(s_p, axis=0).repeat(s_p, axis=1).repeat(t_p, axis=2)
@@ -99,7 +102,7 @@ def block_means(values: np.ndarray, s_p: int, t_p: int) -> np.ndarray:
         raise ValueError(f"values must be 3-d (nx, ny, nt), got shape {np.shape(values)}")
     nx, ny, nt = values.shape
     check_geometry(nx, ny, nt, s_p, t_p)
-    bx, by, bt = -(-nx // s_p), -(-ny // s_p), -(-nt // t_p)
+    bx, by, bt = block_grid(nx, ny, nt, s_p, t_p)
     out = np.empty((bx, by, bt))
     for i in range(bx):
         for j in range(by):

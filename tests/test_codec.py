@@ -74,7 +74,8 @@ class TestCodecConfig:
         with pytest.raises(ValueError, match="ascending"):
             CodecConfig(levels=[2.0, 1.0], vds_range=(5, 10))
 
-    @pytest.mark.parametrize("levels", [[], [[1.0, 2.0], [3.0, 4.0]]], ids=["empty", "2d"])
+    @pytest.mark.parametrize("levels", [[], [[1.0, 2.0], [3.0, 4.0]], [[1.0], [2.0, 3.0]]],
+                             ids=["empty", "2d", "ragged"])
     def test_rejects_empty_or_2d_levels(self, levels):
         with pytest.raises(ValueError, match="levels must be a non-empty 1-d sequence"):
             CodecConfig(levels=levels, vds_range=(5, 10))
@@ -109,7 +110,8 @@ class TestQuantize:
         ([1.0, math.nan, 2.0], "levels must be finite"),
         ([1.0, 2.0, math.inf], "levels must be finite"),
         ([[1.0, 2.0], [3.0, 4.0]], "levels must be a non-empty 1-d sequence"),
-    ], ids=["unsorted", "repeated", "nan", "inf", "2d"])
+        ([[1.0], [2.0, 3.0]], "levels must be a non-empty 1-d sequence"),
+    ], ids=["unsorted", "repeated", "nan", "inf", "2d", "ragged"])
     def test_levels_outside_the_codec_rule_rejected(self, levels, match):
         with pytest.raises(ValueError, match=match):
             quantize(2.9, levels)

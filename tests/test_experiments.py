@@ -217,6 +217,22 @@ class TestLinkPipeline:
                              link_seed=(6, 0))
         assert rpt.mse_gs >= 0 and rpt.mse_ds >= 0
 
+    @pytest.mark.parametrize("ds_geometry, match", [
+        ((4, 4, 1, 2, 1), r"ds estimate shape \(4, 4, 4\) != field \(4, 4, 1\)"),
+        ((4, 4, 4, 1, 1), "the two fields must share block geometry"),
+    ], ids=["other_shape", "other_blocks"])
+    @pytest.mark.parametrize("link", ["perfect", "channel"])
+    def test_fields_of_another_geometry_rejected(self, ds_geometry, match, link):
+        # a (4, 4, 1) drain field broadcast against the gate field's currents and
+        # was scored against block means of another shape; other blocks failed
+        # in numpy's broadcast, naming neither field
+        cfg = LinkConfig(nx=4, ny=4, nt=4, s_p=2, t_p=2, n_samples=512, seed=5)
+        gs, _ = cfg.fields(0)
+        ds = generate_field(*ds_geometry, 5.0, 10.0, seed=3)
+        chan = cfg.channel() if link == "channel" else None
+        with pytest.raises(ValueError, match=match):
+            run_link_point(cfg, gs, ds, 0.5, chan, (5, 0))
+
 
 class TestPerfectLinkFloor:
     def test_knee_config_pairs_are_degenerate_and_vds_is_worse_than_the_midpoint(self):
@@ -244,11 +260,10 @@ class TestSweeps:
         assert sw.axis_name == "delta"
         assert sw.points == (0.4, 0.8)
         assert len(sw.reports) == 2
-        assert sw.metadata["delta_star"] in (0.4, 0.8)
-        assert sw.metadata["n_seeds"] == 2
-        for d, r in zip(sw.points, sw.reports):
-            assert r.params_echo["delta"] == d
-            assert r.params_echo["snr_db"] == cfg.snr_db
+        assert sw.metadata.keys() == {"delta_star", "argmin_index"}
+        assert sw.metadata["delta_star"] == sw.points[sw.metadata["argmin_index"]]
+        for r in sw.reports:
+            assert r.n_blocks == 8
             assert r.mse_sum == pytest.approx((r.mse_gs + r.mse_ds) / 2)
 
     def test_sweep_delta_deterministic(self):
@@ -358,21 +373,24 @@ class TestSweeps:
 
     @pytest.mark.parametrize("caller_fails", [False, True])
     def test_a_share_larger_than_the_pipe_buffer_completes(self, tmp_path, caller_fails):
-        # each replicate sends about 200 kB, more than a pipe buffers, so a
-        # caller that joined a child before receiving its share would wait for ever
+        # each replicate sends the MSEs of 13000 points, about 200 kB, more than a
+        # pipe buffers, so a caller that joined a child before receiving its share
+        # would wait for ever
         script = tmp_path / "big_share.py"
         script.write_text(
+            "import numpy as np\n"
             "from ajscc import experiments\n"
             "def big(args):\n"
             f"    if {caller_fails} and args[3] == 0:\n"
             "        raise KeyError('caller share failed')\n"
-            "    return [experiments.MseReport.from_pair(1.0, 2.0, 1, pad='x' * 200_000)]\n"
+            "    return np.tile([1.0, 2.0], (len(args[1]), 1))\n"
             "experiments._replicate_task = big\n"
             "if __name__ == '__main__':\n"
             "    cfg = experiments.LinkConfig(nx=4, ny=4, nt=4, s_p=2, t_p=2, n_seeds=4,\n"
             "                                 workers=2)\n"
             "    try:\n"
-            "        print(experiments.sweep_delta([0.5], cfg).reports[0].mse_sum)\n"
+            "        sw = experiments.sweep_delta(np.linspace(1.0, 4.0, 13_000), cfg)\n"
+            "        print(sw.reports[-1].mse_sum)\n"
             "    except KeyError as exc:\n"
             "        print(exc)\n"
             "    import multiprocessing\n"
@@ -390,17 +408,29 @@ class TestSweeps:
                              env=env, check=True)
         assert out.stdout.strip() == "False"
 
-    def test_sweep_points_are_link_points(self):
+    @pytest.mark.parametrize("n_seeds, workers", [(1, 1), (3, 1), (3, 2), (3, 3), (8, 2)],
+                             ids=["one_replicate", "three_replicates_1_worker",
+                                  "three_replicates_2_workers", "three_replicates_3_workers",
+                                  "eight_replicates_2_workers"])
+    @pytest.mark.parametrize("axis", ["snr", "delta"])
+    def test_sweep_points_are_link_points(self, axis, n_seeds, workers):
         # each point of a replicate is the one-point pipeline run at the
-        # replicate's link seed
-        cfg = tiny_link_cfg(n_seeds=1)
-        gs, ds = cfg.fields(0)
-        sw = sweep_snr((-30.0, -10.0), (50e3, 200e3, 410e3), 0.5, cfg)
-        for (snr, bw), r in zip(sw.points, sw.reports):
-            chan = cfg.channel(bandwidth=bw, snr_db=snr)
-            one = run_link_point(cfg, gs, ds, 0.5, chan, link_seed=(cfg.seed, 0))
-            assert (r.mse_gs, r.mse_ds) == (one.mse_gs, one.mse_ds)
-            assert r.params_echo == one.params_echo
+        # replicate's fields and link seed, and a sweep point is np.mean of
+        # the replicates' MSEs, bit for bit: from 8 replicates on, a mean over
+        # a strided axis sums in another order and differs in the last bit
+        cfg = tiny_link_cfg(n_seeds=n_seeds, workers=workers)
+        if axis == "snr":
+            sw = sweep_snr((-30.0, -10.0), (50e3, 200e3, 410e3), 0.5, cfg)
+            links = [(0.5, cfg.channel(bandwidth=bw, snr_db=snr)) for snr, bw in sw.points]
+        else:
+            sw = sweep_delta((0.4, 0.8), cfg)
+            links = [(delta, cfg.channel()) for delta in sw.points]
+        for (delta, chan), r in zip(links, sw.reports, strict=True):
+            ones = [run_link_point(cfg, *cfg.fields(rep), delta, chan, link_seed=(cfg.seed, rep))
+                    for rep in range(n_seeds)]
+            assert (r.mse_gs, r.mse_ds) == (np.mean([one.mse_gs for one in ones]),
+                                            np.mean([one.mse_ds for one in ones]))
+            assert r.n_blocks == ones[0].n_blocks
 
     def test_equal_link_outputs_decode_once(self, monkeypatch):
         # 200 kHz is exactly 4 x 50 kHz, so the two links give bit-identical
@@ -414,9 +444,9 @@ class TestSweeps:
         monkeypatch.setattr(experiments, "decode_stream", counting)
         sw = sweep_snr((-30.0, -10.0), (50e3, 200e3), 0.5, tiny_link_cfg(n_seeds=1))
         assert len(calls) == 2
+        assert [bw for _, bw in sw.points] == [50e3, 200e3, 50e3, 200e3]
         for r50, r200 in zip(sw.reports[::2], sw.reports[1::2]):
             assert (r50.mse_gs, r50.mse_ds) == (r200.mse_gs, r200.mse_ds)
-            assert (r50.params_echo["bandwidth"], r200.params_echo["bandwidth"]) == (50e3, 200e3)
 
     def test_every_bandwidth_decodes_once(self, monkeypatch):
         # the four default bandwidths share fm_cycles, so their links give
@@ -444,9 +474,8 @@ class TestSweeps:
         sw = sweep_snr((-30.0, -10.0), (50e3, 410e3), 0.5, cfg)
         assert sw.points == ((-30.0, 50e3), (-30.0, 410e3),
                              (-10.0, 50e3), (-10.0, 410e3))
-        for (snr, bw), r in zip(sw.points, sw.reports):
-            assert r.params_echo["snr_db"] == snr
-            assert r.params_echo["bandwidth"] == bw
+        assert len(sw.reports) == len(sw.points)
+        assert sw.metadata == {}
 
     def test_sweep_snr_rejects_unsorted(self):
         with pytest.raises(ValueError, match="ascending"):
