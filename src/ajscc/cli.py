@@ -2,9 +2,9 @@
 
 Configuration is a flat key=value namespace resolved in order: built-in
 defaults, then a config file (``key = value`` lines, ``#`` comments), then
-``AJSCC_<KEY>`` environment variables, then command-line flags.  Every CSV
-artifact starts with a ``#`` line echoing the fully resolved configuration,
-so a run is reproducible from its own output.
+``AJSCC_<KEY>`` environment variables, then command-line flags.  Every CSV but
+``field.csv`` (which starts with the field's metadata) starts with a ``#`` line
+echoing the resolved configuration, so a run is reproducible from its output.
 
 The subcommands are the keys of :data:`COMMANDS`.  Resolving only converts
 each value to its type: a command checks just the values it reads, when it

@@ -11,16 +11,11 @@ seeds from (seed, replicate); axis points within a replicate share the
 channel realization (common random numbers, which sharpens point-to-point
 comparisons such as the argmin) while replicates stay independent.
 Replicates are the work units: one pipeline pass encodes a replicate's
-fields at every level spacing, draws each symbol's doppler, fading and
-noise once for all its axis points and searches each distinct (symbol,
-current) once, since spacings whose levels coincide give equal currents
-(:func:`ajscc.channel.simulate_link_grid`, whose draws are keyed by seed
-and symbol index), then decodes and scores each bit-identical estimate
-array of a spacing once; :func:`run_link_point` is its one-point case.
-With ``workers > 1`` the replicates are dealt into shares, one computed by
-the caller and each other by a process of its own, and are reduced in
-replicate order, so results do not depend on scheduling.  The default
-grids are written once, here.
+fields at every level spacing and links, decodes and scores all its axis
+points (:func:`ajscc.channel.simulate_link_grid` draws each symbol's
+doppler, fading and noise once, keyed by seed and symbol index);
+:func:`run_link_point` is its one-point case.  Replicates are reduced in
+replicate order at any worker count.  The default grids are written once, here.
 """
 
 from __future__ import annotations
@@ -29,9 +24,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-# simulate_link is not called here; bench/tracing.py wraps it in this namespace
+# simulate_link and decode_pairs are not called here; bench/tracing.py wraps them in this namespace
 from .channel import OVERSAMPLE, ChannelConfig, simulate_link, simulate_link_grid  # noqa: F401
-# decode_pairs is not called here; bench/tracing.py wraps it in this namespace
 from .codec import CodecConfig, build_levels, decode_pairs, decode_stream, quantize  # noqa: F401
 from .mosfet import MosfetParams, drain_current
 from .phenomenon import Field, block_grid, block_means, check_geometry, generate_field
@@ -102,15 +96,15 @@ class MseReport:
 
     mse_gs: float
     mse_ds: float
-    mse_sum: float  # (mse_gs + mse_ds) / 2
+    mse_sum: float = dc_field(init=False)  # (mse_gs + mse_ds) / 2, set when built
     n_blocks: int  # correlation blocks of one field
 
-    @classmethod
-    def from_pair(cls, mse_gs: float, mse_ds: float, n_blocks: int) -> "MseReport":
-        if mse_gs < 0 or mse_ds < 0:
+    def __post_init__(self) -> None:
+        if self.mse_gs < 0 or self.mse_ds < 0:
             raise ValueError("MSE cannot be negative")
-        return cls(float(mse_gs), float(mse_ds), (float(mse_gs) + float(mse_ds)) / 2.0,
-                   int(n_blocks))
+        for name, cast in (("mse_gs", float), ("mse_ds", float), ("n_blocks", int)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
+        object.__setattr__(self, "mse_sum", (self.mse_gs + self.mse_ds) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,6 @@ class SweepResult:
     least ``mse_sum``, and ``delta_star``, its spacing; or the (snr_db,
     bandwidth) pairs of :func:`sweep_snr`, whose ``metadata`` is empty."""
 
-    axis_name: str
     points: tuple
     reports: tuple
     metadata: dict = dc_field(default_factory=dict)
@@ -128,12 +121,9 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class NoiselessResult:
-    """Per-sample decode results over a (levels x vds grid), no channel.
-
-    Plain fields hold the corrected decoder's outputs; ``*_pre`` fields the
-    uncorrected (pure slope matching) ones.  MSEs here are per-sample, not
-    block-averaged, since no phenomenon field is involved.
-    """
+    """Per-sample decode results over a (levels x vds) grid, no channel: plain
+    fields from the corrected decoder, ``*_pre`` ones from the uncorrected (pure
+    slope matching) one.  MSEs are per-sample: no phenomenon field is involved."""
 
     vgs_true: np.ndarray
     vds_true: np.ndarray
@@ -144,27 +134,31 @@ class NoiselessResult:
     mse_gs: float
     mse_ds: float
     vgs_hat_pre: np.ndarray
-    vds_hat_pre: np.ndarray
     accuracy_pre: float
     mse_gs_pre: float
     mse_ds_pre: float
 
 
-def _check_scored(truth_gs: Field, gs_shape, truth_ds: Field, ds_shape) -> None:
-    """Raise ValueError unless each estimate has its field's shape and the fields' blocks match."""
-    for name, truth, shape in (("gs", truth_gs, gs_shape), ("ds", truth_ds, ds_shape)):
-        if truth.values.shape != shape:
-            raise ValueError(f"{name} estimate shape {shape} != field {truth.values.shape}")
-    if (truth_gs.s_p, truth_gs.t_p) != (truth_ds.s_p, truth_ds.t_p):
-        raise ValueError("the two fields must share block geometry")
+def _check_scored(field_gs: Field, field_ds: Field, *estimates) -> None:
+    """Raise ValueError unless both fields share one shape and block geometry and
+    the (gs, ds) estimates given have that shape."""
+    geometry = [(f.values.shape, f.s_p, f.t_p) for f in (field_gs, field_ds)]
+    if geometry[0] != geometry[1]:
+        gs, ds = (f"{shape} with s_p={s_p}, t_p={t_p}" for shape, s_p, t_p in geometry)
+        raise ValueError(f"the two fields must share block geometry and shape, got gs {gs} "
+                         f"and ds {ds}")
+    for name, est in zip(("gs", "ds"), estimates):
+        if np.shape(est) != field_gs.values.shape:
+            raise ValueError(f"{name} estimate shape {np.shape(est)} != field "
+                             f"{field_gs.values.shape}")
 
 
 def mse_averaged(truth_gs: Field, est_gs: np.ndarray, truth_ds: Field,
                  est_ds: np.ndarray) -> MseReport:
     """Block-averaged MSE of both decoded fields against their ground truth."""
-    _check_scored(truth_gs, np.shape(est_gs), truth_ds, np.shape(est_ds))
+    _check_scored(truth_gs, truth_ds, est_gs, est_ds)
     means = [block_means(f.values, f.s_p, f.t_p) for f in (truth_gs, truth_ds)]
-    return MseReport.from_pair(*_block_mse(means, truth_gs, est_gs, est_ds), truth_gs.n_blocks)
+    return MseReport(*_block_mse(means, truth_gs, est_gs, est_ds), truth_gs.n_blocks)
 
 
 def _block_mse(truth_means, truth: Field, est_gs, est_ds) -> tuple[float, ...]:
@@ -191,8 +185,7 @@ def run_noiseless(p: MosfetParams, levels=NOISELESS_LEVELS, vds_grid=None,
         raise ValueError(f"vds_grid extends outside vds_range {vds_range}")
     cfg = CodecConfig(levels, vds_range)
 
-    g = vds_grid.size
-    vgs_true = np.repeat(levels, g)
+    vgs_true = np.repeat(levels, vds_grid.size)
     vds_true = np.tile(vds_grid, levels.size)
     ids = drain_current(p, levels[:, None], vds_grid)
     (vgs_hat, vds_hat, corr, _), (vgs_pre, vds_pre, _, _) = (
@@ -204,7 +197,7 @@ def run_noiseless(p: MosfetParams, levels=NOISELESS_LEVELS, vds_grid=None,
     return NoiselessResult(
         vgs_true=vgs_true, vds_true=vds_true, vgs_hat=vgs_hat, vds_hat=vds_hat, corrected=corr,
         accuracy=float(np.mean(vgs_hat == vgs_true)), mse_gs=mse(vgs_hat, vgs_true),
-        mse_ds=mse(vds_hat, vds_true), vgs_hat_pre=vgs_pre, vds_hat_pre=vds_pre,
+        mse_ds=mse(vds_hat, vds_true), vgs_hat_pre=vgs_pre,
         accuracy_pre=float(np.mean(vgs_pre == vgs_true)), mse_gs_pre=mse(vgs_pre, vgs_true),
         mse_ds_pre=mse(vds_pre, vds_true))
 
@@ -357,11 +350,11 @@ def run_link_point(cfg: LinkConfig, field_gs: Field, field_ds: Field, delta: flo
                    chan: ChannelConfig | None, link_seed) -> MseReport:
     """One pass of the sweeps' pipeline (quantize, encode, link, decode, block
     MSE) at one point; ``chan=None`` models a perfect link, as in identity checks.
-    A ValueError names a ``field_ds`` whose shape or blocks differ from ``field_gs``'s."""
-    _check_scored(field_gs, field_gs.values.shape, field_ds, field_gs.values.shape)
+    A ValueError names both fields' shapes and blocks when they differ."""
+    _check_scored(field_gs, field_ds)
     mse = _link_points(cfg, field_gs, field_ds, [delta],
                        None if chan is None else [chan], link_seed)[0]
-    return MseReport.from_pair(*mse, field_gs.n_blocks)
+    return MseReport(*mse, field_gs.n_blocks)
 
 
 def _replicate_task(args) -> np.ndarray:
@@ -390,6 +383,11 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     processes compute at once, and none is started for one worker or one
     replicate.  ``cfg`` checked itself when built, so only the spacings are
     checked up front.
+
+    The parent forks with one thread.  In ``/proc/self/task`` (python 3.11, numpy
+    2.4, 2 CPUs) it has 1 before ``import numpy``, 2 after (an OpenBLAS worker)
+    and 1 after the first 2-worker sweep: OpenBLAS's fork handler stops its pool
+    before each fork and a BLAS call restarts it.  Python runs one thread.
     """
     for delta in deltas:
         build_levels(cfg.vgs_range, delta)
@@ -429,7 +427,7 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     # on the contiguous last axis a point's replicates sum in np.mean's order for a list
     mse = np.stack(per_rep, axis=-1).mean(axis=-1)
     n_blocks = np.prod(block_grid(cfg.nx, cfg.ny, cfg.nt, cfg.s_p, cfg.t_p))
-    return tuple(MseReport.from_pair(gs, ds, n_blocks) for gs, ds in mse)
+    return tuple(MseReport(gs, ds, n_blocks) for gs, ds in mse)
 
 
 def sweep_delta(deltas=DEFAULT_DELTA_GRID, cfg: LinkConfig = LinkConfig()) -> SweepResult:
@@ -439,7 +437,7 @@ def sweep_delta(deltas=DEFAULT_DELTA_GRID, cfg: LinkConfig = LinkConfig()) -> Sw
         raise ValueError("deltas must be non-empty, positive and strictly ascending")
     reports = _sweep_reports(cfg, deltas, [cfg.channel()])
     best = int(np.argmin([r.mse_sum for r in reports]))
-    return SweepResult("delta", tuple(deltas), reports,
+    return SweepResult(tuple(deltas), reports,
                        {"delta_star": deltas[best], "argmin_index": best})
 
 
@@ -459,4 +457,4 @@ def sweep_snr(snrs=DEFAULT_SNR_GRID, bandwidths=DEFAULT_BANDWIDTHS,
         raise ValueError("snrs and bandwidths must be non-empty, snrs strictly ascending")
     points = [(s, b) for s in snrs for b in bandwidths]
     chans = [cfg.channel(bandwidth=b, snr_db=s) for s, b in points]
-    return SweepResult("snr_db", tuple(points), _sweep_reports(cfg, [float(delta)], chans))
+    return SweepResult(tuple(points), _sweep_reports(cfg, [float(delta)], chans))

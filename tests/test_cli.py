@@ -391,6 +391,52 @@ class TestSubcommands:
         assert len(lines) == 2 + 150
 
 
+def _config_file(tokens, path: Path, keys=None) -> str:
+    """Write ``key=value`` tokens as a ``key = value`` config file, each key
+    renamed by ``keys`` where it has an entry; returns the file's path."""
+    pairs = (tok.split("=", 1) for tok in tokens)
+    path.write_text("".join(f"{(keys or {}).get(k, k)} = {v}\n" for k, v in pairs))
+    return str(path)
+
+
+class TestReproducibleFromOutput:
+    """A run is reproducible from its own output: the artifact's first line,
+    written back as a config file, gives the same bytes and the same stdout."""
+
+    @pytest.mark.parametrize("command, name, flags", [
+        ("noiseless", "noiseless.csv", ["--lam", "0.05", "--noiseless-vds-count", "30"]),
+        ("sweep-lambda", "sweep_lambda.csv",
+         ["--lambda-grid", "0.01,0.05,0.2", "--noiseless-levels", "1,3,5"]),
+        ("sweep-delta", "sweep_delta.csv",
+         ["--delta-min", "0.3", "--delta-max", "0.6", "--delta-step", "0.1", "--seed", "7",
+          *FAST_LINK]),
+        ("sweep-snr", "sweep_snr.csv", ["--snr-min", "-30", "--snr-max", "-10", "--snr-step",
+                                        "20", "--bandwidths", "50e3,410e3", "--seed", "7",
+                                        *FAST_LINK]),
+    ])
+    def test_rerun_from_the_echo_line(self, tmp_path, capsys, command, name, flags):
+        assert main([command, "--outdir", str(tmp_path / "a"), "--workers", "1", *flags]) == 0
+        out, first = capsys.readouterr().out, (tmp_path / "a" / name).read_bytes()
+        echo = first.decode().splitlines()[0]
+        assert echo.startswith("# ajscc ")
+        cfg = _config_file(echo[len("# ajscc "):].split(), tmp_path / "echo.cfg")
+        assert main([command, "--config", cfg, "--outdir", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out == out
+        assert (tmp_path / "b" / name).read_bytes() == first
+
+    def test_field_rerun_from_its_metadata_line(self, tmp_path, capsys):
+        # field.csv starts with the field's own metadata, not the config echo
+        assert main(["gen-field", "--outdir", str(tmp_path / "a"), "--nx", "4", "--ny", "6",
+                     "--nt", "4", "--s-p", "2", "--t-p", "2", "--vds-lo", "1.5",
+                     "--vds-hi", "2.5", "--seed", "7"]) == 0
+        out, first = capsys.readouterr().out, (tmp_path / "a" / "field.csv").read_bytes()
+        cfg = _config_file(first.decode().splitlines()[0][1:].split(), tmp_path / "field.cfg",
+                           {"lo": "vds_lo", "hi": "vds_hi"})
+        assert main(["gen-field", "--config", cfg, "--outdir", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr().out == out.replace(str(tmp_path / "a"), str(tmp_path / "b"))
+        assert (tmp_path / "b" / "field.csv").read_bytes() == first
+
+
 class TestGoldenArtifacts:
     """Exact default artifacts and decode output, recorded before the stream
     decoder moved to arrays."""

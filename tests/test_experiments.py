@@ -28,6 +28,9 @@ from ajscc.mosfet import MosfetParams, drain_current
 from ajscc.phenomenon import block_means, generate_field
 
 P = MosfetParams()
+# the field-pair rule's message for a (4, 4, 4) gate field and a (4, 4, 2) drain field
+PAIR_4x4x4_4x4x2 = (r"the two fields must share block geometry and shape, got "
+                    r"gs \(4, 4, 4\) with s_p=2, t_p=2 and ds \(4, 4, 2\) with s_p=2, t_p=2")
 
 
 def tiny_link_cfg(**kw):
@@ -78,9 +81,25 @@ class TestMseAveraged:
         with pytest.raises(ValueError, match="geometry"):
             mse_averaged(a, a.values, b, b.values)
 
+    def test_fields_of_another_shape_rejected(self):
+        # each field scored against its own estimate passed, and the report
+        # gave the gate field's 8 blocks though the drain field has 4
+        gs = generate_field(4, 4, 4, 2, 2, 5.0, 10.0, seed=1)
+        ds = generate_field(4, 4, 2, 2, 2, 5.0, 10.0, seed=2)
+        with pytest.raises(ValueError, match=PAIR_4x4x4_4x4x2):
+            mse_averaged(gs, gs.values, ds, ds.values)
+
     def test_report_validates(self):
         with pytest.raises(ValueError):
-            MseReport.from_pair(-1.0, 0.0, 8)
+            MseReport(-1.0, 0.0, 8)
+
+    @pytest.mark.parametrize("mse_gs, mse_ds", [(0.1, 0.2), (1e-17, 3.0), (0.0, 0.0)])
+    def test_report_sums_itself(self, mse_gs, mse_ds):
+        rpt = MseReport(np.float64(mse_gs), mse_ds, np.int64(8))
+        assert rpt.mse_sum == (mse_gs + mse_ds) / 2.0
+        assert (type(rpt.mse_gs), type(rpt.mse_ds), type(rpt.n_blocks)) == (float, float, int)
+        with pytest.raises(TypeError):
+            MseReport(mse_gs, mse_ds, 0.0, 8)  # mse_sum is not an argument
 
 
 class TestRunNoiseless:
@@ -218,9 +237,11 @@ class TestLinkPipeline:
         assert rpt.mse_gs >= 0 and rpt.mse_ds >= 0
 
     @pytest.mark.parametrize("ds_geometry, match", [
-        ((4, 4, 1, 2, 1), r"ds estimate shape \(4, 4, 4\) != field \(4, 4, 1\)"),
+        ((4, 4, 1, 2, 1), r"the two fields must share block geometry and shape, got gs "
+                          r"\(4, 4, 4\) with s_p=2, t_p=2 and ds \(4, 4, 1\) with s_p=2, t_p=1"),
         ((4, 4, 4, 1, 1), "the two fields must share block geometry"),
-    ], ids=["other_shape", "other_blocks"])
+        ((4, 4, 2, 2, 2), PAIR_4x4x4_4x4x2),
+    ], ids=["other_shape", "other_blocks", "other_nt"])
     @pytest.mark.parametrize("link", ["perfect", "channel"])
     def test_fields_of_another_geometry_rejected(self, ds_geometry, match, link):
         # a (4, 4, 1) drain field broadcast against the gate field's currents and
@@ -257,7 +278,6 @@ class TestSweeps:
     def test_sweep_delta_result_structure(self):
         cfg = tiny_link_cfg()
         sw = sweep_delta((0.4, 0.8), cfg)
-        assert sw.axis_name == "delta"
         assert sw.points == (0.4, 0.8)
         assert len(sw.reports) == 2
         assert sw.metadata.keys() == {"delta_star", "argmin_index"}
