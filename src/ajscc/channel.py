@@ -44,12 +44,13 @@ Every draw (doppler, fading and noise) is keyed by the seed and the
 symbol's index, the noise also by the bin count, so the results do not
 depend on the chunking or on how the work is split.  None of them depends
 on the tone frequencies or the SNR: noise is drawn at unit power and
-scaled per config.
+scaled per config.  Every array drawn and searched is index x symbols (a
+counter, explicit bin or candidate bin by the chunk's symbols), so each
+symbol's max and lowest-bin tie-break reduce over axis 0, in contiguous memory.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -114,7 +115,7 @@ class ChannelConfig:
             raise ValueError(f"n_samples = {self.n_samples} must be an integer >= 8")
         if self.n_bins < 1:
             raise ValueError("bandwidth spans less than one FFT bin")
-        # noise power n_samples * _noise_variance / 2 * u, in logs: 10^(-snr_db/10) can overflow
+        # noise power _noise_scale^2 u, in logs: 10^(-snr_db/10) can overflow
         floor = 10.0 * math.log10(self.n_samples * self.sample_rate / self.bandwidth
                                   * _UNIT_POWER_MAX / 2.0 / float(np.finfo(np.float32).max))
         if self.snr_db < floor:
@@ -172,13 +173,6 @@ def _fading_scales(cfg: ChannelConfig) -> tuple[float, float]:
         return 1.0, 0.0
     k = 10.0 ** (cfg.rician_k_db / 10.0)
     return math.sqrt(k / (k + 1.0)), math.sqrt(1.0 / (k + 1.0))
-
-
-def _noise_variance(cfg: ChannelConfig) -> float:
-    """Per-sample complex noise power; in-band share then equals 10^(-snr/10)."""
-    if math.isinf(cfg.snr_db):
-        return 0.0
-    return 10.0 ** (-cfg.snr_db / 10.0) * cfg.sample_rate / cfg.bandwidth
 
 
 def _symbol_gains(freqs: np.ndarray, draws, cfg: ChannelConfig):
@@ -241,8 +235,10 @@ def _tone_spectrum(factors, roots: np.ndarray, bins: np.ndarray) -> np.ndarray:
 
 
 def _noise_scale(cfg: ChannelConfig) -> np.float32 | None:
-    """Amplitude of each unit-noise component at cfg's SNR; None for a link without noise."""
-    variance = _noise_variance(cfg)
+    """Amplitude of each unit-noise component: per-sample complex noise power
+    10^(-snr/10) sample_rate / bandwidth puts 10^(-snr/10) in band.  None for
+    a link without noise: +inf dB, or a 10^(-snr/10) that underflows."""
+    variance = 10.0 ** (-cfg.snr_db / 10.0) * cfg.sample_rate / cfg.bandwidth
     return np.float32(math.sqrt(cfg.n_samples * variance / 2.0)) if variance > 0 else None
 
 
@@ -279,15 +275,15 @@ def _symbol_keys(seed, tag: int, symbols: np.ndarray) -> np.ndarray:
     return _mix(base + _GOLDEN * (symbols.astype(np.uint64) + np.uint64(1)))
 
 
-def _bits(keys: np.ndarray, stream: int, index, axis: int = 1) -> np.ndarray:
-    """64 random bits per (symbol, index), the index along ``axis``: ``index``
-    is (k,) or (len(keys), k) at axis 1, (k, 1) or (k, len(keys)) at axis 0."""
+def _bits(keys: np.ndarray, stream: int, index) -> np.ndarray:
+    """64 random bits per (index, symbol), index x symbols: ``index`` is (k, 1)
+    for one index column of every key or (k, len(keys)) for one per key."""
     counters = (np.uint64(stream) << np.uint64(32)) + np.asarray(index, dtype=np.uint64)
-    return _mix((keys[:, None] if axis else keys) + _GOLDEN * counters)
+    return _mix(keys + _GOLDEN * counters)
 
 
 def _uniform(keys: np.ndarray, stream: int, index) -> np.ndarray:
-    """Float64 uniforms on [0, 1) with 53 random bits, one per (symbol, index)."""
+    """Float64 uniforms on [0, 1) with 53 random bits, index x symbols (:func:`_bits`)."""
     return (_bits(keys, stream, index) >> np.uint64(11)) * 2.0 ** -53
 
 
@@ -300,10 +296,10 @@ def _uniform24(bits: np.ndarray, shift: int) -> np.ndarray:
 def _gain_draws(seed, symbols: np.ndarray) -> np.ndarray:
     """Unit draws of the indexed symbols, (3, len(symbols)): doppler d ~ U(-1, 1),
     fading z_re, z_im ~ N(0, 1)."""
-    u = _uniform(_symbol_keys(seed, 0, symbols), 0, np.arange(3))
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 1]))
-    angle = 2.0 * np.pi * u[:, 2]
-    return np.array([2.0 * u[:, 0] - 1.0, radius * np.cos(angle), radius * np.sin(angle)])
+    u = _uniform(_symbol_keys(seed, 0, symbols), 0, np.arange(3)[:, None])
+    radius = np.sqrt(-2.0 * np.log1p(-u[1]))
+    angle = 2.0 * np.pi * u[2]
+    return np.array([2.0 * u[0] - 1.0, radius * np.cos(angle), radius * np.sin(angle)])
 
 
 def _gamma(keys: np.ndarray, shape: float, stream: int) -> np.ndarray:
@@ -316,11 +312,11 @@ def _gamma(keys: np.ndarray, shape: float, stream: int) -> np.ndarray:
     todo = np.arange(keys.size)
     attempt = 0
     while todo.size:
-        u = _uniform(keys[todo], stream, 3 * attempt + np.arange(3))
-        x = np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
+        u = _uniform(keys[todo], stream, 3 * attempt + np.arange(3)[:, None])
+        x = np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * np.pi * u[1])
         v = (1.0 + c * x) ** 3
         ok = v > 0
-        ok[ok] = np.log1p(-u[ok, 2]) < 0.5 * x[ok] ** 2 + d - d * v[ok] + d * np.log(v[ok])
+        ok[ok] = np.log1p(-u[2, ok]) < 0.5 * x[ok] ** 2 + d - d * v[ok] + d * np.log(v[ok])
         out[todo[ok]] = d * v[ok]
         todo = todo[~ok]
         attempt += 1
@@ -331,8 +327,8 @@ def _subset(keys: np.ndarray, n: int, m: int) -> np.ndarray:
     """A uniform m-subset of the 0-based bins 0..n-1 per key (Floyd's algorithm:
     Bentley and Floyd, "A sample of brilliance", CACM 30(9), 1987), picks x
     keys (m, len(keys)); a pick already taken is replaced by n - m + k."""
-    picks = _uniform(keys, _SUBSET, np.arange(m)).T * np.arange(n - m + 1, n + 1)[:, None]
-    picks = picks.astype(np.intp, order="C")
+    picks = _uniform(keys, _SUBSET, np.arange(m)[:, None]) * np.arange(n - m + 1, n + 1)[:, None]
+    picks = picks.astype(np.intp)
     for k in range(1, m):  # picks[k] is uniform on 0..n-m+k
         picks[k, (picks[:k] == picks[k]).any(axis=0)] = n - m + k
     return picks
@@ -341,23 +337,23 @@ def _subset(keys: np.ndarray, n: int, m: int) -> np.ndarray:
 class _Noise(NamedTuple):
     """Unit noise of a chunk of symbols at one bin count, drawn lazily.
 
-    ``bins`` (1-based) hold explicitly drawn values ``top_re``/``top_im``.
-    Every other bin's unit power is below ``u_rest``; it is generated on
-    demand from ``keys`` with u/2 ~ Exp(1) truncated to [0, u_rest / 2),
-    which is ``-log1p(U * shrink)`` for a uniform U.  Reads are runs of
-    consecutive bins (:func:`_unit_noise`).
+    ``bins`` (1-based), explicit x symbols as every sampler array, hold the
+    explicitly drawn values ``top_re``/``top_im``.  Every other bin's unit
+    power is below ``u_rest``, generated on demand from ``keys`` with u/2 ~
+    Exp(1) truncated to [0, u_rest / 2), which is ``-log1p(U * shrink)`` for
+    a uniform U.  Reads are runs of consecutive bins (:func:`_unit_noise`).
     """
 
     keys: np.ndarray     # (b,) uint64
     shrink: np.ndarray   # (b,) float32, expm1(-u_rest / 2)
-    bins: np.ndarray     # (b, m)
-    top_re: np.ndarray   # (b, m) float32
-    top_im: np.ndarray   # (b, m) float32
+    bins: np.ndarray     # (m, b)
+    top_re: np.ndarray   # (m, b) float32
+    top_im: np.ndarray   # (m, b) float32
     u_rest: np.ndarray   # (b,) float64
 
     def take(self, rows) -> "_Noise":
         """The noise of the symbols at ``rows``."""
-        return _Noise(*(a.take(rows, axis=0) for a in self))
+        return _Noise(*(a.take(rows, axis=-1) for a in self))
 
 
 def _noise_draws(seed, n_bins: int, symbols: np.ndarray) -> _Noise:
@@ -376,27 +372,26 @@ def _noise_draws(seed, n_bins: int, symbols: np.ndarray) -> _Noise:
     keys = _symbol_keys(seed, n_bins, symbols)
     m = min(_TOP_NOISE + 1, n_bins)
     t = np.log1p(_gamma(keys, n_bins - m + 1.0, _GAMMA_REST) / _gamma(keys, float(m), _GAMMA_TOP))
-    level = t[:, None] - np.log1p(-_uniform(keys, _LEVEL, np.arange(m)))
+    level = t - np.log1p(-_uniform(keys, _LEVEL, np.arange(m)[:, None]))
     # Floyd's order is not uniform: draw the member that holds t
-    level[np.arange(keys.size), (_uniform(keys, _LEVEL, [m])[:, 0] * m).astype(np.intp)] = t
-    angle = np.float32(2.0 * np.pi) * _uniform24(_bits(keys, _PHASE, np.arange(m)), 0)
+    level[(_uniform(keys, _LEVEL, [[m]])[0] * m).astype(np.intp), np.arange(keys.size)] = t
+    angle = np.float32(2.0 * np.pi) * _uniform24(_bits(keys, _PHASE, np.arange(m)[:, None]), 0)
     radius = np.sqrt(2.0 * level).astype(np.float32)
-    return _Noise(keys, np.expm1(-t).astype(np.float32), _subset(keys, n_bins, m).T + 1,
+    return _Noise(keys, np.expm1(-t).astype(np.float32), _subset(keys, n_bins, m) + 1,
                   radius * np.cos(angle), radius * np.sin(angle), 2.0 * t)
 
 
 def _unit_noise(noise: _Noise, bins: np.ndarray):
-    """Unit noise planes (real, imaginary), float32, candidates x symbols, of
-    every row of ``noise`` at 1-based ``bins``, a run of k consecutive bins
-    per row: (k, rows), or (k, 1) for one run of every row; an explicit bin
-    is found by its offset in it."""
-    bits = _bits(noise.keys, _FAR, bins, axis=0)
+    """Unit noise planes (real, imaginary), float32, (k, rows), of every row
+    of ``noise`` at 1-based ``bins``: (k, rows), a run of k consecutive bins
+    per row, or (k, 1), one run for all; an explicit bin is found by its offset."""
+    bits = _bits(noise.keys, _FAR, bins)
     radius = np.sqrt(np.float32(-2.0) * np.log1p(_uniform24(bits, 40) * noise.shrink))
     angle = np.float32(2.0 * np.pi) * _uniform24(bits, 0)
     re, im = radius * np.cos(angle), radius * np.sin(angle)
-    at = noise.bins - bins[0][:, None]  # symbols x explicit: offset in the row's run
+    at = noise.bins - bins[0]  # explicit x symbols: offset in the row's run
     hit = np.flatnonzero((at >= 0) & (at < bins.shape[0]))  # 2-d np.nonzero is slower
-    c, r = at.ravel()[hit], hit // at.shape[1]
+    c, r = at.ravel()[hit], hit % at.shape[1]
     re[c, r] = noise.top_re.ravel()[hit]
     im[c, r] = noise.top_im.ravel()[hit]
     return re, im
@@ -497,9 +492,7 @@ def _candidate_bins(factors, noise: _Noise | None, roots: np.ndarray, n: int, ke
     window, the run of min(2 _WINDOW + 1, n_bins) bins from ``k0 -
     _WINDOW`` (shifted inside the band), which holds every in-band bin
     within _WINDOW of the tone's bin ``k0``, and, with noise, the
-    explicitly drawn bins of ``noise``.  Every candidate array is
-    candidates x rows, so each row's max and lowest-bin tie-break reduce
-    over axis 0 along contiguous memory.  A window of every in-band bin
+    explicitly drawn bins of ``noise``.  A window of every in-band bin
     leaves no other bin.  Otherwise a bin outside it lies at least
     _WINDOW + 1/2 bins from the tone, so its tone amplitude is at most
     ``eps = |hnum| / (2 sin(pi (_WINDOW + 1/2) / n) - _DEN_SLACK)``; a bin
@@ -515,9 +508,9 @@ def _candidate_bins(factors, noise: _Noise | None, roots: np.ndarray, n: int, ke
     n_window = min(2 * _WINDOW + 1, n_bins)
     bins = np.clip(k0 - _WINDOW, 1, n_bins - n_window + 1) + np.arange(n_window)[:, None]
     if any(key is not None for key in keys):
-        cand_noise = tuple(np.concatenate([near, top.T]) for near, top in
+        cand_noise = tuple(np.concatenate([near, top]) for near, top in
                            zip(_unit_noise(noise, bins), (noise.top_re, noise.top_im)))
-        bins = np.concatenate([bins, noise.bins.T])
+        bins = np.concatenate([bins, noise.bins])
         root_u = np.sqrt(noise.u_rest)
     tone = _tone_spectrum(factors, roots, bins)
     # |x - k| / n lies in [(_WINDOW + 1/2) / n, 1/2] for the tone at bin
@@ -582,7 +575,8 @@ def simulate_link_grid(ids_list, cfgs, seed) -> np.ndarray:
     if any(ids.shape != shape for ids in ids_list):
         raise ValueError("current arrays must share one shape")
     flat = [ids.ravel() for ids in ids_list]
-    for cfg in dict.fromkeys(dataclasses.replace(cfg, snr_db=math.inf) for cfg in cfgs):
+    # one check per tone map: the tones depend on fm_scale, bandwidth and sample_rate only
+    for cfg in {(cfg.fm_scale, cfg.bandwidth, cfg.sample_rate): cfg for cfg in cfgs}.values():
         for ids in flat:
             _check_tones(modulate(ids, cfg), cfg)
     # grouping key -> indices of the configs that share one tone evaluation and search

@@ -210,9 +210,12 @@ def _parse_float_list(key: str, text: str) -> list[float]:
 
 
 def _coerce(key: str, raw, field_type) -> object:
-    """``raw`` converted to ``field_type``; ``float | None`` also takes none or empty."""
+    """``raw`` converted to ``field_type``; ``float | None`` also takes none or empty.
+    A list's items lose their surrounding whitespace, which would split the echo."""
     if isinstance(raw, str):
         raw = raw.strip()
+        if key in ("noiseless_levels", "lambda_grid", "bandwidths"):
+            raw = ",".join(item.strip() for item in raw.split(","))
     if field_type == float | None:
         if raw is None or str(raw).lower() in ("", "none"):
             return None

@@ -18,13 +18,13 @@ import ajscc.channel as channel
 def subset(keys, n, m):
     """A uniform m-subset of the 0-based bins 0..n-1 per key (Floyd's
     algorithm), (len(keys), m), and its (len(keys), n) int8 slot plane."""
-    picks = channel._uniform(keys, channel._SUBSET, np.arange(m)) * np.arange(n - m + 1, n + 1)
-    picks = picks.astype(np.intp)
+    picks = channel._uniform(keys, channel._SUBSET, np.arange(m)[:, None])
+    picks = (picks * np.arange(n - m + 1, n + 1)[:, None]).astype(np.intp)
     rows = np.arange(keys.size)
     slot = np.zeros((keys.size, n), dtype=np.int8)
     out = np.empty((keys.size, m), dtype=np.intp)
-    for k in range(m):  # picks[:, k] is uniform on 0..n-m+k
-        pick = np.where(slot[rows, picks[:, k]], n - m + k, picks[:, k])
+    for k in range(m):  # picks[k] is uniform on 0..n-m+k
+        pick = np.where(slot[rows, picks[k]], n - m + k, picks[k])
         slot[rows, pick] = k + 1
         out[:, k] = pick
     return out, slot
@@ -36,7 +36,7 @@ def unit_noise(noise, n_bins, bins, rows=None):
     slot plane."""
     rows = np.arange(noise.keys.size) if rows is None else rows
     _, slot = subset(noise.keys, n_bins, min(channel._TOP_NOISE + 1, n_bins))
-    bits = channel._bits(noise.keys[rows], channel._FAR, bins)
+    bits = channel._bits(noise.keys[rows], channel._FAR, bins.T).T
     shrunk = channel._uniform24(bits, 40) * noise.shrink[rows, None]
     radius = np.sqrt(np.float32(-2.0) * np.log1p(shrunk))
     angle = np.float32(2.0 * np.pi) * channel._uniform24(bits, 0)
@@ -44,6 +44,6 @@ def unit_noise(noise, n_bins, bins, rows=None):
     slot = slot[rows[:, None], bins - 1]
     r, c = np.nonzero(slot)
     top = slot[r, c] - 1
-    re[r, c] = noise.top_re[rows[r], top]
-    im[r, c] = noise.top_im[rows[r], top]
+    re[r, c] = noise.top_re[top, rows[r]]
+    im[r, c] = noise.top_im[top, rows[r]]
     return re, im

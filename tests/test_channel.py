@@ -798,7 +798,7 @@ class TestSamplerLaw:
         re, im = (p.T for p in channel._unit_noise(noise, np.arange(1, n_bins + 1)[:, None]))
         half = (re.astype(float) ** 2 + im.astype(float) ** 2) / 2
         explicit = np.zeros((rows, n_bins), dtype=bool)
-        np.put_along_axis(explicit, noise.bins - 1, True, axis=1)
+        np.put_along_axis(explicit, noise.bins.T - 1, True, axis=1)
         return half, explicit, noise.u_rest
 
     # alpha = 0.001; 300 rows x n_bins values (1200 at 4 bins, 614 400 at
@@ -902,7 +902,7 @@ class TestExplicitBins:
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, b, rng.integers(1, 30))
         k = min(2 * channel._WINDOW + 1, n_bins)
-        explicit = noise.bins[rows, rng.integers(0, noise.bins.shape[1], rows.size)]
+        explicit = noise.bins[rng.integers(0, noise.bins.shape[0], rows.size), rows]
         first = np.clip(explicit - rng.choice([0, k // 2, k - 1], rows.size), 1, n_bins - k + 1)
         bins = first[:, None] + np.arange(k)
         for got, want in zip(channel._unit_noise(noise.take(rows), bins.T),

@@ -344,10 +344,11 @@ class TestSubcommands:
         assert main([command, "--outdir", str(tmp_path), *FAST_LINK, *flags]) == 0
         assert name is None or (tmp_path / name).exists()
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the dying replicate is patched in, which only a fork inherits")
     def test_a_dead_worker_exits_without_traceback_or_artifacts(self, tmp_path, capsys,
                                                                monkeypatch):
+        monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
         real = experiments._replicate_task
         monkeypatch.setattr(experiments, "_replicate_task",
                             lambda args: os._exit(3) if args[3] % 2 else real(args))
@@ -413,6 +414,8 @@ class TestReproducibleFromOutput:
         ("sweep-snr", "sweep_snr.csv", ["--snr-min", "-30", "--snr-max", "-10", "--snr-step",
                                         "20", "--bandwidths", "50e3,410e3", "--seed", "7",
                                         *FAST_LINK]),
+        ("sweep-lambda", "sweep_lambda.csv",
+         ["--lambda-grid", "0.01, 0.05", "--noiseless-levels", "1, 3, 5"]),
     ])
     def test_rerun_from_the_echo_line(self, tmp_path, capsys, command, name, flags):
         assert main([command, "--outdir", str(tmp_path / "a"), "--workers", "1", *flags]) == 0

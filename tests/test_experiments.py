@@ -325,9 +325,10 @@ class TestSweeps:
         snr_args = ((-30.0, -10.0), (50e3, 410e3), 0.5)
         assert sweep_snr(*snr_args, cfg) == sweep_snr(*snr_args, one)
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the failing replicate is patched in, which only a fork inherits")
     def test_a_childs_exception_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
         real = experiments._replicate_task
 
         def fail_odd(args):
@@ -340,9 +341,10 @@ class TestSweeps:
             sweep_delta((0.4, 0.8), tiny_link_cfg(n_seeds=2, workers=2))
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the dying replicate is patched in, which only a fork inherits")
     def test_a_child_that_dies_is_reported_with_its_exit_code(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "Process", multiprocessing.get_context("fork").Process)
         real = experiments._replicate_task
 
         def die_odd(args):

@@ -29,7 +29,8 @@ def transmit_block(freqs, cfg, rng):
     f_eff, h = channel._symbol_gains(freqs, draw_gains(rng, freqs.size), cfg)
     t = np.arange(n) / cfg.sample_rate
     blocks = h[:, None] * np.exp(2j * np.pi * np.outer(f_eff, t))
-    var = channel._noise_variance(cfg)
+    # per-sample complex noise power whose in-band share is 10^(-snr/10)
+    var = 10.0 ** (-cfg.snr_db / 10.0) * cfg.sample_rate / cfg.bandwidth
     if var > 0:
         scale = math.sqrt(var / 2.0)
         blocks += scale * rng.standard_normal((freqs.size, n))
