@@ -79,7 +79,8 @@ class ChannelConfig:
     rician_k_db = -inf is pure Rayleigh fading.  Every other parameter must
     be finite.  n_samples, an integer >= 8, is the samples per symbol and
     the FFT length, lasting n_samples / sample_rate seconds.  snr_db has a
-    float32 floor (_UNIT_POWER_MAX): about -316 dB at 8192 samples, 4x oversampling.
+    float32 floor (_UNIT_POWER_MAX): about -316 dB at 8192 samples, 4x oversampling,
+    and a finite rician_k_db a float64 ceiling, about 3082.5 dB.
     """
 
     bandwidth: float          # occupied signal band [Hz]
@@ -98,6 +99,12 @@ class ChannelConfig:
             raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
         if math.isnan(self.rician_k_db):
             raise ValueError("rician_k_db must not be NaN")
+        try:  # the linear K-factor of _fading_scales; +inf and -inf give inf and 0
+            10.0 ** (self.rician_k_db / 10.0)
+        except OverflowError:
+            top = 10.0 * math.log10(np.finfo(float).max)
+            raise ValueError(f"rician_k_db must be at most {top:.7g} dB (float64 linear "
+                             f"ratio), got {self.rician_k_db}") from None
         if not self.bandwidth > 0:
             raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
         if not self.fm_scale > 0:

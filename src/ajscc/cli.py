@@ -40,7 +40,7 @@ class ConfigError(ValueError):
 
 
 _LINK = LinkConfig()  # the library defaults, the one source of RunConfig's scalar defaults
-# LinkConfig fields set by differently named keys
+# LinkConfig fields set by differently named keys; every other one has a key of its name
 _LINK_KEYS = {"n_seeds": "seeds", "vgs_range": "vgs_lo/vgs_hi", "vds_range": "vds_lo/vds_hi"}
 
 
@@ -114,11 +114,11 @@ class RunConfig:
             raise ConfigError("invalid value for 'vds_lo/vds_hi': need lo < hi")
         return self.vds_lo, self.vds_hi
 
-    def noiseless_level_list(self) -> np.ndarray:
-        """The gate levels; a finite one whose drain current overflows at a finite
-        vds_hi fails (CodecConfig rejects the levels that are not finite)."""
+    def noiseless_level_list(self, p: MosfetParams) -> np.ndarray:
+        """The gate levels; a finite one whose drain current on device ``p`` overflows
+        at a finite vds_hi fails (CodecConfig rejects the levels that are not finite)."""
         levels = np.array(_parse_float_list("noiseless_levels", self.noiseless_levels))
-        p = self.mosfet()
+        # not drain_current: its vgs >= v_th and vds >= 0 checks would change what fails here
         with np.errstate(over="ignore", invalid="ignore"):  # reported here, by key
             top = 0.5 * p.k_gain * (levels - p.v_th) ** 2 * (1.0 + p.lam * self.vds_hi)
         if math.isfinite(self.vds_hi) and np.any(np.isfinite(levels) & ~np.isfinite(top)):
@@ -167,18 +167,12 @@ class RunConfig:
 
     def link(self) -> LinkConfig:
         """The library config of the link sweeps; its checks are reported by key."""
-        mosfet, vds_range = self.mosfet(), self.vds_range()  # each reports its own keys
-        try:
-            return LinkConfig(
-                mosfet=mosfet, vgs_range=(self.vgs_lo, self.vgs_hi), vds_range=vds_range,
-                nx=self.nx, ny=self.ny, nt=self.nt, s_p=self.s_p, t_p=self.t_p,
-                bandwidth=self.bandwidth, snr_db=self.snr_db,
-                doppler_fraction=self.doppler_fraction, rician_k_db=self.rician_k_db,
-                n_samples=self.n_samples, oversample=self.oversample,
-                fm_headroom=self.fm_headroom,
-                n_seeds=self.seeds, seed=self.seed,
-                workers=self.workers or _usable_cpus(),
-            )
+        kw = dict(mosfet=self.mosfet(), vds_range=self.vds_range(),  # each reports its keys
+                  vgs_range=(self.vgs_lo, self.vgs_hi), n_seeds=self.seeds,
+                  workers=self.workers or _usable_cpus())
+        try:  # every other field is set by the key of its name
+            return LinkConfig(**kw, **{f.name: getattr(self, f.name)
+                                       for f in dataclasses.fields(LinkConfig) if f.name not in kw})
         except ValueError as exc:
             # the keys of the LinkConfig fields the library's message names
             keys = [_LINK_KEYS.get(f.name, f.name) for f in dataclasses.fields(LinkConfig)
@@ -289,7 +283,8 @@ def _write_csv(cfg: RunConfig, name: str, header: str, rows) -> None:
 
 
 def _cmd_noiseless(cfg: RunConfig) -> int:
-    res = run_noiseless(cfg.mosfet(), levels=cfg.noiseless_level_list(),
+    p = cfg.mosfet()
+    res = run_noiseless(p, levels=cfg.noiseless_level_list(p),
                         vds_grid=cfg.noiseless_vds_grid(),
                         vds_range=cfg.vds_range())
     rows = zip(res.vgs_true, res.vds_true, res.vgs_hat, res.vds_hat, res.corrected)
@@ -301,9 +296,8 @@ def _cmd_noiseless(cfg: RunConfig) -> int:
 
 def _cmd_sweep_lambda(cfg: RunConfig) -> int:
     lambdas = cfg.lambda_list()
-    base = dataclasses.replace(cfg, lam=_LINK.mosfet.lam).mosfet()  # the grid sets lam
-    levels = dataclasses.replace(cfg, lam=lambdas[-1]).noiseless_level_list()  # top lam
-    sw = sweep_lambda(lambdas, base=base, levels=levels,
+    p = dataclasses.replace(cfg, lam=lambdas[-1]).mosfet()  # levels checked at the top lam
+    sw = sweep_lambda(lambdas, base=p, levels=cfg.noiseless_level_list(p),
                       vds_grid=cfg.noiseless_vds_grid(),
                       vds_range=cfg.vds_range())
     rows = zip(sw.lambdas, sw.mse_pre, sw.mse_post, sw.accuracy_pre, sw.accuracy_post)
@@ -349,8 +343,9 @@ def _cmd_gen_field(cfg: RunConfig) -> int:
 
 
 def _cmd_encode(cfg: RunConfig, vgs: float, vds: float) -> int:
-    codec = CodecConfig(cfg.noiseless_level_list(), cfg.vds_range())
-    ids = encode(cfg.mosfet(), codec, vgs, vds)
+    p = cfg.mosfet()
+    codec = CodecConfig(cfg.noiseless_level_list(p), cfg.vds_range())
+    ids = encode(p, codec, vgs, vds)
     print(f"{ids:.5g}")
     return 0
 
@@ -359,8 +354,9 @@ def _cmd_decode(cfg: RunConfig, ids1: float, ids2: float) -> int:
     for key, ids in (("ids1", ids1), ("ids2", ids2)):
         if not 0 < ids < math.inf:
             raise ConfigError(f"invalid value for '{key}': must be positive and finite")
-    codec = CodecConfig(cfg.noiseless_level_list(), cfg.vds_range())
-    vgs, vds, corrected, in_range = decode_stream(cfg.mosfet(), codec, [ids1, ids2])
+    p = cfg.mosfet()
+    codec = CodecConfig(cfg.noiseless_level_list(p), cfg.vds_range())
+    vgs, vds, corrected, in_range = decode_stream(p, codec, [ids1, ids2])
     print(f"vgs_hat={vgs[0]:.6g} vds_hat_1={vds[0]:.6g} vds_hat_2={vds[1]:.6g} "
           f"corrected={int(corrected[0])} in_range={int(in_range[0])}")
     return 0

@@ -187,7 +187,7 @@ def decode_pairs(p: MosfetParams, cfg: CodecConfig, ids1, ids2, range_check: boo
     if ids1.shape != ids2.shape or ids1.ndim != 1:
         raise ValueError("ids1 and ids2 must be 1-d arrays of one length")
 
-    base = 0.5 * p.k_gain * (levels - p.v_th) ** 2  # current at vds = 0, per level
+    base = drain_current(p, levels, 0.0)  # current at vds = 0, per level
     slope = np.concatenate(([np.nan], curve_slope(p, levels)))  # slope[L + 1] of level L
     imin, imax = np.minimum(ids1, ids2), np.maximum(ids1, ids2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -20,7 +20,7 @@ replicate order at any worker count.  The default grids are written once, here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ import numpy as np
 from .channel import OVERSAMPLE, ChannelConfig, simulate_link, simulate_link_grid  # noqa: F401
 from .codec import CodecConfig, build_levels, decode_pairs, decode_stream, quantize  # noqa: F401
 from .mosfet import MosfetParams, drain_current
-from .phenomenon import Field, block_grid, block_means, check_geometry, generate_field
+from .phenomenon import Field, block_grid, block_means, check_geometry, check_seed, generate_field
 
 __all__ = [
     "MseReport",
@@ -220,9 +220,8 @@ def sweep_lambda(lambdas=DEFAULT_LAMBDA_GRID, base: MosfetParams = MosfetParams(
     lambdas = [float(l) for l in lambdas]
     if any(l <= 0 for l in lambdas) or not all(a < b for a, b in zip(lambdas, lambdas[1:])):
         raise ValueError("lambdas must be positive and strictly ascending")
-    runs = [run_noiseless(MosfetParams(k_gain=base.k_gain, v_th=base.v_th, lam=lam),
-                          levels=levels, vds_grid=vds_grid, vds_range=vds_range)
-            for lam in lambdas]
+    runs = [run_noiseless(replace(base, lam=lam), levels=levels, vds_grid=vds_grid,
+                          vds_range=vds_range) for lam in lambdas]
     return LambdaSweep(tuple(lambdas), tuple((r.mse_gs_pre + r.mse_ds_pre) / 2.0 for r in runs),
                        tuple((r.mse_gs + r.mse_ds) / 2.0 for r in runs),
                        tuple(r.accuracy_pre for r in runs), tuple(r.accuracy for r in runs))
@@ -259,15 +258,14 @@ class LinkConfig:
 
     def __post_init__(self) -> None:
         check_geometry(self.nx, self.ny, self.nt, self.s_p, self.t_p)
-        for name in ("n_seeds", "seed", "workers"):
+        for name in ("n_seeds", "workers"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.nt < 2:
             raise ValueError(f"need at least 2 samples to decode, got nt={self.nt}")
         if self.n_seeds < 1:
             raise ValueError(f"need at least one replicate, got n_seeds={self.n_seeds}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed, tuples=False)
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got workers={self.workers}")
         for name, (lo, hi) in (("vgs_range", self.vgs_range), ("vds_range", self.vds_range)):

@@ -89,8 +89,7 @@ def invert_vds(p: MosfetParams, vgs, ids):
         raise ValueError(f"vgs must exceed threshold {p.v_th} V")
     if np.any(ids <= 0):
         raise ValueError("ids must be positive")
-    base = 0.5 * p.k_gain * (vgs - p.v_th) ** 2
-    return _ret((ids / base - 1.0) / p.lam)
+    return _ret((ids / drain_current(p, vgs, 0.0) - 1.0) / p.lam)
 
 
 def curve_slope(p: MosfetParams, vgs):
@@ -101,6 +100,7 @@ def curve_slope(p: MosfetParams, vgs):
     vgs = np.asarray(vgs, dtype=float)
     if np.any(vgs < p.v_th):
         raise ValueError(f"vgs below threshold {p.v_th} V: device off")
+    # lam * drain_current(p, vgs, 0.0) would round differently and move decode scores
     return _ret(p.lam * 0.5 * p.k_gain * (vgs - p.v_th) ** 2)
 
 

@@ -90,6 +90,16 @@ class TestConfig:
             with pytest.raises(ValueError, match="snr_db must be at least"):
                 make_cfg(snr_db=snr_db, n=8192)
 
+    def test_k_factor_needs_a_float64_linear_ratio(self):
+        # above about 3082.55 dB, 10^(K/10) overflowed inside a replicate
+        for k_db in (3082.5, math.inf, -math.inf, -1e300):
+            cfg = make_cfg(k_db=k_db)
+            assert cfg.rician_k_db == k_db
+            assert all(math.isfinite(a) for a in channel._fading_scales(cfg))
+        for k_db in (3082.6, 1e300):
+            with pytest.raises(ValueError, match="rician_k_db must be at most 3082.547 dB"):
+                make_cfg(k_db=k_db)
+
     @pytest.mark.parametrize("kw, match", [
         (dict(snr_db=math.nan), "snr_db"),
         (dict(snr_db=-math.inf), "snr_db"),

@@ -13,6 +13,7 @@ import pytest
 from ajscc import experiments
 from ajscc.cli import COMMANDS, ConfigError, RunConfig, dispatch, main, parse_config
 from ajscc.experiments import LinkConfig
+from ajscc.mosfet import MosfetParams
 
 FAST_LINK = ["--nx", "4", "--ny", "4", "--nt", "4", "--s-p", "2", "--t-p", "2",
              "--n-samples", "512", "--seeds", "2", "--workers", "1"]
@@ -35,6 +36,22 @@ class TestParseConfig:
         # workers differs by design: 0 (all processors) resolves to a count
         link = RunConfig().link()
         assert dataclasses.replace(link, workers=LinkConfig().workers) == LinkConfig()
+
+    def test_link_carries_each_key_into_its_field(self):
+        # every field is off its default, and values of one type differ, so a key
+        # read into another field shows
+        cfg = RunConfig(k_gain=2e-4, v_th=0.6, lam=0.05, vgs_lo=6.0, vgs_hi=9.0, vds_lo=5.5,
+                        vds_hi=9.5, nx=12, ny=8, nt=6, s_p=4, t_p=3, bandwidth=300e3,
+                        snr_db=-7.0, doppler_fraction=0.03, rician_k_db=4.0, n_samples=1024,
+                        oversample=5.0, fm_headroom=0.6, seeds=3, seed=11, workers=2)
+        link = cfg.link()
+        assert link == LinkConfig(
+            mosfet=MosfetParams(k_gain=2e-4, v_th=0.6, lam=0.05), vgs_range=(6.0, 9.0),
+            vds_range=(5.5, 9.5), nx=12, ny=8, nt=6, s_p=4, t_p=3, bandwidth=300e3,
+            snr_db=-7.0, doppler_fraction=0.03, rician_k_db=4.0, n_samples=1024,
+            oversample=5.0, fm_headroom=0.6, n_seeds=3, seed=11, workers=2)
+        assert all(getattr(link, f.name) != getattr(LinkConfig(), f.name)
+                   for f in dataclasses.fields(LinkConfig))
 
     def test_zero_workers_counts_the_usable_processors(self, monkeypatch):
         # a CPU mask (taskset, a cgroup cpuset) may allow fewer than the host has
@@ -196,7 +213,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("flag, value", [
         ("--snr-db", "nan"), ("--snr-db", "-inf"), ("--doppler-fraction", "nan"),
         ("--rician-k-db", "nan"), ("--delta", "nan"), ("--delta", "inf"),
-        ("--snr-db", "-400"),
+        ("--snr-db", "-400"), ("--rician-k-db", "3100"),
     ])
     def test_non_finite_link_parameter_exits_without_artifacts(self, tmp_path, capsys,
                                                               flag, value):

@@ -1,5 +1,6 @@
 """Experiment-layer tests: block MSE, noiseless studies, link pipeline."""
 
+import dataclasses
 import math
 import multiprocessing
 import os
@@ -142,6 +143,17 @@ class TestSweepLambda:
         assert low < 1e-6
         assert high >= 100 * max(low, 1e-12)
         assert max(post.values()) < 1e-6
+
+    def test_points_run_the_base_device_at_their_lam(self):
+        # every constant of ``base`` but lam reaches each point's device
+        base, lambdas = MosfetParams(k_gain=300e-6, v_th=0.5, lam=0.9), (0.05, 0.1)
+        sw = sweep_lambda(lambdas, base=base)
+        runs = [run_noiseless(dataclasses.replace(base, lam=lam)) for lam in lambdas]
+        assert sw == experiments.LambdaSweep(
+            lambdas, tuple((r.mse_gs_pre + r.mse_ds_pre) / 2.0 for r in runs),
+            tuple((r.mse_gs + r.mse_ds) / 2.0 for r in runs),
+            tuple(r.accuracy_pre for r in runs), tuple(r.accuracy for r in runs))
+        assert sw != sweep_lambda(lambdas)  # the default device's sweep differs
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -523,11 +535,12 @@ class TestSweeps:
         (lambda: sweep_delta([0.5], tiny_link_cfg(vgs_range=(0.5, 10.0))), "exceed v_th"),
         (lambda: sweep_snr((-10.0,), (410e3,), 0.5, tiny_link_cfg(vgs_range=(0.74, 10.0))),
          "exceed v_th"),
+        (lambda: sweep_delta([0.5], tiny_link_cfg(rician_k_db=3100.0)), "rician_k_db"),
     ], ids=["unsorted_deltas", "no_deltas", "nan_delta", "delta_no_seeds", "snr_no_seeds",
             "no_snrs", "no_bandwidths", "one_level_pool", "one_level_on_grid", "snr_one_level",
             "one_sample_pool", "snr_one_sample", "block_wider_than_grid",
             "snr_window_longer_than_nt", "empty_vds_range", "level_below_threshold",
-            "snr_level_at_threshold"])
+            "snr_level_at_threshold", "k_factor_overflows"])
     def test_sweeps_reject_bad_input_before_any_replicate(self, monkeypatch, sweep, match):
         def no_replicate(args):
             raise AssertionError("a replicate ran before the input was checked")
@@ -572,9 +585,9 @@ class TestLinkConfig:
         (dict(vgs_range=(0.74, 10.0)), "levels must all exceed v_th=0.74 V"),
         (dict(workers=0), "need at least one worker, got workers=0"),
         (dict(workers=-4), "need at least one worker, got workers=-4"),
-        (dict(seed=-1), "seed must be non-negative, got -1"),
+        (dict(seed=-1), "seed must be an integer >= 0, got -1"),
         (dict(nx=4.0, s_p=2), "nx must be an integer, got 4.0"),
-        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed=1.5), "seed must be an integer >= 0, got 1.5"),
         (dict(n_seeds=2.0), "n_seeds must be an integer, got 2.0"),
         (dict(workers=2.0), "workers must be an integer, got 2.0"),
     ], ids=["one_sample", "no_replicates", "block_wider_than_grid", "empty_grid",
@@ -593,14 +606,14 @@ class TestLinkConfig:
             real(proc)
 
         monkeypatch.setattr(multiprocessing.Process, "start", counting)
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
             sweep_delta((0.4, 0.8), tiny_link_cfg(seed=-1, workers=2))
         assert starts == []
         assert multiprocessing.active_children() == []
 
 
-# 12 x 12 sensors x 10 instants = 1440 symbols: one full 1024-symbol chunk
-# and a partial one (the chunking changes no result).
+# 12 x 12 sensors x 10 instants = 1440 symbols: one partial chunk of the link's
+# 2048 (the chunk length changes no result: the chunked(...) tests in test_channel.py).
 GOLDEN_CFG = LinkConfig(nx=12, ny=12, nt=10, s_p=6, t_p=5, n_samples=512, n_seeds=2, seed=7)
 
 
