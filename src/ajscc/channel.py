@@ -527,7 +527,7 @@ def _candidate_bins(factors, noise: _Noise | None, roots: np.ndarray, n: int, ke
     # a window of every in-band bin needs no bound
     whole_row = n_window == n_bins
     peaks = {}
-    for key in keys:
+    for key in dict.fromkeys(keys):  # each distinct key once
         if key is None:
             power = _power(tone[:n_window], None, None)
             bound = eps ** 2
@@ -571,7 +571,7 @@ def simulate_link_grid(ids_list, cfgs, seed) -> np.ndarray:
     _BATCH_ROWS = 1024 pairs that gather their draws once: configs of one
     bin count, block length, fm_cycles, Doppler and K-factor, such as the
     bandwidths of an SNR sweep, share one tone evaluation and one
-    :func:`_candidate_bins` call, whose noise keys are their noise scales.
+    :func:`_candidate_bins` call, keyed by noise scales computed once per call.
     """
     check_seed(seed)  # here, not per draw: no symbols draw nothing
     ids_list = [np.asarray(ids, dtype=float) for ids in ids_list]
@@ -586,13 +586,15 @@ def simulate_link_grid(ids_list, cfgs, seed) -> np.ndarray:
     for cfg in {(cfg.fm_scale, cfg.bandwidth, cfg.sample_rate): cfg for cfg in cfgs}.values():
         for ids in flat:
             _check_tones(modulate(ids, cfg), cfg)
+    scales = [_noise_scale(cfg) for cfg in cfgs]  # each config's noise key
+    noisy_bins = {cfg.n_bins for cfg, scale in zip(cfgs, scales) if scale is not None}
     # grouping key -> indices of the configs that share one tone evaluation and search
     groups: dict[tuple, list[int]] = {}
     for j, cfg in enumerate(cfgs):
         key = (cfg.n_bins, cfg.n_samples, cfg.fm_cycles, cfg.doppler_fraction, cfg.rician_k_db)
         groups.setdefault(key, []).append(j)
-    roots = {key: _bin_roots(cfgs[js[0]]) for key, js in groups.items()}
-    noisy_bins = {cfg.n_bins for cfg in cfgs if _noise_scale(cfg) is not None}
+    searches = [(cfgs[js[0]], js, [scales[j] for j in js], _bin_roots(cfgs[js[0]]))
+                for js in groups.values()]
 
     n_sym = flat[0].size
     out = np.empty((len(ids_list), len(cfgs), n_sym))
@@ -609,14 +611,12 @@ def simulate_link_grid(ids_list, cfgs, seed) -> np.ndarray:
         for part in map(slice, edges[:-1], edges[1:]):
             batch_gains = gains.take(rows[part], axis=1)
             batch_noises = {n_bins: noise.take(rows[part]) for n_bins, noise in noises.items()}
-            for key, js in groups.items():
-                cfg = cfgs[js[0]]
+            for cfg, js, keys, roots in searches:
                 # modulate, checked above
                 factors = _tone_factors(cfg.fm_cycles * currents[part], batch_gains, cfg)
-                scales = [_noise_scale(cfgs[j]) for j in js]
-                peaks = _candidate_bins(factors, batch_noises.get(cfg.n_bins), roots[key],
-                                        cfg.n_samples, list(dict.fromkeys(scales)))
-                est[js, part] = [_bin_currents(peaks[s], cfg) for s in scales]
+                peaks = _candidate_bins(factors, batch_noises.get(cfg.n_bins), roots,
+                                        cfg.n_samples, keys)
+                est[js, part] = [_bin_currents(peaks[s], cfg) for s in keys]
             # the next batch gathers with none of this batch's arrays alive
             del batch_gains, batch_noises, factors, peaks
         out[:, :, start:stop] = est[:, inverse].swapaxes(0, 1)

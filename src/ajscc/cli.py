@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecConfig, decode_stream, encode
+from .codec import CodecConfig, check_decodable, decode_stream, encode
 from .experiments import (
     BANDWIDTH_LIST, DELTA_AXIS, LAMBDA_LIST, NOISELESS_LEVEL_LIST, NOISELESS_VDS_AXIS,
     SNR_AXIS, SNR_SWEEP_DELTA, LinkConfig, axis_points, delta_points, float_list,
@@ -105,13 +105,16 @@ class RunConfig:
             p = MosfetParams(k_gain=self.k_gain, v_th=self.v_th, lam=self.lam)
         except ValueError as exc:
             raise ConfigError(f"invalid device parameters (k_gain/v_th/lam): {exc}") from None
-        if not p.lam > 0:  # the decoder matches curve slopes
-            raise ConfigError("invalid value for 'lam': must be positive")
+        vds_range = self.vds_range()  # outside the try: a bad range keeps its own key
+        try:  # the decoder's one rule, reported by key
+            check_decodable(p, vds_range)
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for 'lam': {exc}") from None
         return p
 
     def vds_range(self) -> tuple[float, float]:
-        if not self.vds_lo < self.vds_hi:
-            raise ConfigError("invalid value for 'vds_lo/vds_hi': need lo < hi")
+        if not 0 <= self.vds_lo < self.vds_hi:  # an infinite vds_hi is the library's to name
+            raise ConfigError("invalid value for 'vds_lo/vds_hi': need 0 <= lo < hi")
         return self.vds_lo, self.vds_hi
 
     def noiseless_level_list(self, p: MosfetParams) -> np.ndarray:
@@ -285,8 +288,7 @@ def _write_csv(cfg: RunConfig, name: str, header: str, rows) -> None:
 def _cmd_noiseless(cfg: RunConfig) -> int:
     p = cfg.mosfet()
     res = run_noiseless(p, levels=cfg.noiseless_level_list(p),
-                        vds_grid=cfg.noiseless_vds_grid(),
-                        vds_range=cfg.vds_range())
+                        vds_grid=cfg.noiseless_vds_grid(), vds_range=cfg.vds_range())
     rows = zip(res.vgs_true, res.vds_true, res.vgs_hat, res.vds_hat, res.corrected)
     _write_csv(cfg, "noiseless.csv", "vgs_true,vds_true,vgs_hat,vds_hat,corrected", rows)
     print(f"accuracy={res.accuracy:.6g} accuracy_uncorrected={res.accuracy_pre:.6g} "
@@ -298,8 +300,7 @@ def _cmd_sweep_lambda(cfg: RunConfig) -> int:
     lambdas = cfg.lambda_list()
     p = dataclasses.replace(cfg, lam=lambdas[-1]).mosfet()  # levels checked at the top lam
     sw = sweep_lambda(lambdas, base=p, levels=cfg.noiseless_level_list(p),
-                      vds_grid=cfg.noiseless_vds_grid(),
-                      vds_range=cfg.vds_range())
+                      vds_grid=cfg.noiseless_vds_grid(), vds_range=cfg.vds_range())
     rows = zip(sw.lambdas, sw.mse_pre, sw.mse_post, sw.accuracy_pre, sw.accuracy_post)
     _write_csv(cfg, "sweep_lambda.csv", "lambda,mse_pre,mse_post,accuracy_pre,accuracy_post", rows)
     print(f"lambda_points={len(sw.lambdas)} max_mse_pre={max(sw.mse_pre):.6g} "

@@ -47,6 +47,7 @@ link) leave no slope to score: the pair takes the lowest level whose
 implied vds is in range, below the level sent if that lies in the window.
 The exact-recovery guarantees therefore hold only for configurations
 whose spacing exceeds this window (all coarse-level setups here do).
+:func:`check_decodable` is the decoder's precondition.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ __all__ = [
     "RANGE_TOL",
     "CodecConfig",
     "build_levels",
+    "check_decodable",
     "quantize",
     "encode",
     "decode_pairs",
@@ -114,7 +116,7 @@ class CodecConfig:
 
     levels must be finite and strictly ascending.  vds_range is the finite
     drain-voltage interval the transmitter guarantees, which the decoder
-    uses for range checking.
+    uses for range checking; the device takes no negative drain voltage.
     """
 
     levels: np.ndarray
@@ -122,8 +124,8 @@ class CodecConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", _checked_levels(self.levels))
-        if not -np.inf < self.vds_range[0] < self.vds_range[1] < np.inf:
-            raise ValueError(f"vds_range must have finite lo < hi, got {self.vds_range}")
+        if not 0 <= self.vds_range[0] < self.vds_range[1] < np.inf:
+            raise ValueError(f"vds_range must have finite lo < hi, lo >= 0, got {self.vds_range}")
 
 
 def quantize(value, levels):
@@ -139,6 +141,15 @@ def quantize(value, levels):
     take_lo = np.abs(value - levels[lo]) <= np.abs(levels[hi] - value)
     out = np.where(take_lo, levels[lo], levels[hi])
     return float(out) if np.ndim(out) == 0 else out
+
+
+def check_decodable(p: MosfetParams, vds_range: tuple[float, float]) -> None:
+    """Raise ValueError unless 1 + lam * vds differs at the ends of ``vds_range`` in float64
+    (lam > 0: flat curves have no slope to match) and vds_range - RANGE_TOL lies above -1/lam."""
+    if not 1.0 + p.lam * vds_range[0] < 1.0 + p.lam * vds_range[1]:
+        raise ValueError(f"decoding needs lam > 0 to separate vds_range {vds_range}, got {p.lam}")
+    if not vds_range[0] - RANGE_TOL > -1.0 / p.lam:
+        raise ValueError(f"decoding needs vds_range above -1/lam = {-1.0 / p.lam}")
 
 
 def _check_levels_on(p: MosfetParams, cfg: CodecConfig) -> None:
@@ -170,19 +181,15 @@ def decode_pairs(p: MosfetParams, cfg: CodecConfig, ids1, ids2, range_check: boo
     in_range) arrays of that length.  Flat pairs (equal currents, or a
     non-finite implied slope) leave no slope to score: the range check alone
     selects the lowest level in range.  Non-positive and non-finite currents
-    are tolerated: their implied vds is out of range.  Needs lam > 0 (flat
-    curves have no slope to match) and a vds_range above -1/lam.
+    are tolerated: their implied vds is out of range.  Needs :func:`check_decodable`.
 
     For every input the closed form (module docstring) gives bit for bit the
     result of stably sorting every level's curve-slope score.
     """
     _check_levels_on(p, cfg)
+    check_decodable(p, cfg.vds_range)
     lam, levels, n = p.lam, cfg.levels, cfg.levels.size
     rlo, rhi = cfg.vds_range[0] - RANGE_TOL, cfg.vds_range[1] + RANGE_TOL
-    if not lam > 0:
-        raise ValueError(f"decoding needs lam > 0, got {lam}")
-    if not rlo > -1.0 / lam:
-        raise ValueError(f"decoding needs vds_range above -1/lam = {-1.0 / lam}")
     ids1, ids2 = (np.atleast_1d(np.asarray(i, dtype=float)) for i in (ids1, ids2))
     if ids1.shape != ids2.shape or ids1.ndim != 1:
         raise ValueError("ids1 and ids2 must be 1-d arrays of one length")

@@ -26,7 +26,8 @@ import numpy as np
 
 # simulate_link and decode_pairs are not called here; bench/tracing.py wraps them in this namespace
 from .channel import OVERSAMPLE, ChannelConfig, simulate_link, simulate_link_grid  # noqa: F401
-from .codec import CodecConfig, build_levels, decode_pairs, decode_stream, quantize  # noqa: F401
+from .codec import (CodecConfig, build_levels, check_decodable, decode_pairs,  # noqa: F401
+                    decode_stream, quantize)
 from .mosfet import MosfetParams, drain_current
 from .phenomenon import Field, block_grid, block_means, check_geometry, check_seed, generate_field
 
@@ -231,7 +232,8 @@ def sweep_lambda(lambdas=DEFAULT_LAMBDA_GRID, base: MosfetParams = MosfetParams(
 class LinkConfig:
     """Shared configuration of the channel experiments.
 
-    Checked when built (integer counts, ``seed`` >= 0, ``workers`` >= 1), so
+    Checked when built (integer counts, ``seed`` >= 0, ``workers`` >= 1, a finite
+    ``vds_range`` from 0 V that :func:`~ajscc.codec.check_decodable` accepts), so
     a sweep rejects it before any replicate runs or any process starts.
     ``vgs_range[0]``, the lowest level at every spacing, alone is checked
     against v_th; :meth:`channel` checks the channel, snr_db's floor included.
@@ -268,9 +270,11 @@ class LinkConfig:
         check_seed(self.seed, tuples=False)
         if self.workers < 1:
             raise ValueError(f"need at least one worker, got workers={self.workers}")
-        for name, (lo, hi) in (("vgs_range", self.vgs_range), ("vds_range", self.vds_range)):
-            if not -np.inf < lo < hi < np.inf:
-                raise ValueError(f"{name} must have finite lo < hi, got {(lo, hi)}")
+        if not -np.inf < self.vgs_range[0] < self.vgs_range[1] < np.inf:
+            raise ValueError(f"vgs_range must have finite lo < hi, got {self.vgs_range}")
+        if not 0 <= self.vds_range[0] < self.vds_range[1] < np.inf:  # no negative drain voltage
+            raise ValueError(f"vds_range must have finite lo < hi, lo >= 0, got {self.vds_range}")
+        check_decodable(self.mosfet, self.vds_range)  # every sweep decodes
         if not self.vgs_range[0] > self.mosfet.v_th:
             raise ValueError(f"levels must all exceed v_th={self.mosfet.v_th} V, "
                              f"got vgs_range {self.vgs_range}")
@@ -303,15 +307,15 @@ class LinkConfig:
         return gs, ds
 
 
-def _link_points(cfg: LinkConfig, field_gs: Field, field_ds: Field, deltas,
+def _link_points(cfg: LinkConfig, field_gs: Field, field_ds: Field, codecs,
                  chans, link_seed) -> np.ndarray:
-    """Quantize, encode, link, decode and score each (delta, channel) point:
-    one (mse_gs, mse_ds) row per point, delta-major.
+    """Quantize, encode, link, decode and score each (codec, channel) point:
+    one (mse_gs, mse_ds) row per point, codec-major.
 
     ``chans=None`` models a perfect link (currents delivered unchanged).
     Every point uses ``link_seed``: common random numbers across axis
     points stabilise the reported argmin.  Decoding pairs consecutive
-    samples of each sensor's time-ordered stream; a spacing's bit-identical
+    samples of each sensor's time-ordered stream; a codec's bit-identical
     estimate arrays are decoded and scored once.
 
     Drain-voltage estimates are range-informed before averaging: the
@@ -321,7 +325,6 @@ def _link_points(cfg: LinkConfig, field_gs: Field, field_ds: Field, deltas,
     interval midpoint, the minimum-MSE estimate under the uniform prior.
     Level estimates are reported as decoded.
     """
-    codecs = [CodecConfig(build_levels(cfg.vgs_range, d), cfg.vds_range) for d in deltas]
     streams = [drain_current(cfg.mosfet, quantize(field_gs.values, codec.levels),
                              field_ds.values).reshape(-1, field_gs.nt) for codec in codecs]
     ids_hat = ([[ids] for ids in streams] if chans is None
@@ -350,15 +353,16 @@ def run_link_point(cfg: LinkConfig, field_gs: Field, field_ds: Field, delta: flo
     MSE) at one point; ``chan=None`` models a perfect link, as in identity checks.
     A ValueError names both fields' shapes and blocks when they differ."""
     _check_scored(field_gs, field_ds)
-    mse = _link_points(cfg, field_gs, field_ds, [delta],
-                       None if chan is None else [chan], link_seed)[0]
+    codec = CodecConfig(build_levels(cfg.vgs_range, delta), cfg.vds_range)
+    mse = _link_points(cfg, field_gs, field_ds, [codec], None if chan is None else [chan],
+                       link_seed)[0]
     return MseReport(*mse, field_gs.n_blocks)
 
 
 def _replicate_task(args) -> np.ndarray:
-    """(mse_gs, mse_ds) of every (delta, channel) point of one replicate, delta-major."""
-    cfg, deltas, chans, rep = args
-    return _link_points(cfg, *cfg.fields(rep), deltas, chans, (cfg.seed, rep))
+    """(mse_gs, mse_ds) of every (codec, channel) point of one replicate, codec-major."""
+    cfg, codecs, chans, rep = args
+    return _link_points(cfg, *cfg.fields(rep), codecs, chans, (cfg.seed, rep))
 
 
 def _share_task(share, conn, caller_end) -> None:
@@ -379,17 +383,16 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
     exception through a pipe; a child that dies before it sends raises
     ChildProcessError with its exit code.  So at most ``cfg.workers``
     processes compute at once, and none is started for one worker or one
-    replicate.  ``cfg`` checked itself when built, so only the spacings are
-    checked up front.
+    replicate.  ``cfg`` checked itself when built, and each spacing's codec,
+    which every replicate shares, is built here, before any replicate runs.
 
     The parent forks with one thread.  In ``/proc/self/task`` (python 3.11, numpy
     2.4, 2 CPUs) it has 1 before ``import numpy``, 2 after (an OpenBLAS worker)
     and 1 after the first 2-worker sweep: OpenBLAS's fork handler stops its pool
     before each fork and a BLAS call restarts it.  Python runs one thread.
     """
-    for delta in deltas:
-        build_levels(cfg.vgs_range, delta)
-    tasks = [(cfg, deltas, chans, rep) for rep in range(cfg.n_seeds)]
+    codecs = [CodecConfig(build_levels(cfg.vgs_range, d), cfg.vds_range) for d in deltas]
+    tasks = [(cfg, codecs, chans, rep) for rep in range(cfg.n_seeds)]
     workers = min(cfg.workers, len(tasks))
     children = []  # (process, receiving end of its pipe) per share after the first
     try:

@@ -571,6 +571,24 @@ class TestPrunedPeakSearch:
         for j, cfg in enumerate(cfgs):
             assert np.array_equal(grid[0, j], simulate_link(ids, cfg, 6)), cfg
 
+    def test_noise_scale_is_computed_once_per_config(self, monkeypatch):
+        # each config's noise key is resolved once per call, not per chunk,
+        # batch or group of configs
+        real, calls = channel._noise_scale, []
+
+        def counting(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(channel, "_noise_scale", counting)
+        ids = np.random.default_rng(19).uniform(0.01, 1.0, 700) * I_MAX
+        cfgs = [make_cfg(snr_db=snr, bandwidth=bw, n=n) for n in (256, 512)
+                for bw in (50e3, 410e3) for snr in (-20.0, math.inf)]
+        with chunked(300):
+            simulate_link_grid([ids, 1.1 * ids], cfgs, 6)
+        assert len(calls) == len(cfgs)
+        assert all(seen is cfg for seen, cfg in zip(calls, cfgs))
+
     def test_fallback_is_rare(self, monkeypatch):
         # the default candidate counts are sized so that at most 1e-3 of the
         # rows fall back, over SNR x block length x K-factor

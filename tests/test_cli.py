@@ -244,6 +244,14 @@ class TestSubcommands:
         ("sweep-delta", ["--lam", "0"], "lam"),
         ("sweep-snr", ["--bandwidths", "410e3,abc"], "bandwidths"),
         ("sweep-snr", ["--bandwidths", ","], "bandwidths"),
+        # the device takes no negative drain voltage
+        ("decode", ["--ids1", "1e-3", "--ids2", "1.01e-3", "--vds-lo=-5", "--vds-hi=-1"],
+         "vds_lo/vds_hi"),
+        ("gen-field", ["--vds-lo=-5", "--vds-hi=-1"], "vds_lo/vds_hi"),
+        ("sweep-delta", ["--vds-lo=-5", "--vds-hi=-1"], "vds_lo/vds_hi"),
+        # 1 + lam * vds takes one float64 value over the whole drain range
+        ("noiseless", ["--lam", "5e-324"], "lam"),
+        ("decode", ["--ids1", "1e-3", "--ids2", "1.01e-3", "--lam", "5e-324"], "lam"),
     ])
     def test_bad_sweep_grid_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                     key):
@@ -297,11 +305,11 @@ class TestSubcommands:
         ("decode", ["--ids1", "1e-3", "--ids2", "2e-3", "--vds-hi", "inf"],
          "vds_range must have finite lo < hi"),
         # below vds = -1/lam the curves carry non-positive currents
-        ("decode", ["--ids1", "1e-3", "--ids2", "2e-3", "--vds-lo=-30"],
+        ("decode", ["--ids1", "1e-3", "--ids2", "2e-3", "--vds-lo", "0", "--lam", "2e6"],
          "decoding needs vds_range above -1/lam"),
         ("noiseless", ["--k-gain", "inf"], "k_gain must be finite, got inf"),
         ("noiseless", ["--lam", "inf"], "lam must be finite, got inf"),
-        ("gen-field", ["--vds-lo=-inf"], "need finite lo < hi, got (-inf, 10.0)"),
+        ("gen-field", ["--vds-lo=-inf"], "need 0 <= lo < hi"),
         ("gen-field", ["--vds-hi", "inf"], "need finite lo < hi, got (5.0, inf)"),
         # decode reads its two currents: each must be positive and finite
         ("decode", ["--ids1", "nan", "--ids2", "nan"], "invalid value for 'ids1'"),

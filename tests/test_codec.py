@@ -12,6 +12,7 @@ from ajscc.codec import (
     RANGE_TOL,
     CodecConfig,
     build_levels,
+    check_decodable,
     decode_pairs,
     decode_stream,
     encode,
@@ -84,6 +85,28 @@ class TestCodecConfig:
         for vds_range in ((10, 5), (5, math.inf), (-math.inf, 10), (math.nan, 10)):
             with pytest.raises(ValueError, match="vds_range"):
                 CodecConfig(levels=[1.0, 2.0], vds_range=vds_range)
+
+    def test_drain_range_starts_at_zero(self):
+        # the device takes no negative drain voltage
+        with pytest.raises(ValueError, match="vds_range must have finite lo < hi, lo >= 0"):
+            CodecConfig(levels=[1.0, 2.0], vds_range=(-5.0, -1.0))
+        assert CodecConfig(levels=[1.0, 2.0], vds_range=(0.0, 5.0)).vds_range == (0.0, 5.0)
+
+
+class TestCheckDecodable:
+    @pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-17])
+    def test_curves_that_do_not_separate_the_range_are_rejected(self, lam):
+        # 1 + lam * 5 and 1 + lam * 10 round to one float64
+        with pytest.raises(ValueError, match="decoding needs lam > 0"):
+            check_decodable(MosfetParams(lam=lam), (5.0, 10.0))
+
+    @pytest.mark.parametrize("lam", [1e-15, 0.037])
+    def test_separating_curves_are_accepted(self, lam):
+        check_decodable(MosfetParams(lam=lam), (5.0, 10.0))
+
+    def test_range_must_lie_above_minus_one_over_lam(self):
+        with pytest.raises(ValueError, match="decoding needs vds_range above -1/lam"):
+            check_decodable(MosfetParams(lam=2e6), (0.0, 5.0))
 
 
 class TestQuantize:

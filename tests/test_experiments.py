@@ -499,6 +499,20 @@ class TestSweeps:
         for i in range(0, len(sw.reports), 4):
             assert len({(r.mse_gs, r.mse_ds) for r in sw.reports[i:i + 4]}) == 1
 
+    def test_a_sweep_builds_each_spacing_once(self, monkeypatch):
+        # the sweep builds each spacing's codec where it starts, and every
+        # replicate shares it
+        real, calls = experiments.build_levels, []
+
+        def counting(vgs_range, delta):
+            calls.append(delta)
+            return real(vgs_range, delta)
+
+        monkeypatch.setattr(experiments, "build_levels", counting)
+        grid = [0.3, 0.5, 0.9]
+        sweep_delta(grid, tiny_link_cfg(n_seeds=3))
+        assert calls == grid
+
     def test_sweep_delta_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
             sweep_delta((0.0, 0.4), tiny_link_cfg())
@@ -536,11 +550,18 @@ class TestSweeps:
         (lambda: sweep_snr((-10.0,), (410e3,), 0.5, tiny_link_cfg(vgs_range=(0.74, 10.0))),
          "exceed v_th"),
         (lambda: sweep_delta([0.5], tiny_link_cfg(rician_k_db=3100.0)), "rician_k_db"),
+        (lambda: sweep_delta([0.5], tiny_link_cfg(vds_range=(-5.0, -1.0), workers=2)),
+         r"vds_range must have finite lo < hi, lo >= 0, got \(-5.0, -1.0\)"),
+        (lambda: sweep_snr((-10.0,), (410e3,), 0.5, tiny_link_cfg(mosfet=MosfetParams(lam=0.0))),
+         "decoding needs lam > 0"),
+        (lambda: sweep_delta([0.5], tiny_link_cfg(mosfet=MosfetParams(lam=5e-324), workers=2)),
+         "decoding needs lam > 0"),
     ], ids=["unsorted_deltas", "no_deltas", "nan_delta", "delta_no_seeds", "snr_no_seeds",
             "no_snrs", "no_bandwidths", "one_level_pool", "one_level_on_grid", "snr_one_level",
             "one_sample_pool", "snr_one_sample", "block_wider_than_grid",
             "snr_window_longer_than_nt", "empty_vds_range", "level_below_threshold",
-            "snr_level_at_threshold", "k_factor_overflows"])
+            "snr_level_at_threshold", "k_factor_overflows", "negative_vds_range", "lam_zero",
+            "lam_subnormal"])
     def test_sweeps_reject_bad_input_before_any_replicate(self, monkeypatch, sweep, match):
         def no_replicate(args):
             raise AssertionError("a replicate ran before the input was checked")
