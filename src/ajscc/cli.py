@@ -130,9 +130,14 @@ class RunConfig:
 
     def lambda_list(self) -> list[float]:
         vals = _parse_float_list("lambda_grid", self.lambda_grid)
-        if not all(0 < a < b for a, b in zip(vals, vals[1:] + [math.inf])):
-            raise ConfigError("invalid value for 'lambda_grid': need positive, finite, "
-                              "strictly ascending values")
+        if not all(a < b for a, b in zip(vals, vals[1:])):
+            raise ConfigError("invalid value for 'lambda_grid': need strictly ascending values")
+        vds_range = self.vds_range()
+        for lam in vals:  # the decoder's rule, on the default device: a device fault keeps its key
+            try:
+                check_decodable(MosfetParams(lam=lam), vds_range)
+            except ValueError as exc:
+                raise ConfigError(f"invalid value for 'lambda_grid': {exc}") from None
         return vals
 
     def noiseless_vds_grid(self) -> np.ndarray:

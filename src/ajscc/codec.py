@@ -77,18 +77,19 @@ RANGE_TOL = 1e-6
 def build_levels(vgs_range: tuple[float, float], delta: float) -> np.ndarray:
     """Uniform level set {lo, lo+delta, ...} up to the largest value <= hi.
 
-    Raises ValueError unless the spacing is positive and finite and admits
-    at least two levels, since the decoder needs two to discriminate.
+    Raises ValueError unless the spacing is positive and finite and yields from
+    two levels (the decoder needs two to discriminate) to np.iinfo(np.intp).max.
     """
     lo, hi = float(vgs_range[0]), float(vgs_range[1])
     if not 0 < delta < np.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if hi < lo:
         raise ValueError(f"empty vgs_range {vgs_range}")
-    n = int(np.floor((hi - lo) / delta * (1.0 + 1e-12) + 1e-12)) + 1
-    if n < 2:
-        raise ValueError(f"spacing {delta} over {vgs_range} yields {n} level(s); need at least 2")
-    levels = lo + delta * np.arange(n)
+    n = float(np.floor((hi - lo) / delta * (1.0 + 1e-12) + 1e-12)) + 1  # may be inf
+    if not 2 <= n <= np.iinfo(np.intp).max:
+        raise ValueError(f"spacing {delta} over {vgs_range} yields {n:g} level(s); need at "
+                         f"least 2 and at most {np.iinfo(np.intp).max}")
+    levels = lo + delta * np.arange(int(n))
     levels[-1] = min(levels[-1], hi)
     return levels
 
@@ -227,9 +228,8 @@ def decode_pairs(p: MosfetParams, cfg: CodecConfig, ids1, ids2, range_check: boo
         r = np.where(a <= b, np.minimum(np.maximum(g, a), b), g)
         r = _settle(r, lambda rows, L: 0 - ((L > a[rows]) & tied(rows, L)))
         sel = r if range_check else g
-        bs = base.take(sel)
-        return (levels.take(sel), (ids1 / bs - 1.0) / lam, (ids2 / bs - 1.0) / lam,
-                sel != g, (a <= b) & (sel == r))
+        return (levels.take(sel), vds(ids1, sel), vds(ids2, sel), sel != g,
+                (a <= b) & (sel == r))
 
 
 def _settle(L, move):

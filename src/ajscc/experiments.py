@@ -217,10 +217,11 @@ class LambdaSweep:
 def sweep_lambda(lambdas=DEFAULT_LAMBDA_GRID, base: MosfetParams = MosfetParams(),
                  levels=NOISELESS_LEVELS, vds_grid=None,
                  vds_range: tuple[float, float] = SOURCE_RANGE) -> LambdaSweep:
-    """Run the noiseless study for each lam value (combined MSE = mean of gs, ds)."""
+    """Run the noiseless study for each lam value (combined MSE = mean of gs, ds); the
+    lambdas ascend strictly, and a lam that check_decodable rejects fails its run."""
     lambdas = [float(l) for l in lambdas]
-    if any(l <= 0 for l in lambdas) or not all(a < b for a, b in zip(lambdas, lambdas[1:])):
-        raise ValueError("lambdas must be positive and strictly ascending")
+    if not all(a < b for a, b in zip(lambdas, lambdas[1:])):
+        raise ValueError("lambdas must be strictly ascending")
     runs = [run_noiseless(replace(base, lam=lam), levels=levels, vds_grid=vds_grid,
                           vds_range=vds_range) for lam in lambdas]
     return LambdaSweep(tuple(lambdas), tuple((r.mse_gs_pre + r.mse_ds_pre) / 2.0 for r in runs),
@@ -272,8 +273,7 @@ class LinkConfig:
             raise ValueError(f"need at least one worker, got workers={self.workers}")
         if not -np.inf < self.vgs_range[0] < self.vgs_range[1] < np.inf:
             raise ValueError(f"vgs_range must have finite lo < hi, got {self.vgs_range}")
-        if not 0 <= self.vds_range[0] < self.vds_range[1] < np.inf:  # no negative drain voltage
-            raise ValueError(f"vds_range must have finite lo < hi, lo >= 0, got {self.vds_range}")
+        CodecConfig(self.vgs_range, self.vds_range)  # the codec's vds_range rule
         check_decodable(self.mosfet, self.vds_range)  # every sweep decodes
         if not self.vgs_range[0] > self.mosfet.v_th:
             raise ValueError(f"levels must all exceed v_th={self.mosfet.v_th} V, "
@@ -432,10 +432,11 @@ def _sweep_reports(cfg: LinkConfig, deltas, chans) -> tuple[MseReport, ...]:
 
 
 def sweep_delta(deltas=DEFAULT_DELTA_GRID, cfg: LinkConfig = LinkConfig()) -> SweepResult:
-    """MSE versus level spacing at fixed bandwidth/SNR, averaged over replicates."""
+    """MSE versus level spacing at fixed bandwidth/SNR, averaged over replicates; the
+    spacings ascend strictly, and build_levels checks each before any replicate runs."""
     deltas = [float(d) for d in deltas]
-    if not deltas or not deltas[0] > 0 or not all(a < b for a, b in zip(deltas, deltas[1:])):
-        raise ValueError("deltas must be non-empty, positive and strictly ascending")
+    if not deltas or not all(a < b for a, b in zip(deltas, deltas[1:])):
+        raise ValueError("deltas must be non-empty and strictly ascending")
     reports = _sweep_reports(cfg, deltas, [cfg.channel()])
     best = int(np.argmin([r.mse_sum for r in reports]))
     return SweepResult(tuple(deltas), reports,

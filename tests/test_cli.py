@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import multiprocessing
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 
 from ajscc import experiments
 from ajscc.cli import COMMANDS, ConfigError, RunConfig, dispatch, main, parse_config
+from ajscc.codec import CodecConfig, check_decodable
 from ajscc.experiments import LinkConfig
 from ajscc.mosfet import MosfetParams
 
@@ -252,6 +254,7 @@ class TestSubcommands:
         # 1 + lam * vds takes one float64 value over the whole drain range
         ("noiseless", ["--lam", "5e-324"], "lam"),
         ("decode", ["--ids1", "1e-3", "--ids2", "1.01e-3", "--lam", "5e-324"], "lam"),
+        ("sweep-lambda", ["--lambda-grid", "1e-20,0.1"], "lambda_grid"),
     ])
     def test_bad_sweep_grid_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                     key):
@@ -279,6 +282,8 @@ class TestSubcommands:
         ("sweep-delta", ["--delta-min", "1", "--delta-max", "6", "--delta-step", "1"],
          "spacing 6.0 over (5.0, 10.0) yields 1 level(s)"),
         ("sweep-snr", ["--delta", "6"], "spacing 6.0 over (5.0, 10.0) yields 1 level(s)"),
+        ("sweep-delta", ["--delta", "5e-324"], "spacing 5e-324"),
+        ("sweep-snr", ["--delta", "5e-324"], "spacing 5e-324"),
         ("sweep-delta", ["--nx", "5", "--s-p", "10"], "s_p=10 exceeds grid 5x"),
         ("gen-field", ["--nx", "5", "--s-p", "10"], "s_p=10 exceeds grid 5x"),
         ("sweep-delta", ["--nt", "5", "--t-p", "10"], "t_p=10 exceeds nt=5"),
@@ -423,6 +428,72 @@ def _config_file(tokens, path: Path, keys=None) -> str:
     pairs = (tok.split("=", 1) for tok in tokens)
     path.write_text("".join(f"{(keys or {}).get(k, k)} = {v}\n" for k, v in pairs))
     return str(path)
+
+
+class TestRulesStatedOnce:
+    """Each codec input rule has one statement, in the library object that owns it:
+    every other layer asks that owner, so the layers cannot drift apart."""
+
+    @pytest.mark.parametrize("vds_range", [(-5.0, -1.0), (10.0, 5.0), (5.0, math.inf)])
+    def test_link_and_codec_reject_a_drain_range_alike(self, vds_range):
+        with pytest.raises(ValueError) as link:
+            LinkConfig(vds_range=vds_range)
+        with pytest.raises(ValueError) as codec:
+            CodecConfig([5.0, 10.0], vds_range)
+        assert str(link.value) == str(codec.value)
+
+    @pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-20, math.inf, math.nan, 0.037])
+    def test_lambda_grid_rejects_what_the_decoder_rejects(self, lam):
+        cfg = RunConfig(lambda_grid=str(lam))
+        try:
+            check_decodable(MosfetParams(lam=lam), cfg.vds_range())
+        except ValueError:
+            with pytest.raises(ConfigError, match="invalid value for 'lambda_grid'"):
+                cfg.lambda_list()
+        else:
+            assert cfg.lambda_list() == [lam]
+
+    @pytest.mark.parametrize("flags", [["--k-gain", "0"], ["--v-th", "nan"]])
+    def test_device_faults_are_not_lambda_grid_faults(self, tmp_path, capsys, flags):
+        assert main(["sweep-lambda", "--outdir", str(tmp_path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert "invalid device parameters (k_gain/v_th/lam)" in err
+        assert "'lambda_grid'" not in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("noiseless", []),
+        ("sweep-lambda", []),
+        ("decode", ["--ids1", "1e-3", "--ids2", "2e-3"]),
+    ])
+    def test_an_unbounded_drain_range_is_not_a_lam_fault(self, tmp_path, capsys, command,
+                                                          flags):
+        assert main([command, "--outdir", str(tmp_path), "--vds-hi", "inf", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "vds_range must have finite lo < hi" in err
+        assert "'lam'" not in err and "'lambda_grid'" not in err
+
+
+class TestWorkerCountInvariance:
+    """A link sweep's rows are byte-identical at any worker count; only the
+    echo line's ``workers=`` differs."""
+
+    @pytest.mark.parametrize("command, name, flags", [
+        ("sweep-delta", "sweep_delta.csv",
+         ["--delta-min", "0.3", "--delta-max", "0.6", "--delta-step", "0.1"]),
+        ("sweep-snr", "sweep_snr.csv",
+         ["--snr-min", "-30", "--snr-max", "-10", "--snr-step", "20",
+          "--bandwidths", "50e3,410e3"]),
+    ])
+    def test_rows_do_not_depend_on_the_worker_count(self, tmp_path, command, name, flags):
+        echoes, bodies = set(), set()
+        for workers in (1, 2, 3):  # three replicates, so three workers each take one
+            out = tmp_path / str(workers)
+            assert main([command, "--outdir", str(out), *FAST_LINK, *flags, "--seeds", "3",
+                         "--workers", str(workers)]) == 0
+            echo, body = (out / name).read_bytes().split(b"\n", 1)
+            echoes.add(re.sub(rb" workers=\d+", b"", echo))
+            bodies.add(body)
+        assert len(echoes) == 1 and len(bodies) == 1
 
 
 class TestReproducibleFromOutput:

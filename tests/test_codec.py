@@ -68,6 +68,9 @@ class TestBuildLevels:
         for delta in (math.inf, math.nan):
             with pytest.raises(ValueError, match="delta must be positive and finite"):
                 build_levels((1.0, 5.0), delta)
+        for delta in (5e-324, 1e-300):  # more levels than an array can index
+            with pytest.raises(ValueError):
+                build_levels((5.0, 10.0), delta)
 
 
 class TestCodecConfig:
