@@ -7,8 +7,8 @@ defaults, then a config file (``key = value`` lines, ``#`` comments), then
 echoing the resolved configuration, so a run is reproducible from its output.
 
 The subcommands are the keys of :data:`COMMANDS`.  Resolving only converts
-each value to its type: a command checks just the values it reads, when it
-reads them, by key in the :class:`RunConfig` accessors or by its library calls.
+each value to its type; a command checks the values it reads when it reads
+them, and a fault names the key that set the value, with its owner's message.
 """
 
 import argparse
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecConfig, check_decodable, decode_stream, encode
+from .codec import CodecConfig, build_levels, check_decodable, decode_stream, encode
 from .experiments import (
     BANDWIDTH_LIST, DELTA_AXIS, LAMBDA_LIST, NOISELESS_LEVEL_LIST, NOISELESS_VDS_AXIS,
     SNR_AXIS, SNR_SWEEP_DELTA, LinkConfig, axis_points, delta_points, float_list,
@@ -42,6 +42,22 @@ class ConfigError(ValueError):
 _LINK = LinkConfig()  # the library defaults, the one source of RunConfig's scalar defaults
 # LinkConfig fields set by differently named keys; every other one has a key of its name
 _LINK_KEYS = {"n_seeds": "seeds", "vgs_range": "vgs_lo/vgs_hi", "vds_range": "vds_lo/vds_hi"}
+
+
+@contextlib.contextmanager
+def _keyed(key: str | None = None):
+    """Re-raise a library ValueError as ``invalid value for '<key>': <message>``, by default
+    under the keys of the LinkConfig fields it names (none: unprefixed); ConfigError as is."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        keys = [key] if key else [_LINK_KEYS.get(f.name, f.name)
+                                  for f in dataclasses.fields(LinkConfig)
+                                  if re.search(rf"\b{f.name}\b", str(exc))]
+        raise ConfigError(f"invalid value for '{'/'.join(keys)}': {exc}" if keys
+                          else str(exc)) from None
 
 
 @dataclass
@@ -101,19 +117,15 @@ class RunConfig:
     outdir: str = "."
 
     def mosfet(self) -> MosfetParams:
-        try:
+        with _keyed("k_gain/v_th/lam"):
             p = MosfetParams(k_gain=self.k_gain, v_th=self.v_th, lam=self.lam)
-        except ValueError as exc:
-            raise ConfigError(f"invalid device parameters (k_gain/v_th/lam): {exc}") from None
-        vds_range = self.vds_range()  # outside the try: a bad range keeps its own key
-        try:  # the decoder's one rule, reported by key
-            check_decodable(p, vds_range)
-        except ValueError as exc:
-            raise ConfigError(f"invalid value for 'lam': {exc}") from None
+        with _keyed("lam"):  # the decoder's one rule; a bad range keeps its own key
+            check_decodable(p, self.vds_range())
         return p
 
     def vds_range(self) -> tuple[float, float]:
-        if not 0 <= self.vds_lo < self.vds_hi:  # an infinite vds_hi is the library's to name
+        # CodecConfig's rule, which takes levels to ask; it names an infinite vds_hi itself
+        if not 0 <= self.vds_lo < self.vds_hi:
             raise ConfigError("invalid value for 'vds_lo/vds_hi': need 0 <= lo < hi")
         return self.vds_lo, self.vds_hi
 
@@ -130,14 +142,12 @@ class RunConfig:
 
     def lambda_list(self) -> list[float]:
         vals = _parse_float_list("lambda_grid", self.lambda_grid)
+        # stated here: sweep_lambda, which owns the order, states it only in its run
         if not all(a < b for a, b in zip(vals, vals[1:])):
             raise ConfigError("invalid value for 'lambda_grid': need strictly ascending values")
-        vds_range = self.vds_range()
-        for lam in vals:  # the decoder's rule, on the default device: a device fault keeps its key
-            try:
-                check_decodable(MosfetParams(lam=lam), vds_range)
-            except ValueError as exc:
-                raise ConfigError(f"invalid value for 'lambda_grid': {exc}") from None
+        with _keyed("lambda_grid"):  # the decoder's rule, on the default device
+            for lam in vals:
+                check_decodable(MosfetParams(lam=lam), self.vds_range())
         return vals
 
     def noiseless_vds_grid(self) -> np.ndarray:
@@ -155,38 +165,28 @@ class RunConfig:
         return lo, hi, step
 
     def delta_grid(self) -> list[float]:
-        if self.delta is not None:  # a pinned spacing leaves the grid unread
-            return [self.delta]
-        lo, hi, step = self._axis("delta")
-        if not lo > 0:
-            raise ConfigError("invalid value for 'delta_min': must be positive")
-        return delta_points(lo, hi, step)
-
-    def snr_grid(self) -> list[float]:
-        return axis_points(*self._axis("snr"))
+        key, deltas = (("delta", [self.delta]) if self.delta is not None  # grid unread
+                       else ("delta_min", delta_points(*self._axis("delta"))))
+        with _keyed(key):  # build_levels checks the finest spacing
+            build_levels((self.vgs_lo, self.vgs_hi), deltas[0])
+        return deltas
 
     def bandwidth_list(self) -> list[float]:
         vals = _parse_float_list("bandwidths", self.bandwidths)
-        for b in vals:
+        for b in vals:  # stated here: ChannelConfig, which owns the rule, is built whole
             if not 0 < b < math.inf:
                 raise ConfigError(f"invalid value for 'bandwidths': {b} is not positive "
                                   "and finite")
         return vals
 
     def link(self) -> LinkConfig:
-        """The library config of the link sweeps; its checks are reported by key."""
+        """The link sweeps' library config; a fault is keyed by the fields its message names."""
         kw = dict(mosfet=self.mosfet(), vds_range=self.vds_range(),  # each reports its keys
                   vgs_range=(self.vgs_lo, self.vgs_hi), n_seeds=self.seeds,
                   workers=self.workers or _usable_cpus())
-        try:  # every other field is set by the key of its name
+        with _keyed():  # every other field is set by the key of its name
             return LinkConfig(**kw, **{f.name: getattr(self, f.name)
                                        for f in dataclasses.fields(LinkConfig) if f.name not in kw})
-        except ValueError as exc:
-            # the keys of the LinkConfig fields the library's message names
-            keys = [_LINK_KEYS.get(f.name, f.name) for f in dataclasses.fields(LinkConfig)
-                    if re.search(rf"\b{f.name}\b", str(exc))]
-            raise ConfigError(f"invalid value for '{'/'.join(keys)}': {exc}" if keys
-                              else str(exc)) from None
 
     def echo(self) -> str:
         items = dataclasses.asdict(self)
@@ -202,10 +202,8 @@ def _usable_cpus() -> int:
 
 
 def _parse_float_list(key: str, text: str) -> list[float]:
-    try:
+    with _keyed(key):
         vals = list(float_list(text))
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for '{key}': {exc}") from None
     if not vals:
         raise ConfigError(f"invalid value for '{key}': empty list")
     return vals
@@ -314,7 +312,9 @@ def _cmd_sweep_lambda(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep_delta(cfg: RunConfig) -> int:
-    sw = sweep_delta(cfg.delta_grid(), cfg.link())
+    link = cfg.link()  # before the spacing: a bad vgs_lo/vgs_hi keeps its own key
+    with _keyed():  # the channel, built in the sweep, names its keys too
+        sw = sweep_delta(cfg.delta_grid(), link)
     rows = ((d, r.mse_gs, r.mse_ds, r.mse_sum)
             for d, r in zip(sw.points, sw.reports))
     _write_csv(cfg, "sweep_delta.csv", "delta,mse_gs,mse_ds,mse_sum", rows)
@@ -326,8 +326,9 @@ def _cmd_sweep_delta(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep_snr(cfg: RunConfig) -> int:
-    delta = cfg.delta if cfg.delta is not None else SNR_SWEEP_DELTA
-    sw = sweep_snr(cfg.snr_grid(), cfg.bandwidth_list(), delta, cfg.link())
+    link = cfg.link()  # before the spacing: a bad vgs_lo/vgs_hi keeps its own key
+    delta = SNR_SWEEP_DELTA if cfg.delta is None else cfg.delta_grid()[0]
+    sw = sweep_snr(axis_points(*cfg._axis("snr")), cfg.bandwidth_list(), delta, link)
     rows = ((s, b, r.mse_sum) for (s, b), r in zip(sw.points, sw.reports))
     _write_csv(cfg, "sweep_snr.csv", "snr_db,bandwidth_hz,mse_sum", rows)
     best = min(r.mse_sum for r in sw.reports)
@@ -337,10 +338,9 @@ def _cmd_sweep_snr(cfg: RunConfig) -> int:
 
 
 def _cmd_gen_field(cfg: RunConfig) -> int:
-    if cfg.seed < 0:  # reported by key, as LinkConfig's check is for the sweeps
-        raise ConfigError("invalid value for 'seed': must be >= 0")
-    field = generate_field(cfg.nx, cfg.ny, cfg.nt, cfg.s_p, cfg.t_p, *cfg.vds_range(),
-                           seed=cfg.seed)
+    with _keyed():  # its geometry and seed faults name the keys, as LinkConfig's do
+        field = generate_field(cfg.nx, cfg.ny, cfg.nt, cfg.s_p, cfg.t_p, *cfg.vds_range(),
+                               seed=cfg.seed)
     path = os.path.join(cfg.outdir, "field.csv")
     with _atomic_path(path) as tmp:
         field_to_csv(field, tmp)
@@ -368,8 +368,7 @@ def _cmd_decode(cfg: RunConfig, ids1: float, ids2: float) -> int:
     return 0
 
 
-# command name -> (handler, the float arguments it takes after the config); a
-# handler checks each config value it reads, when it reads it
+# command name -> (handler, the float arguments it takes after the config)
 COMMANDS = {
     "noiseless": (_cmd_noiseless, ()),
     "sweep-lambda": (_cmd_sweep_lambda, ()),

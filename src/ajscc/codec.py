@@ -72,13 +72,17 @@ __all__ = [
 # Tolerance on the vds_range boundaries so exact-endpoint decodes stay
 # in range under floating-point round-off.
 RANGE_TOL = 1e-6
+_MAX_LEVELS = 2**20  # the most levels build_levels makes
 
 
 def build_levels(vgs_range: tuple[float, float], delta: float) -> np.ndarray:
     """Uniform level set {lo, lo+delta, ...} up to the largest value <= hi.
 
     Raises ValueError unless the spacing is positive and finite and yields from
-    two levels (the decoder needs two to discriminate) to np.iinfo(np.intp).max.
+    two levels (the decoder needs two to discriminate) to 2**20, 8 MB of
+    float64: the finest default spacing has 101, and without a cap a spacing
+    such as 1e-9 V over (5, 10) V would allocate some 40 GB before anything
+    else could reject it.
     """
     lo, hi = float(vgs_range[0]), float(vgs_range[1])
     if not 0 < delta < np.inf:
@@ -86,9 +90,9 @@ def build_levels(vgs_range: tuple[float, float], delta: float) -> np.ndarray:
     if hi < lo:
         raise ValueError(f"empty vgs_range {vgs_range}")
     n = float(np.floor((hi - lo) / delta * (1.0 + 1e-12) + 1e-12)) + 1  # may be inf
-    if not 2 <= n <= np.iinfo(np.intp).max:
-        raise ValueError(f"spacing {delta} over {vgs_range} yields {n:g} level(s); need at "
-                         f"least 2 and at most {np.iinfo(np.intp).max}")
+    if not 2 <= n <= _MAX_LEVELS:
+        raise ValueError(f"spacing {delta} over {vgs_range} yields {n:.7g} level(s); need at "
+                         f"least 2 and at most {_MAX_LEVELS}")
     levels = lo + delta * np.arange(int(n))
     levels[-1] = min(levels[-1], hi)
     return levels

@@ -13,9 +13,10 @@ import pytest
 
 from ajscc import experiments
 from ajscc.cli import COMMANDS, ConfigError, RunConfig, dispatch, main, parse_config
-from ajscc.codec import CodecConfig, check_decodable
+from ajscc.codec import CodecConfig, build_levels, check_decodable
 from ajscc.experiments import LinkConfig
 from ajscc.mosfet import MosfetParams
+from ajscc.phenomenon import check_seed
 
 FAST_LINK = ["--nx", "4", "--ny", "4", "--nt", "4", "--s-p", "2", "--t-p", "2",
              "--n-samples", "512", "--seeds", "2", "--workers", "1"]
@@ -255,6 +256,11 @@ class TestSubcommands:
         ("noiseless", ["--lam", "5e-324"], "lam"),
         ("decode", ["--ids1", "1e-3", "--ids2", "1.01e-3", "--lam", "5e-324"], "lam"),
         ("sweep-lambda", ["--lambda-grid", "1e-20,0.1"], "lambda_grid"),
+        # faults raised by the delta sweep's channel and by a pinned spacing
+        ("sweep-delta", ["--bandwidth", "0"], "bandwidth"),
+        ("sweep-delta", ["--delta", "0.5", "--rician-k-db", "4000"], "rician_k_db"),
+        ("sweep-delta", ["--delta", "0"], "delta"),
+        ("sweep-snr", ["--delta", "0"], "delta"),
     ])
     def test_bad_sweep_grid_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                     key):
@@ -457,8 +463,28 @@ class TestRulesStatedOnce:
     def test_device_faults_are_not_lambda_grid_faults(self, tmp_path, capsys, flags):
         assert main(["sweep-lambda", "--outdir", str(tmp_path), *flags]) == 1
         err = capsys.readouterr().err
-        assert "invalid device parameters (k_gain/v_th/lam)" in err
+        assert "invalid value for 'k_gain/v_th/lam'" in err
         assert "'lambda_grid'" not in err
+
+    @pytest.mark.parametrize("command, flags, key, owner", [
+        ("gen-field", ["--seed", "-1"], "seed", lambda: check_seed(-1, tuples=False)),
+        ("sweep-delta", ["--delta-min", "0"], "delta_min", lambda: build_levels((5.0, 10.0), 0.0)),
+    ])
+    def test_cli_reports_the_owners_message_by_key(self, tmp_path, capsys, command, flags,
+                                                   key, owner):
+        with pytest.raises(ValueError) as rule:
+            owner()
+        assert main([command, "--outdir", str(tmp_path / "out"), *flags]) == 1
+        assert capsys.readouterr().err == f"error: invalid value for '{key}': {rule.value}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_snr_sweep_channel_faults_name_no_link_key(self, tmp_path, capsys):
+        # sweep-snr sets its channels by snr_min/snr_max/bandwidths, never snr_db/bandwidth
+        assert main(["sweep-snr", "--outdir", str(tmp_path / "out"), "--snr-min", "-400",
+                     "--snr-max", "-400"]) == 1
+        err = capsys.readouterr().err
+        assert "'snr_db'" not in err and "'bandwidth'" not in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flags", [
         ("noiseless", []),
@@ -548,6 +574,18 @@ class TestGoldenArtifacts:
     ])
     def test_noiseless_artifact_bytes(self, tmp_path, capsys, command, name, sha):
         assert main([command, "--outdir", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
+
+    @pytest.mark.parametrize("command, flags, name, sha", [
+        ("gen-field", [], "field.csv",
+         "6ce062e15597b5a1ecf50a318069abbe95787fc9fb950e788c8de9647aeb3aaa"),
+        ("sweep-delta", ["--workers", "2"], "sweep_delta.csv",
+         "cb97782cd4a35fafc4f46575b68fd9dbff0dc72c77d5cc4159a605b878624b56"),
+        ("sweep-snr", ["--workers", "2"], "sweep_snr.csv",
+         "780eb7633ae1b186d9bc3d2a085f5d0e3db37185444698c81d35bb8dfc57db0f"),
+    ])
+    def test_field_and_link_artifact_bytes(self, tmp_path, capsys, command, flags, name, sha):
+        assert main([command, "--outdir", str(tmp_path), *flags]) == 0
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == sha
 
     @pytest.mark.parametrize("ids1, ids2, want", [

@@ -71,6 +71,8 @@ class TestBuildLevels:
         for delta in (5e-324, 1e-300):  # more levels than an array can index
             with pytest.raises(ValueError):
                 build_levels((5.0, 10.0), delta)
+        with pytest.raises(ValueError, match=r"yields 1048577 level\(s\)"):  # one past the cap
+            build_levels((5.0, 10.0), 5.0 / 2**20)
 
 
 class TestCodecConfig:
