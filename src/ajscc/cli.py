@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodecConfig, build_levels, check_decodable, decode_stream, encode
+from .codec import (CodecConfig, build_levels, check_decodable, check_vds_range, decode_stream,
+                    encode)
 from .experiments import (
     BANDWIDTH_LIST, DELTA_AXIS, LAMBDA_LIST, NOISELESS_LEVEL_LIST, NOISELESS_VDS_AXIS,
     SNR_AXIS, SNR_SWEEP_DELTA, LinkConfig, axis_points, delta_points, float_list,
@@ -124,19 +125,18 @@ class RunConfig:
         return p
 
     def vds_range(self) -> tuple[float, float]:
-        # CodecConfig's rule, which takes levels to ask; it names an infinite vds_hi itself
-        if not 0 <= self.vds_lo < self.vds_hi:
-            raise ConfigError("invalid value for 'vds_lo/vds_hi': need 0 <= lo < hi")
+        with _keyed("vds_lo/vds_hi"):
+            check_vds_range((self.vds_lo, self.vds_hi))
         return self.vds_lo, self.vds_hi
 
     def noiseless_level_list(self, p: MosfetParams) -> np.ndarray:
         """The gate levels; a finite one whose drain current on device ``p`` overflows
-        at a finite vds_hi fails (CodecConfig rejects the levels that are not finite)."""
+        at vds_hi fails (CodecConfig rejects the levels that are not finite)."""
         levels = np.array(_parse_float_list("noiseless_levels", self.noiseless_levels))
         # not drain_current: its vgs >= v_th and vds >= 0 checks would change what fails here
         with np.errstate(over="ignore", invalid="ignore"):  # reported here, by key
-            top = 0.5 * p.k_gain * (levels - p.v_th) ** 2 * (1.0 + p.lam * self.vds_hi)
-        if math.isfinite(self.vds_hi) and np.any(np.isfinite(levels) & ~np.isfinite(top)):
+            top = 0.5 * p.k_gain * (levels - p.v_th) ** 2 * (1.0 + p.lam * self.vds_range()[1])
+        if np.any(np.isfinite(levels) & ~np.isfinite(top)):
             raise ConfigError("invalid value for 'noiseless_levels': drain current overflow")
         return levels
 
@@ -165,10 +165,11 @@ class RunConfig:
         return lo, hi, step
 
     def delta_grid(self) -> list[float]:
-        key, deltas = (("delta", [self.delta]) if self.delta is not None  # grid unread
-                       else ("delta_min", delta_points(*self._axis("delta"))))
-        with _keyed(key):  # build_levels checks the finest spacing
-            build_levels((self.vgs_lo, self.vgs_hi), deltas[0])
+        keys, deltas = ((["delta"], [self.delta]) if self.delta is not None  # grid unread
+                        else (["delta_min", "delta_max"], delta_points(*self._axis("delta"))))
+        for key, d in zip(keys, (deltas[0], deltas[-1])):  # the finest and coarsest spacing
+            with _keyed(key):
+                build_levels((self.vgs_lo, self.vgs_hi), d)
         return deltas
 
     def bandwidth_list(self) -> list[float]:

@@ -63,6 +63,7 @@ __all__ = [
     "CodecConfig",
     "build_levels",
     "check_decodable",
+    "check_vds_range",
     "quantize",
     "encode",
     "decode_pairs",
@@ -115,13 +116,19 @@ def _checked_levels(levels, empty: str = "levels must be a non-empty 1-d sequenc
     return levels
 
 
+def check_vds_range(vds_range: tuple[float, float]) -> None:
+    """Raise ValueError unless ``vds_range`` is finite with 0 <= lo < hi (vds is never < 0)."""
+    if not 0 <= vds_range[0] < vds_range[1] < np.inf:
+        raise ValueError(f"vds_range must have finite lo < hi, lo >= 0, got {vds_range}")
+
+
 @dataclass(frozen=True)
 class CodecConfig:
     """Level set and drain-voltage interval shared by transmitter and receiver.
 
-    levels must be finite and strictly ascending.  vds_range is the finite
-    drain-voltage interval the transmitter guarantees, which the decoder
-    uses for range checking; the device takes no negative drain voltage.
+    levels must be finite and strictly ascending.  vds_range is the
+    drain-voltage interval the transmitter guarantees (:func:`check_vds_range`),
+    which the decoder uses for range checking.
     """
 
     levels: np.ndarray
@@ -129,8 +136,7 @@ class CodecConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", _checked_levels(self.levels))
-        if not 0 <= self.vds_range[0] < self.vds_range[1] < np.inf:
-            raise ValueError(f"vds_range must have finite lo < hi, lo >= 0, got {self.vds_range}")
+        check_vds_range(self.vds_range)
 
 
 def quantize(value, levels):

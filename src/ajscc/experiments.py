@@ -26,8 +26,8 @@ import numpy as np
 
 # simulate_link and decode_pairs are not called here; bench/tracing.py wraps them in this namespace
 from .channel import OVERSAMPLE, ChannelConfig, simulate_link, simulate_link_grid  # noqa: F401
-from .codec import (CodecConfig, build_levels, check_decodable, decode_pairs,  # noqa: F401
-                    decode_stream, quantize)
+from .codec import (CodecConfig, build_levels, check_decodable, check_vds_range,  # noqa: F401
+                    decode_pairs, decode_stream, encode, quantize)
 from .mosfet import MosfetParams, drain_current
 from .phenomenon import Field, block_grid, block_means, check_geometry, check_seed, generate_field
 
@@ -179,16 +179,12 @@ def run_noiseless(p: MosfetParams, levels=NOISELESS_LEVELS, vds_grid=None,
     if vds_grid is None:
         vds_grid = noiseless_vds_grid(*NOISELESS_VDS_AXIS)
     vds_grid = np.asarray(vds_grid, dtype=float)
-    levels = np.asarray(levels, dtype=float)
-    lo, hi = vds_range
-    # written so that a NaN point fails too
-    if not np.all((vds_grid >= lo - 1e-9) & (vds_grid <= hi + 1e-9)):
-        raise ValueError(f"vds_grid extends outside vds_range {vds_range}")
     cfg = CodecConfig(levels, vds_range)
+    levels = cfg.levels
 
     vgs_true = np.repeat(levels, vds_grid.size)
     vds_true = np.tile(vds_grid, levels.size)
-    ids = drain_current(p, levels[:, None], vds_grid)
+    ids = encode(p, cfg, levels[:, None], vds_grid)  # rejects a grid point outside vds_range
     (vgs_hat, vds_hat, corr, _), (vgs_pre, vds_pre, _, _) = (
         [a.ravel() for a in decode_stream(p, cfg, ids, range_check=rc)] for rc in (True, False))
 
@@ -233,9 +229,9 @@ def sweep_lambda(lambdas=DEFAULT_LAMBDA_GRID, base: MosfetParams = MosfetParams(
 class LinkConfig:
     """Shared configuration of the channel experiments.
 
-    Checked when built (integer counts, ``seed`` >= 0, ``workers`` >= 1, a finite
-    ``vds_range`` from 0 V that :func:`~ajscc.codec.check_decodable` accepts), so
-    a sweep rejects it before any replicate runs or any process starts.
+    Checked when built (integer counts, ``seed`` >= 0, ``workers`` >= 1, a ``vds_range``
+    that :func:`~ajscc.codec.check_vds_range` and :func:`~ajscc.codec.check_decodable`
+    accept), so a sweep rejects it before any replicate runs or any process starts.
     ``vgs_range[0]``, the lowest level at every spacing, alone is checked
     against v_th; :meth:`channel` checks the channel, snr_db's floor included.
     """
@@ -273,7 +269,7 @@ class LinkConfig:
             raise ValueError(f"need at least one worker, got workers={self.workers}")
         if not -np.inf < self.vgs_range[0] < self.vgs_range[1] < np.inf:
             raise ValueError(f"vgs_range must have finite lo < hi, got {self.vgs_range}")
-        CodecConfig(self.vgs_range, self.vds_range)  # the codec's vds_range rule
+        check_vds_range(self.vds_range)
         check_decodable(self.mosfet, self.vds_range)  # every sweep decodes
         if not self.vgs_range[0] > self.mosfet.v_th:
             raise ValueError(f"levels must all exceed v_th={self.mosfet.v_th} V, "

@@ -13,7 +13,7 @@ import pytest
 
 from ajscc import experiments
 from ajscc.cli import COMMANDS, ConfigError, RunConfig, dispatch, main, parse_config
-from ajscc.codec import CodecConfig, build_levels, check_decodable
+from ajscc.codec import CodecConfig, build_levels, check_decodable, check_vds_range
 from ajscc.experiments import LinkConfig
 from ajscc.mosfet import MosfetParams
 from ajscc.phenomenon import check_seed
@@ -261,6 +261,9 @@ class TestSubcommands:
         ("sweep-delta", ["--delta", "0.5", "--rician-k-db", "4000"], "rician_k_db"),
         ("sweep-delta", ["--delta", "0"], "delta"),
         ("sweep-snr", ["--delta", "0"], "delta"),
+        # the coarsest grid spacing leaves one level
+        ("sweep-delta", ["--delta-min", "1", "--delta-max", "6", "--delta-step", "1"],
+         "delta_max"),
     ])
     def test_bad_sweep_grid_exits_without_artifacts(self, tmp_path, capsys, command, flags,
                                                     key):
@@ -297,10 +300,14 @@ class TestSubcommands:
         ("noiseless", ["--noiseless-levels", "1,3,2"], "levels must be strictly ascending"),
         ("encode", ["--noiseless-levels", "1,3,2", "--vgs", "5", "--vds", "7"],
          "levels must be strictly ascending"),
-        ("noiseless", ["--noiseless-vds-start", "20"], "vds_grid extends outside vds_range"),
-        ("noiseless", ["--noiseless-vds-start", "4"], "vds_grid extends outside vds_range"),
-        ("noiseless", ["--noiseless-vds-step", "nan"], "vds_grid extends outside vds_range"),
-        ("sweep-lambda", ["--noiseless-vds-step", "nan"], "vds_grid extends outside vds_range"),
+        ("noiseless", ["--noiseless-vds-start", "20"],
+         "vds outside configured range (5.0, 10.0)"),
+        ("noiseless", ["--noiseless-vds-start", "4"],
+         "vds outside configured range (5.0, 10.0)"),
+        ("noiseless", ["--noiseless-vds-step", "nan"],
+         "vds outside configured range (5.0, 10.0)"),
+        ("sweep-lambda", ["--noiseless-vds-step", "nan"],
+         "vds outside configured range (5.0, 10.0)"),
         ("sweep-delta", ["--vgs-lo", "0.5"], "levels must all exceed v_th"),
         ("noiseless", ["--noiseless-vds-count", "1"], "need at least 2 samples to decode"),
         ("noiseless", ["--v-th", "nan"], "v_th must be non-negative, got nan"),
@@ -320,8 +327,10 @@ class TestSubcommands:
          "decoding needs vds_range above -1/lam"),
         ("noiseless", ["--k-gain", "inf"], "k_gain must be finite, got inf"),
         ("noiseless", ["--lam", "inf"], "lam must be finite, got inf"),
-        ("gen-field", ["--vds-lo=-inf"], "need 0 <= lo < hi"),
-        ("gen-field", ["--vds-hi", "inf"], "need finite lo < hi, got (5.0, inf)"),
+        ("gen-field", ["--vds-lo=-inf"],
+         "vds_range must have finite lo < hi, lo >= 0, got (-inf, 10.0)"),
+        ("gen-field", ["--vds-hi", "inf"],
+         "vds_range must have finite lo < hi, lo >= 0, got (5.0, inf)"),
         # decode reads its two currents: each must be positive and finite
         ("decode", ["--ids1", "nan", "--ids2", "nan"], "invalid value for 'ids1'"),
         ("decode", ["--ids1", "-1", "--ids2", "1e-3"], "invalid value for 'ids1'"),
@@ -441,12 +450,24 @@ class TestRulesStatedOnce:
     every other layer asks that owner, so the layers cannot drift apart."""
 
     @pytest.mark.parametrize("vds_range", [(-5.0, -1.0), (10.0, 5.0), (5.0, math.inf)])
-    def test_link_and_codec_reject_a_drain_range_alike(self, vds_range):
+    def test_link_and_codec_reject_a_drain_range_alike(self, tmp_path, capsys, vds_range):
+        with pytest.raises(ValueError) as rule:
+            check_vds_range(vds_range)
         with pytest.raises(ValueError) as link:
             LinkConfig(vds_range=vds_range)
         with pytest.raises(ValueError) as codec:
             CodecConfig([5.0, 10.0], vds_range)
-        assert str(link.value) == str(codec.value)
+        assert str(link.value) == str(codec.value) == str(rule.value)
+        # every command reports it under the keys that set the range
+        required = {"encode": ["--vgs", "7", "--vds", "7"],
+                    "decode": ["--ids1", "1e-3", "--ids2", "2e-3"]}
+        out = tmp_path / "out"
+        for command in COMMANDS:
+            assert main([command, "--outdir", str(out), f"--vds-lo={vds_range[0]}",
+                         f"--vds-hi={vds_range[1]}", *required.get(command, [])]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: invalid value for 'vds_lo/vds_hi': {rule.value}\n", command
+            assert not out.exists()
 
     @pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-20, math.inf, math.nan, 0.037])
     def test_lambda_grid_rejects_what_the_decoder_rejects(self, lam):

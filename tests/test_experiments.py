@@ -13,9 +13,11 @@ import pytest
 
 import ajscc
 from ajscc import experiments
-from ajscc.codec import CodecConfig, build_levels, decode_pairs, quantize
+from ajscc.codec import RANGE_TOL, CodecConfig, build_levels, decode_pairs, encode, quantize
 from ajscc.experiments import (
     DEFAULT_BANDWIDTHS,
+    NOISELESS_LEVELS,
+    SOURCE_RANGE,
     LinkConfig,
     MseReport,
     mse_averaged,
@@ -125,12 +127,26 @@ class TestRunNoiseless:
         assert res.accuracy_pre == 1.0
 
     def test_grid_outside_range_rejected(self):
-        with pytest.raises(ValueError, match="vds_grid"):
+        with pytest.raises(ValueError, match="vds outside configured range"):
             run_noiseless(P, vds_grid=np.array([4.0, 5.0]))
 
     def test_nan_grid_point_rejected(self):
-        with pytest.raises(ValueError, match="vds_grid"):
+        with pytest.raises(ValueError, match="vds outside configured range"):
             run_noiseless(P, vds_grid=np.array([5.0, np.nan]))
+
+    def test_encoder_and_study_share_the_range_tolerance(self):
+        # one RANGE_TOL decides "in range" for the encoder and the study alike
+        codec = CodecConfig(NOISELESS_LEVELS, SOURCE_RANGE)
+        hi = SOURCE_RANGE[1]
+        inside = np.array([5.0, 7.5, hi + RANGE_TOL / 2])
+        encode(P, codec, codec.levels[:, None], inside)
+        assert run_noiseless(P, vds_grid=inside).accuracy == 1.0
+        outside = np.array([5.0, 7.5, hi + 2 * RANGE_TOL])
+        with pytest.raises(ValueError) as enc:
+            encode(P, codec, codec.levels[:, None], outside)
+        with pytest.raises(ValueError) as study:
+            run_noiseless(P, vds_grid=outside)
+        assert str(study.value) == str(enc.value) == f"vds outside configured range {SOURCE_RANGE}"
 
 
 class TestSweepLambda:
